@@ -870,9 +870,11 @@ fn run_client(
     }
 
     if let Some(mut con) = console.take() {
+        // Closing writes the events still buffered, so only then are
+        // the sent and dropped tallies final.
+        con.close();
         outcome.audit_sent = con.sent();
         outcome.audit_dropped = con.dropped();
-        con.close();
     }
     provider.close();
     outcome.snapshot = telemetry.registry().snapshot();

@@ -178,6 +178,12 @@ impl DynamicServices for ClientServices {
     fn first_use(&mut self, site: i32) {
         self.profile.lock().first_use(SiteId(site));
     }
+
+    fn flush(&mut self) {
+        if let Some(sink) = &mut self.audit {
+            sink.flush();
+        }
+    }
 }
 
 /// Timing breakdown of one application run (all simulated).
@@ -381,14 +387,17 @@ impl DvmClient {
         self.telemetry.clone()
     }
 
-    /// Runs `main` of `class`, producing the timing report.
+    /// Runs `main` of `class`, producing the timing report. Buffered
+    /// audit events are delivered before it returns, whatever the outcome.
     pub fn run_main(&mut self, class: &str) -> dvm_jvm::Result<RunReport> {
         let cycles_before = self.vm.stats.cycles;
-        let completion = self.vm.run_main(class)?;
-        Ok(self.report(completion, cycles_before))
+        let completion = self.vm.run_main(class);
+        self.vm.services.flush();
+        Ok(self.report(completion?, cycles_before))
     }
 
-    /// Runs an arbitrary static method.
+    /// Runs an arbitrary static method; flushes audit events like
+    /// [`DvmClient::run_main`].
     pub fn run_static(
         &mut self,
         class: &str,
@@ -397,8 +406,9 @@ impl DvmClient {
         args: Vec<Value>,
     ) -> dvm_jvm::Result<RunReport> {
         let cycles_before = self.vm.stats.cycles;
-        let completion = self.vm.run_static(class, method, descriptor, args)?;
-        Ok(self.report(completion, cycles_before))
+        let completion = self.vm.run_static(class, method, descriptor, args);
+        self.vm.services.flush();
+        Ok(self.report(completion?, cycles_before))
     }
 
     /// Read access to the profile collected so far.

@@ -416,8 +416,12 @@ impl Organization {
             jvm_version: "dvm-repro-0.1".to_owned(),
         };
         let provider = NetClassProvider::new(addr, hello.clone(), self.signer.clone(), net)?;
-        let audit: Box<dyn AuditSink> =
-            Box::new(RemoteConsole::connect(addr, hello, net).map_err(std::io::Error::other)?);
+        let mut console =
+            RemoteConsole::connect(addr, hello, net).map_err(std::io::Error::other)?;
+        // The audit counters (`audit_batches_total`, drops) land on the
+        // client's own plane, beside its fetch metrics.
+        console.set_telemetry(provider.telemetry());
+        let audit: Box<dyn AuditSink> = Box::new(console);
         let (sid, enforcement) = self.principal_wiring(principal);
         DvmClient::wire_remote(provider, enforcement, sid, Some(audit), self.cost)
             .map_err(std::io::Error::other)
@@ -570,9 +574,11 @@ impl Organization {
                 Err(e) => last_err = Some(e),
             }
         }
-        let audit: Box<dyn AuditSink> = Box::new(console.ok_or_else(|| {
+        let mut console = console.ok_or_else(|| {
             std::io::Error::other(last_err.expect("cluster has at least one shard"))
-        })?);
+        })?;
+        console.set_telemetry(provider.telemetry());
+        let audit: Box<dyn AuditSink> = Box::new(console);
         let (sid, enforcement) = self.principal_wiring(principal);
         DvmClient::wire_cluster(provider, enforcement, sid, Some(audit), self.cost)
             .map_err(std::io::Error::other)

@@ -42,6 +42,11 @@ pub trait DynamicServices: Send {
     /// `dvm/rt/Profiler.firstUse(site)` — record first execution of a
     /// method (drives the §5 repartitioning first-use graph).
     fn first_use(&mut self, _site: i32) {}
+
+    /// Delivers whatever the components buffered (batched audit events).
+    /// The VM calls it before every class fetch that reaches its
+    /// provider, so no event waits behind newly fetched code.
+    fn flush(&mut self) {}
 }
 
 /// Kinds of audit events emitted by instrumented code.
@@ -97,5 +102,6 @@ mod tests {
         s.audit_event(0, AuditKind::Enter);
         s.profile_count(0);
         s.first_use(0);
+        s.flush();
     }
 }

@@ -172,6 +172,7 @@ impl Vm {
                 reason: "circular class hierarchy".into(),
             });
         }
+        self.services.flush();
         let bytes = self
             .provider
             .load(name)
@@ -451,5 +452,35 @@ mod tests {
         assert_eq!(vm.stats.classes_loaded.len(), 1);
         assert_eq!(vm.stats.classes_loaded[0].0, "demo/T");
         assert!(vm.stats.classes_loaded[0].1 > 0);
+    }
+
+    #[test]
+    fn services_flush_before_every_fetch_that_reaches_the_provider() {
+        use std::sync::{Arc, Mutex};
+        type Log = Arc<Mutex<Vec<String>>>;
+        struct Logged<T>(T, Log);
+        impl ClassProvider for Logged<MapProvider> {
+            fn load(&mut self, name: &str) -> Option<Vec<u8>> {
+                self.1.lock().unwrap().push(format!("load {name}"));
+                self.0.load(name)
+            }
+        }
+        impl DynamicServices for Logged<()> {
+            fn flush(&mut self) {
+                self.1.lock().unwrap().push("flush".into());
+            }
+        }
+        let log = Log::default();
+        let mut provider = MapProvider::new();
+        let mut cf = dvm_classfile::ClassBuilder::new("demo/T").build();
+        provider.insert_class(&mut cf).unwrap();
+        let mut vm = Vm::with_services(
+            Box::new(Logged(provider, log.clone())),
+            Box::new(Logged((), log.clone())),
+        )
+        .unwrap();
+        vm.load_class("demo/T").unwrap();
+        vm.load_class("demo/T").unwrap(); // already linked: no fetch
+        assert_eq!(*log.lock().unwrap(), ["flush", "load demo/T"]);
     }
 }

@@ -7,6 +7,16 @@
 //! breach on a client "may stop the creation of new audit events but
 //! cannot tamper with existing audit logs".
 //!
+//! A remote client batches its events (the net crate's `RemoteConsole`):
+//! it writes them when 16 KiB of frames are buffered, when the oldest is
+//! 2 ms old (checked as the next event is recorded), before every class
+//! fetch, when a run returns, and when the channel closes. That opens a
+//! tamper window the paper's design does not have: events a client has
+//! recorded but not yet written can still be suppressed by a breach of
+//! that client. While the program keeps producing events the window is
+//! the 2 ms deadline; it never spans a class fetch or the end of a run,
+//! and it never reaches events already written.
+//!
 //! Aggregate statistics (per-site usage, per-session counts) are exact
 //! over the whole stream; the raw event log retains a bounded window (a
 //! real console rotates its logs to stable storage — this reproduction
@@ -200,8 +210,9 @@ pub trait AuditSink: Send {
     /// Reports one audit event for this sink's session.
     fn record(&mut self, site: SiteId, kind: EventKind);
 
-    /// Flushes any buffered events; default is a no-op for unbuffered
-    /// sinks.
+    /// Delivers any buffered or spooled events; default is a no-op for
+    /// unbuffered sinks. A client calls it before every class fetch and
+    /// when a run returns.
     fn flush(&mut self) {}
 }
 

@@ -7,12 +7,14 @@
 //! in-process proxy or a socket with one constructor change.
 //!
 //! `RemoteConsole` is the audit side: a second connection streaming
-//! `AUDIT_EVENT` frames to the console, fire-and-forget with a single
-//! reconnect attempt, since audit delivery must never block execution.
+//! `AUDIT_EVENT` frames to the console in batches, fire-and-forget with a
+//! single reconnect attempt, since audit delivery must never block
+//! execution.
 
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,7 +25,7 @@ use dvm_proxy::{ServedFrom, SignatureCheck, Signer};
 use dvm_telemetry::events::decode_events;
 use dvm_telemetry::{JournalEvent, SpanId, StatsReport, Telemetry, TraceContext, TraceId};
 
-use crate::frame::{kind_to_u8, ErrorCode, Frame, FrameError, Hello};
+use crate::frame::{kind_from_u8, kind_to_u8, ErrorCode, Frame, FrameError, Hello};
 
 /// Client networking knobs.
 #[derive(Debug, Clone, Copy)]
@@ -771,10 +773,44 @@ impl Drop for NetClassProvider {
     }
 }
 
+/// Bytes of encoded `AUDIT_EVENT` frames a [`RemoteConsole`] buffers
+/// before writing them (about 900 events), well under the server's
+/// 64 KiB read-buffer limit.
+const AUDIT_BATCH_BYTES: usize = 16 << 10;
+
+/// Longest the oldest buffered audit event waits for its write; checked
+/// each time another event is recorded.
+const AUDIT_BATCH_DEADLINE: Duration = Duration::from_millis(2);
+
+/// Encoded size of one `AUDIT_EVENT` frame (length prefix, tag, session,
+/// site, kind). Every frame in a batch has this size, so the bytes a
+/// failed write got out say exactly how many events it delivered.
+const AUDIT_FRAME_LEN: usize = 18;
+
+/// The events encoded in `frames`, a run of whole `AUDIT_EVENT` frames.
+fn audit_events(frames: &[u8]) -> Vec<(SiteId, EventKind)> {
+    frames
+        .chunks_exact(AUDIT_FRAME_LEN)
+        .filter_map(|frame| match Frame::decode(frame) {
+            Ok((Frame::AuditEvent { site, kind, .. }, _)) => {
+                Some((SiteId(site), kind_from_u8(kind)?))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// An [`AuditSink`] streaming events to the console over its own
 /// connection.
 ///
-/// Delivery is fire-and-forget: a failed send triggers one reconnect
+/// Events are encoded into a buffer and written in one batch when it
+/// holds 16 KiB, when its oldest event is older than 2 ms (checked as
+/// the next one is recorded), on [`AuditSink::flush`] (which a
+/// `DvmClient` calls before every class fetch and when a run returns),
+/// and on [`RemoteConsole::close`] or drop. Each batch write counts into
+/// `audit_batches_total`.
+///
+/// Delivery is fire-and-forget: a failed write triggers one reconnect
 /// attempt and otherwise increments [`RemoteConsole::dropped`], because
 /// auditing must never stall the mutator. Drops are *not* silent: each
 /// one counts into the `audit_dropped_total` telemetry counter, and the
@@ -785,6 +821,10 @@ pub struct RemoteConsole {
     hello: Hello,
     config: NetConfig,
     conn: Option<Conn>,
+    /// Encoded `AUDIT_EVENT` frames not yet written, oldest first.
+    batch: Vec<u8>,
+    /// When the oldest event in `batch` was recorded.
+    batch_since: Instant,
     sent: u64,
     dropped: u64,
     /// Events diverted to the durable spool instead of being dropped.
@@ -832,6 +872,8 @@ impl RemoteConsole {
             hello,
             config,
             conn: None,
+            batch: Vec::with_capacity(AUDIT_BATCH_BYTES + AUDIT_FRAME_LEN),
+            batch_since: Instant::now(),
             sent: 0,
             dropped: 0,
             spooled: 0,
@@ -844,8 +886,8 @@ impl RemoteConsole {
         Ok(console)
     }
 
-    /// This console's telemetry plane (`audit_dropped_total` lives
-    /// here).
+    /// This console's telemetry plane (`audit_dropped_total` and
+    /// `audit_batches_total` live here).
     pub fn telemetry(&self) -> Arc<Telemetry> {
         self.telemetry.clone()
     }
@@ -881,12 +923,14 @@ impl RemoteConsole {
         self.conn.as_ref().map(|c| c.session)
     }
 
-    /// Events successfully written to the socket.
+    /// Events whose whole frame the kernel accepted on the socket. Events
+    /// still buffered are not counted yet: [`RemoteConsole::close`] first
+    /// for a final tally.
     pub fn sent(&self) -> u64 {
         self.sent
     }
 
-    /// Events abandoned after a failed send and reconnect.
+    /// Events abandoned after a failed write and reconnect.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -954,11 +998,115 @@ impl RemoteConsole {
         pushed
     }
 
-    /// Sends an orderly `BYE` and closes the channel.
+    /// Writes the buffered events, then sends an orderly `BYE` and closes
+    /// the channel.
     pub fn close(&mut self) {
+        self.write_batch();
         if let Some(mut conn) = self.conn.take() {
             let _ = Frame::Bye.write_to(&mut conn.stream);
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        }
+    }
+
+    /// Writes the buffered events. Events whose frame the kernel accepted
+    /// whole count as sent; after a failure the rest get one reconnect
+    /// (behind any spool backlog), and what still did not go out is
+    /// spooled or dropped. A delivered frame is never written twice.
+    fn write_batch(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let mut done = self.write_frames(0);
+        if done < self.batch.len() && self.reconnect().is_ok() {
+            self.drain_spool();
+            if self.spool_backlog() == 0 {
+                // The rest were stamped with the dead connection's
+                // session (or none); deliver them under the new one.
+                let session = self.session().unwrap_or(0);
+                let rest = audit_events(&self.batch[done..]);
+                self.batch.truncate(done);
+                for (site, kind) in rest {
+                    Frame::AuditEvent {
+                        session,
+                        site: site.0,
+                        kind: kind_to_u8(kind),
+                    }
+                    .encode_into(&mut self.batch);
+                }
+                done = self.write_frames(done);
+            }
+        }
+        if done < self.batch.len() {
+            self.spill(done);
+        }
+        self.batch.clear();
+    }
+
+    /// One write loop over `batch[from..]` (`from` is a frame boundary).
+    /// Returns where the first frame the kernel did not accept whole
+    /// starts; a cut frame cannot be finished on this stream, so the
+    /// connection is then discarded and the peer drops the partial frame
+    /// with it.
+    fn write_frames(&mut self, from: usize) -> usize {
+        let Some(conn) = self.conn.as_mut() else {
+            return from;
+        };
+        self.telemetry
+            .registry()
+            .counter("audit_batches_total")
+            .inc();
+        let mut written = from;
+        while written < self.batch.len() {
+            match conn.stream.write(&self.batch[written..]) {
+                Ok(0) => break,
+                Ok(n) => written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        let whole = (written - from) / AUDIT_FRAME_LEN;
+        self.sent += whole as u64;
+        let done = from + whole * AUDIT_FRAME_LEN;
+        if done < self.batch.len() {
+            self.conn = None;
+        }
+        done
+    }
+
+    /// Spools — or, with no spool attached, drops — the events in
+    /// `batch[from..]`. Neither is silent: both are counted where the
+    /// stats plane can see them, and the first failure per connection
+    /// reaches stderr.
+    fn spill(&mut self, from: usize) {
+        let mut dropped = 0;
+        for (site, kind) in audit_events(&self.batch[from..]) {
+            if self.spool_event(site, kind) {
+                if !self.failure_logged {
+                    self.failure_logged = true;
+                    eprintln!(
+                        "dvm-net: console {} unreachable; audit events are spooling durably \
+                         (site {}); they replay in order on reconnect",
+                        self.addr, site.0
+                    );
+                }
+                continue;
+            }
+            dropped += 1;
+            if !self.failure_logged {
+                self.failure_logged = true;
+                eprintln!(
+                    "dvm-net: audit event dropped (site {}, console {} unreachable); \
+                     further drops on this connection are counted silently",
+                    site.0, self.addr
+                );
+            }
+        }
+        if dropped > 0 {
+            self.dropped += dropped;
+            self.telemetry
+                .registry()
+                .counter("audit_dropped_total")
+                .add(dropped);
         }
     }
 
@@ -993,55 +1141,27 @@ impl AuditSink for RemoteConsole {
                 return;
             }
         }
-        if self.try_send(site, kind) {
-            self.sent += 1;
-            return;
+        let now = Instant::now();
+        if self.batch.is_empty() {
+            self.batch_since = now;
         }
-        // One reconnect attempt, then spool the event — or, with no
-        // spool attached, drop it. Neither is silent: both are counted
-        // where the stats plane can see them, and the first failure per
-        // connection reaches stderr.
-        if self.reconnect().is_ok() {
-            self.drain_spool();
-            if self.try_send(site, kind) {
-                self.sent += 1;
-                return;
-            }
+        Frame::AuditEvent {
+            session: self.session().unwrap_or(0),
+            site: site.0,
+            kind: kind_to_u8(kind),
         }
-        if self.spool_event(site, kind) {
-            if !self.failure_logged {
-                self.failure_logged = true;
-                eprintln!(
-                    "dvm-net: console {} unreachable; audit events are spooling durably \
-                     (site {}); they replay in order on reconnect",
-                    self.addr, site.0
-                );
-            }
-            return;
-        }
-        self.dropped += 1;
-        self.telemetry
-            .registry()
-            .counter("audit_dropped_total")
-            .inc();
-        if !self.failure_logged {
-            self.failure_logged = true;
-            eprintln!(
-                "dvm-net: audit event dropped (site {}, console {} unreachable); \
-                 further drops on this connection are counted silently",
-                site.0, self.addr
-            );
+        .encode_into(&mut self.batch);
+        if self.batch.len() >= AUDIT_BATCH_BYTES || now - self.batch_since >= AUDIT_BATCH_DEADLINE {
+            self.write_batch();
         }
     }
 
+    /// Delivers the spool backlog, then the buffered events behind it.
     fn flush(&mut self) {
-        if self.spool_backlog() == 0 {
-            return;
+        if self.spool_backlog() > 0 && (self.conn.is_some() || self.reconnect().is_ok()) {
+            self.drain_spool();
         }
-        if self.conn.is_none() && self.reconnect().is_err() {
-            return;
-        }
-        self.drain_spool();
+        self.write_batch();
     }
 }
 
@@ -1183,6 +1303,130 @@ mod tests {
         assert_eq!(sites.len(), backlog);
         assert_eq!(&sites[sites.len() - 3..], &[101, 102, 103]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Accepts one console connection and answers its HELLO.
+    fn accept_console(listener: &std::net::TcpListener, session: u64) -> TcpStream {
+        let (mut s, _) = listener.accept().unwrap();
+        match Frame::read_from(&mut s).unwrap() {
+            Frame::Hello(_) => {}
+            other => panic!("expected HELLO, got {other:?}"),
+        }
+        Frame::Welcome { session }.write_to(&mut s).unwrap();
+        s
+    }
+
+    /// `(session, site)` of every audit event on `s` until BYE or EOF.
+    fn collect_events(s: &mut TcpStream) -> Vec<(u64, i32)> {
+        let mut events = Vec::new();
+        while let Ok(frame) = Frame::read_from(s) {
+            match frame {
+                Frame::AuditEvent { session, site, .. } => events.push((session, site)),
+                Frame::Bye => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn audit_frame_len_matches_the_codec() {
+        let frame = Frame::AuditEvent {
+            session: u64::MAX,
+            site: -1,
+            kind: 2,
+        };
+        assert_eq!(frame.encode().len(), AUDIT_FRAME_LEN);
+    }
+
+    #[test]
+    fn back_to_back_events_arrive_in_order_in_a_few_writes() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || collect_events(&mut accept_console(&listener, 7)));
+        let mut console =
+            RemoteConsole::connect(addr, Hello::default(), NetConfig::default()).unwrap();
+        const N: usize = 1000;
+        for site in 0..N as i32 {
+            console.record(SiteId(site), EventKind::Enter);
+        }
+        console.close();
+        assert_eq!(console.sent(), N as u64);
+        let events = server.join().unwrap();
+        assert_eq!(events, (0..N as i32).map(|s| (7, s)).collect::<Vec<_>>());
+        let writes = console
+            .telemetry()
+            .registry()
+            .snapshot()
+            .counter("audit_batches_total");
+        let bound = (N * AUDIT_FRAME_LEN).div_ceil(AUDIT_BATCH_BYTES) as u64 + 2;
+        assert!(
+            writes <= bound,
+            "{writes} writes for {N} events, bound {bound}"
+        );
+        assert!(writes as f64 / console.sent() as f64 <= 0.1);
+    }
+
+    #[test]
+    fn a_peer_dying_mid_batch_loses_no_count_and_duplicates_nothing() {
+        // Life 1 reads part of the first batch and hangs up with the
+        // rest unread; life 2 takes the console's one reconnect.
+        const READ_BEFORE_CUT: usize = 300;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (cut_tx, cut_rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let mut s = accept_console(&listener, 1);
+            let mut events = Vec::new();
+            while events.len() < READ_BEFORE_CUT {
+                match Frame::read_from(&mut s).unwrap() {
+                    Frame::AuditEvent { session, site, .. } => events.push((session, site)),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            drop(s);
+            cut_tx.send(()).unwrap();
+            events.extend(collect_events(&mut accept_console(&listener, 2)));
+            events
+        });
+        let mut console =
+            RemoteConsole::connect(addr, Hello::default(), NetConfig::default()).unwrap();
+        let mut recorded = 0;
+        let mut record = |console: &mut RemoteConsole, n: i32| {
+            for _ in 0..n {
+                console.record(SiteId(recorded), EventKind::Enter);
+                recorded += 1;
+            }
+            console.flush();
+        };
+        record(&mut console, 1000);
+        cut_rx.recv().unwrap();
+        // The dead stream surfaces on some later write; then the rest of
+        // that batch goes out on the new connection.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while console.session() != Some(2) && Instant::now() < deadline {
+            record(&mut console, 100);
+        }
+        assert_eq!(console.session(), Some(2), "the console never reconnected");
+        record(&mut console, 100);
+        console.close();
+        let recorded = recorded as u64;
+
+        assert_eq!(
+            console.sent() + console.spooled() + console.dropped(),
+            recorded
+        );
+        let events = server.join().unwrap();
+        let sites: Vec<i32> = events.iter().map(|&(_, site)| site).collect();
+        assert!(
+            sites.windows(2).all(|w| w[0] < w[1]),
+            "a site arrived twice or out of order"
+        );
+        assert!(events.len() as u64 <= console.sent());
+        assert_eq!(&sites[..READ_BEFORE_CUT], &(0..300).collect::<Vec<_>>()[..]);
+        let after: Vec<_> = events[READ_BEFORE_CUT..].iter().collect();
+        assert!(!after.is_empty() && after.iter().all(|&&(session, _)| session == 2));
+        assert_eq!(sites.last(), Some(&(recorded as i32 - 1)));
     }
 
     #[test]

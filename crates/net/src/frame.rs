@@ -511,19 +511,29 @@ impl<'a> Cursor<'a> {
 impl Frame {
     /// Serializes the frame, length prefix included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame, length prefix included, to `out`: a batch of
+    /// frames builds up in one buffer with no allocation per frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        let body = &mut *out;
         match self {
             Frame::Hello(h) => {
                 body.push(tag::HELLO);
-                put_str(&mut body, &h.user);
-                put_str(&mut body, &h.principal);
-                put_str(&mut body, &h.hardware);
-                put_str(&mut body, &h.native_format);
-                put_str(&mut body, &h.jvm_version);
+                put_str(body, &h.user);
+                put_str(body, &h.principal);
+                put_str(body, &h.hardware);
+                put_str(body, &h.native_format);
+                put_str(body, &h.jvm_version);
             }
             Frame::Welcome { session } => {
                 body.push(tag::WELCOME);
-                put_u64(&mut body, *session);
+                put_u64(body, *session);
             }
             Frame::CodeRequest {
                 request_id,
@@ -533,15 +543,15 @@ impl Frame {
                 trace,
             } => {
                 body.push(tag::CODE_REQUEST);
-                put_u32(&mut body, *request_id);
-                put_u64(&mut body, *session);
-                put_str(&mut body, url);
-                put_str(&mut body, native_format);
+                put_u32(body, *request_id);
+                put_u64(body, *session);
+                put_str(body, url);
+                put_str(body, native_format);
                 match trace {
                     Some(t) => {
                         body.push(1);
-                        put_u64(&mut body, t.trace.0);
-                        put_u64(&mut body, t.parent.0);
+                        put_u64(body, t.trace.0);
+                        put_u64(body, t.parent.0);
                     }
                     None => body.push(0),
                 }
@@ -553,10 +563,10 @@ impl Frame {
                 bytes,
             } => {
                 body.push(tag::CODE_RESPONSE);
-                put_u32(&mut body, *request_id);
+                put_u32(body, *request_id);
                 body.push(served_from_to_u8(*served_from));
-                put_u64(&mut body, *processing_ns);
-                put_bytes(&mut body, bytes);
+                put_u64(body, *processing_ns);
+                put_bytes(body, bytes);
             }
             Frame::Error {
                 request_id,
@@ -564,9 +574,9 @@ impl Frame {
                 message,
             } => {
                 body.push(tag::ERROR);
-                put_u32(&mut body, *request_id);
+                put_u32(body, *request_id);
                 body.push(code.to_u8());
-                put_str(&mut body, message);
+                put_str(body, message);
             }
             Frame::AuditEvent {
                 session,
@@ -574,37 +584,37 @@ impl Frame {
                 kind,
             } => {
                 body.push(tag::AUDIT_EVENT);
-                put_u64(&mut body, *session);
+                put_u64(body, *session);
                 body.extend_from_slice(&site.to_be_bytes());
                 body.push(*kind);
             }
             Frame::PeerGet { request_id, url } => {
                 body.push(tag::PEER_GET);
-                put_u32(&mut body, *request_id);
-                put_str(&mut body, url);
+                put_u32(body, *request_id);
+                put_str(body, url);
             }
             Frame::PeerPut { url, bytes } => {
                 body.push(tag::PEER_PUT);
-                put_str(&mut body, url);
-                put_bytes(&mut body, bytes);
+                put_str(body, url);
+                put_bytes(body, bytes);
             }
             Frame::StatsRequest {
                 request_id,
                 include_spans,
             } => {
                 body.push(tag::STATS_REQUEST);
-                put_u32(&mut body, *request_id);
+                put_u32(body, *request_id);
                 body.push(u8::from(*include_spans));
             }
             Frame::StatsResponse { request_id, report } => {
                 body.push(tag::STATS_RESPONSE);
-                put_u32(&mut body, *request_id);
-                put_bytes(&mut body, report);
+                put_u32(body, *request_id);
+                put_bytes(body, report);
             }
             Frame::RingUpdate { epoch, ring } => {
                 body.push(tag::RING_UPDATE);
-                put_u64(&mut body, *epoch);
-                put_bytes(&mut body, ring);
+                put_u64(body, *epoch);
+                put_bytes(body, ring);
             }
             Frame::MigrateBegin {
                 request_id,
@@ -613,10 +623,10 @@ impl Frame {
                 resume_from,
             } => {
                 body.push(tag::MIGRATE_BEGIN);
-                put_u32(&mut body, *request_id);
-                put_u64(&mut body, *epoch);
-                put_u32(&mut body, *shard);
-                put_str(&mut body, resume_from);
+                put_u32(body, *request_id);
+                put_u64(body, *epoch);
+                put_u32(body, *shard);
+                put_str(body, resume_from);
             }
             Frame::MigrateChunk {
                 request_id,
@@ -625,11 +635,11 @@ impl Frame {
                 bytes,
             } => {
                 body.push(tag::MIGRATE_CHUNK);
-                put_u32(&mut body, *request_id);
-                put_u32(&mut body, *seq);
-                put_str(&mut body, url);
+                put_u32(body, *request_id);
+                put_u32(body, *seq);
+                put_str(body, url);
                 body.extend_from_slice(&dvm_proxy::md5::md5(bytes));
-                put_bytes(&mut body, bytes);
+                put_bytes(body, bytes);
             }
             Frame::MigrateEnd {
                 request_id,
@@ -637,18 +647,18 @@ impl Frame {
                 complete,
             } => {
                 body.push(tag::MIGRATE_END);
-                put_u32(&mut body, *request_id);
-                put_u32(&mut body, *total);
+                put_u32(body, *request_id);
+                put_u32(body, *total);
                 body.push(u8::from(*complete));
             }
             Frame::MetricsScrape { request_id } => {
                 body.push(tag::METRICS_SCRAPE);
-                put_u32(&mut body, *request_id);
+                put_u32(body, *request_id);
             }
             Frame::MetricsText { request_id, text } => {
                 body.push(tag::METRICS_TEXT);
-                put_u32(&mut body, *request_id);
-                put_bytes(&mut body, text);
+                put_u32(body, *request_id);
+                put_bytes(body, text);
             }
             Frame::EventsRequest {
                 request_id,
@@ -656,9 +666,9 @@ impl Frame {
                 max,
             } => {
                 body.push(tag::EVENTS_REQUEST);
-                put_u32(&mut body, *request_id);
-                put_u64(&mut body, *after_seq);
-                put_u32(&mut body, *max);
+                put_u32(body, *request_id);
+                put_u64(body, *after_seq);
+                put_u32(body, *max);
             }
             Frame::EventsResponse {
                 request_id,
@@ -666,17 +676,15 @@ impl Frame {
                 events,
             } => {
                 body.push(tag::EVENTS_RESPONSE);
-                put_u32(&mut body, *request_id);
-                put_u64(&mut body, *next_seq);
-                put_bytes(&mut body, events);
+                put_u32(body, *request_id);
+                put_u64(body, *next_seq);
+                put_bytes(body, events);
             }
             Frame::Bye => body.push(tag::BYE),
         }
-        debug_assert!(body.len() <= MAX_FRAME_LEN);
-        let mut out = Vec::with_capacity(4 + body.len());
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
-        out
+        let len = out.len() - start - 4;
+        debug_assert!(len <= MAX_FRAME_LEN);
+        out[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
     }
 
     /// Decodes one frame body (tag + payload, the length prefix already
@@ -1164,6 +1172,17 @@ mod tests {
             assert_eq!(Frame::read_from(&mut r).unwrap(), frame);
         }
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_what_encode_returns() {
+        let mut batch = vec![0xAB];
+        let mut expected = vec![0xAB];
+        for frame in sample_frames() {
+            frame.encode_into(&mut batch);
+            expected.extend(frame.encode());
+        }
+        assert_eq!(batch, expected);
     }
 
     #[test]

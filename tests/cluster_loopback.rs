@@ -1,12 +1,14 @@
 //! End-to-end tests for dvm-cluster: real sockets, ring-routed fetches,
 //! mid-run shard failure with client failover, typed-overload failover,
-//! and peer cache-fill over the wire.
+//! peer cache-fill over the wire, and a batched remote audit trail equal
+//! to the in-process one.
 
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dvm_repro::cluster::{ClusterClientConfig, ClusterOptions, HashRing, HealthConfig};
 use dvm_repro::core::{CostModel, Organization, ServiceConfig};
+use dvm_repro::monitor::{EventKind, SessionId, SiteId};
 use dvm_repro::net::{FaultPlan, Hello, NetClassProvider, NetConfig, ServerConfig};
 use dvm_repro::proxy::{ServedFrom, Signer};
 use dvm_repro::security::Policy;
@@ -353,5 +355,60 @@ fn cluster_client_matches_single_server_client() {
     }
 
     server.shutdown();
+    cluster.shutdown();
+}
+
+/// Batching changes how audit events travel, not which ones arrive: an
+/// applet run in-process (`ConsoleSink`, one console call per event) and
+/// through a cluster client (batched `RemoteConsole`) leaves the same
+/// `(site, kind)` sequence in the organization's console, with exactly
+/// the same count.
+#[test]
+fn batched_remote_audit_trail_matches_the_in_process_one() {
+    let applets = small_applets(73, 1);
+    let org = org_over(&applets);
+    let cluster = org.serve_cluster(3).unwrap();
+    let main_class = &applets[0].main_class;
+
+    // The first run's events leave mostly before class fetches; the
+    // second run loads nothing, so its events leave by size, deadline,
+    // or the end of the run.
+    let mut local = org.client("in-process", "applets").unwrap();
+    let mut remote = org.cluster_client(&cluster, "remote", "applets").unwrap();
+    for _ in 0..2 {
+        local.run_main(main_class).unwrap();
+        remote.run_main(main_class).unwrap();
+    }
+
+    // Every session `user` opened (the remote client opens one per
+    // connection; only its audit channel carries events): the exact
+    // event count, and the retained `(site, kind)` sequence.
+    let trail = |user: &str| {
+        let console = org.console.lock();
+        let sessions: Vec<SessionId> = (0..console.session_count() as u64)
+            .map(SessionId)
+            .filter(|&s| console.session(s).is_some_and(|d| d.user == user))
+            .collect();
+        let count: u64 = sessions.iter().map(|&s| console.session_events(s)).sum();
+        let sequence: Vec<(SiteId, EventKind)> = console
+            .log()
+            .filter(|r| sessions.contains(&r.session))
+            .map(|r| (r.site, r.kind))
+            .collect();
+        (count, sequence)
+    };
+    let (want, local_sequence) = trail("in-process");
+    assert!(want > 0, "the applet produced no audit events");
+    assert_eq!(local_sequence.len() as u64, want, "trail outgrew retention");
+
+    // run_main flushed before returning; the shard may still be
+    // ingesting the last batch.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while trail("remote").0 < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (got, remote_sequence) = trail("remote");
+    assert_eq!(got, want, "remote audit count");
+    assert_eq!(remote_sequence, local_sequence);
     cluster.shutdown();
 }
