@@ -188,10 +188,14 @@ impl Code {
     pub fn validate_targets(&self) -> Result<()> {
         let len = self.insns.len();
         for insn in &self.insns {
-            for t in insn.branch_targets() {
+            let mut past_end = None;
+            insn.for_each_target(|t| {
                 if t >= len {
-                    return Err(BytecodeError::BadTargetIndex { index: t, len });
+                    past_end.get_or_insert(t);
                 }
+            });
+            if let Some(index) = past_end {
+                return Err(BytecodeError::BadTargetIndex { index, len });
             }
         }
         for h in &self.handlers {
@@ -254,9 +258,7 @@ impl Code {
             }
             let after = d - pops + pushes;
             max = max.max(d.max(after));
-            for t in insn.branch_targets() {
-                work.push((t, after));
-            }
+            insn.for_each_target(|t| work.push((t, after)));
             if insn.can_fall_through() && !matches!(insn, Insn::Ret(_)) {
                 work.push((i + 1, after));
             }

@@ -414,6 +414,14 @@ impl Insn {
 
     /// Returns all explicit branch targets (instruction indices).
     pub fn branch_targets(&self) -> Vec<usize> {
+        let mut v = Vec::new();
+        self.for_each_target(|t| v.push(t));
+        v
+    }
+
+    /// Calls `f` with every explicit branch target, in
+    /// [`Insn::branch_targets`] order, without allocating.
+    pub fn for_each_target(&self, mut f: impl FnMut(usize)) {
         match self {
             Insn::If(_, t)
             | Insn::IfICmp(_, t)
@@ -421,20 +429,22 @@ impl Insn {
             | Insn::IfNull(t)
             | Insn::IfNonNull(t)
             | Insn::Goto(t)
-            | Insn::Jsr(t) => vec![*t],
+            | Insn::Jsr(t) => f(*t),
             Insn::TableSwitch {
                 default, targets, ..
             } => {
-                let mut v = vec![*default];
-                v.extend_from_slice(targets);
-                v
+                f(*default);
+                for t in targets {
+                    f(*t);
+                }
             }
             Insn::LookupSwitch { default, pairs } => {
-                let mut v = vec![*default];
-                v.extend(pairs.iter().map(|(_, t)| *t));
-                v
+                f(*default);
+                for (_, t) in pairs {
+                    f(*t);
+                }
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 

@@ -903,20 +903,23 @@ fn validate(f: &Function) -> Result<()> {
         return Err(bad("max_locals exceeds num_regs"));
     }
     for insn in &f.insns {
-        for r in insn.reads() {
+        let mut out_of_range = None;
+        insn.for_each_read(|r| {
             if r.0 >= nr {
-                return Err(bad(format!("register {} out of {nr}", r.0)));
+                out_of_range.get_or_insert(r);
             }
+        });
+        if let Some(r) = out_of_range.or(insn.writes().filter(|d| d.0 >= nr)) {
+            return Err(bad(format!("register {} out of {nr}", r.0)));
         }
-        if let Some(d) = insn.writes() {
-            if d.0 >= nr {
-                return Err(bad(format!("register {} out of {nr}", d.0)));
-            }
-        }
-        for t in insn.branch_targets() {
+        let mut past_end = None;
+        insn.for_each_target(|t| {
             if t >= len {
-                return Err(bad(format!("branch target {t} out of {len}")));
+                past_end.get_or_insert(t);
             }
+        });
+        if let Some(t) = past_end {
+            return Err(bad(format!("branch target {t} out of {len}")));
         }
     }
     for h in &f.handlers {

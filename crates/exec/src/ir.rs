@@ -411,11 +411,12 @@ pub enum RInsn {
 }
 
 impl RInsn {
-    /// All registers this instruction reads.
-    pub fn reads(&self) -> Vec<VReg> {
+    /// Calls `f` with every register this instruction reads, in the order
+    /// [`RInsn::map_reads`] visits them. Allocates nothing.
+    pub fn for_each_read(&self, mut f: impl FnMut(VReg)) {
         use RInsn::*;
         match self {
-            Const { .. } | Goto { .. } | New { .. } | GetStatic { .. } => Vec::new(),
+            Const { .. } | Goto { .. } | New { .. } | GetStatic { .. } => {}
             Move { src, .. }
             | ArithImm { src, .. }
             | LogicImm { src, .. }
@@ -432,33 +433,49 @@ impl RInsn {
             | ANewArray { len: src, .. }
             | TableSwitch { on: src, .. }
             | LookupSwitch { on: src, .. }
-            | GetField { obj: src, .. } => vec![*src],
+            | GetField { obj: src, .. } => f(*src),
             Arith { a, b, .. } | Shift { a, b, .. } | Logic { a, b, .. } | Cmp { a, b, .. } => {
-                vec![*a, *b]
+                f(*a);
+                f(*b);
             }
             If { a, b, .. } | IfRef { a, b, .. } => {
-                let mut v = vec![*a];
+                f(*a);
                 if let Some(b) = b {
-                    v.push(*b);
+                    f(*b);
                 }
-                v
             }
-            Return { src } => src.iter().copied().collect(),
-            PutField { obj, src, .. } => vec![*obj, *src],
-            Invoke { args, .. } => args.clone(),
-            ArrayLoad { arr, index, .. } => vec![*arr, *index],
+            Return { src } => {
+                if let Some(src) = src {
+                    f(*src);
+                }
+            }
+            PutField { obj, src, .. } => {
+                f(*obj);
+                f(*src);
+            }
+            Invoke { args, .. } => {
+                for a in args {
+                    f(*a);
+                }
+            }
+            ArrayLoad { arr, index, .. } => {
+                f(*arr);
+                f(*index);
+            }
             ArrayStore {
                 arr, index, src, ..
-            } => vec![*arr, *index, *src],
+            } => {
+                f(*arr);
+                f(*index);
+                f(*src);
+            }
             Service { a, b, .. } => {
-                let mut v = Vec::new();
                 if let SOp::Reg(r) = a {
-                    v.push(*r);
+                    f(*r);
                 }
                 if let SOp::Reg(r) = b {
-                    v.push(*r);
+                    f(*r);
                 }
-                v
             }
         }
     }
@@ -559,24 +576,27 @@ impl RInsn {
         }
     }
 
-    /// All explicit branch targets (IR indices).
-    pub fn branch_targets(&self) -> Vec<usize> {
+    /// Calls `f` with every explicit branch target (IR indices), in the
+    /// order [`RInsn::map_targets`] visits them. Allocates nothing.
+    pub fn for_each_target(&self, mut f: impl FnMut(usize)) {
         use RInsn::*;
         match self {
-            If { target, .. } | IfRef { target, .. } | Goto { target } => vec![*target],
+            If { target, .. } | IfRef { target, .. } | Goto { target } => f(*target),
             TableSwitch {
                 targets, default, ..
             } => {
-                let mut v = vec![*default];
-                v.extend_from_slice(targets);
-                v
+                f(*default);
+                for t in targets {
+                    f(*t);
+                }
             }
             LookupSwitch { pairs, default, .. } => {
-                let mut v = vec![*default];
-                v.extend(pairs.iter().map(|(_, t)| *t));
-                v
+                f(*default);
+                for (_, t) in pairs {
+                    f(*t);
+                }
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -689,6 +709,131 @@ pub struct ClassIr {
 mod tests {
     use super::*;
 
+    fn reads(i: &RInsn) -> Vec<VReg> {
+        let mut v = Vec::new();
+        i.for_each_read(|r| v.push(r));
+        v
+    }
+
+    fn targets(i: &RInsn) -> Vec<usize> {
+        let mut v = Vec::new();
+        i.for_each_target(|t| v.push(t));
+        v
+    }
+
+    /// One instance of every variant, each operand a distinct register or
+    /// target so that visiting order is observable.
+    #[rustfmt::skip]
+    fn every_variant() -> Vec<RInsn> {
+        let mut next = 0u16;
+        let mut r = || {
+            next += 1;
+            VReg(next)
+        };
+        vec![
+            RInsn::Const { dst: r(), v: RConst::Int(1) },
+            RInsn::Move { dst: r(), src: r() },
+            RInsn::Arith { kind: NumKind::Int, op: ArithOp::Add, dst: r(), a: r(), b: r() },
+            RInsn::ArithImm { op: ArithOp::Mul, dst: r(), src: r(), imm: 3 },
+            RInsn::Neg { kind: NumKind::Long, dst: r(), src: r() },
+            RInsn::Shift { kind: NumKind::Int, op: ShiftOp::Shl, dst: r(), a: r(), b: r() },
+            RInsn::Logic { kind: NumKind::Int, op: LogicOp::Or, dst: r(), a: r(), b: r() },
+            RInsn::LogicImm { op: LogicOp::And, dst: r(), src: r(), imm: 7 },
+            RInsn::ShiftImm { op: ShiftOp::Ushr, dst: r(), src: r(), imm: 2 },
+            RInsn::Convert { from: NumType::Int, to: NumType::Long, dst: r(), src: r() },
+            RInsn::Cmp { kind: CmpKind::Double(true), dst: r(), a: r(), b: r() },
+            RInsn::If { cond: ICond::Lt, a: r(), b: Some(r()), target: 11 },
+            RInsn::If { cond: ICond::Eq, a: r(), b: None, target: 12 },
+            RInsn::IfRef { eq: true, a: r(), b: Some(r()), target: 13 },
+            RInsn::IfRef { eq: false, a: r(), b: None, target: 14 },
+            RInsn::Goto { target: 15 },
+            RInsn::TableSwitch { on: r(), low: 0, targets: vec![16, 17, 18], default: 19 },
+            RInsn::LookupSwitch { on: r(), pairs: vec![(4, 20), (-1, 21)], default: 22 },
+            RInsn::Return { src: Some(r()) },
+            RInsn::Return { src: None },
+            RInsn::GetStatic { idx: 1, dst: r() },
+            RInsn::PutStatic { idx: 2, src: r() },
+            RInsn::GetField { idx: 3, obj: r(), dst: r() },
+            RInsn::PutField { idx: 4, obj: r(), src: r() },
+            RInsn::Invoke { kind: InvokeKind::Virtual, idx: 5, args: vec![r(), r(), r()], dst: Some(r()) },
+            RInsn::New { idx: 6, dst: r() },
+            RInsn::NewArray { akind: AKind::Int, len: r(), dst: r() },
+            RInsn::ANewArray { idx: 7, len: r(), dst: r() },
+            RInsn::ArrayLoad { akind: AKind::Ref, arr: r(), index: r(), dst: r() },
+            RInsn::ArrayStore { akind: AKind::Byte, arr: r(), index: r(), src: r() },
+            RInsn::ArrayLength { arr: r(), dst: r() },
+            RInsn::AThrow { exc: r() },
+            RInsn::CheckCast { idx: 8, obj: r() },
+            RInsn::InstanceOf { idx: 9, obj: r(), dst: r() },
+            RInsn::Monitor { enter: true, obj: r() },
+            RInsn::Service { kind: ServiceKind::Security, a: SOp::Reg(r()), b: SOp::Reg(r()) },
+            RInsn::Service { kind: ServiceKind::AuditEnter, a: SOp::Imm(4), b: SOp::Reg(r()) },
+        ]
+    }
+
+    /// Exhaustive on purpose: a new variant fails to compile here until
+    /// it is numbered, and then fails the coverage assertion below until
+    /// [`every_variant`] builds one.
+    fn variant_number(i: &RInsn) -> usize {
+        match i {
+            RInsn::Const { .. } => 0,
+            RInsn::Move { .. } => 1,
+            RInsn::Arith { .. } => 2,
+            RInsn::ArithImm { .. } => 3,
+            RInsn::Neg { .. } => 4,
+            RInsn::Shift { .. } => 5,
+            RInsn::Logic { .. } => 6,
+            RInsn::LogicImm { .. } => 7,
+            RInsn::ShiftImm { .. } => 8,
+            RInsn::Convert { .. } => 9,
+            RInsn::Cmp { .. } => 10,
+            RInsn::If { .. } => 11,
+            RInsn::IfRef { .. } => 12,
+            RInsn::Goto { .. } => 13,
+            RInsn::TableSwitch { .. } => 14,
+            RInsn::LookupSwitch { .. } => 15,
+            RInsn::Return { .. } => 16,
+            RInsn::GetStatic { .. } => 17,
+            RInsn::PutStatic { .. } => 18,
+            RInsn::GetField { .. } => 19,
+            RInsn::PutField { .. } => 20,
+            RInsn::Invoke { .. } => 21,
+            RInsn::New { .. } => 22,
+            RInsn::NewArray { .. } => 23,
+            RInsn::ANewArray { .. } => 24,
+            RInsn::ArrayLoad { .. } => 25,
+            RInsn::ArrayStore { .. } => 26,
+            RInsn::ArrayLength { .. } => 27,
+            RInsn::AThrow { .. } => 28,
+            RInsn::CheckCast { .. } => 29,
+            RInsn::InstanceOf { .. } => 30,
+            RInsn::Monitor { .. } => 31,
+            RInsn::Service { .. } => 32,
+        }
+    }
+
+    #[test]
+    fn visitors_match_the_mapping_forms_on_every_variant() {
+        let all = every_variant();
+        let mut covered: Vec<usize> = all.iter().map(variant_number).collect();
+        covered.dedup();
+        assert_eq!(covered, (0..33).collect::<Vec<_>>(), "a variant is missing");
+        for insn in &all {
+            let mut mapped_reads = Vec::new();
+            insn.clone().map_reads(|r| {
+                mapped_reads.push(r);
+                r
+            });
+            assert_eq!(reads(insn), mapped_reads, "{insn:?}");
+            let mut mapped_targets = Vec::new();
+            insn.clone().map_targets(|t| {
+                mapped_targets.push(t);
+                t
+            });
+            assert_eq!(targets(insn), mapped_targets, "{insn:?}");
+        }
+    }
+
     #[test]
     fn reads_and_writes_cover_operands() {
         let i = RInsn::Arith {
@@ -698,7 +843,7 @@ mod tests {
             a: VReg(1),
             b: VReg(2),
         };
-        assert_eq!(i.reads(), vec![VReg(1), VReg(2)]);
+        assert_eq!(reads(&i), vec![VReg(1), VReg(2)]);
         assert_eq!(i.writes(), Some(VReg(3)));
         assert!(i.side_effect_free());
     }
@@ -731,9 +876,9 @@ mod tests {
             targets: vec![1, 2],
             default: 9,
         };
-        assert_eq!(i.branch_targets(), vec![9, 1, 2]);
+        assert_eq!(targets(&i), vec![9, 1, 2]);
         i.map_targets(|t| t + 5);
-        assert_eq!(i.branch_targets(), vec![14, 6, 7]);
+        assert_eq!(targets(&i), vec![14, 6, 7]);
     }
 
     #[test]

@@ -9,12 +9,19 @@
 //! enter with the thrown reference at stack depth 0 — register
 //! `max_locals`.
 //!
+//! Lowering allocates per method, never per instruction: the entry
+//! shapes of all instructions share one buffer, both passes transfer
+//! through one reused scratch shape, and each call site's descriptor is
+//! parsed once for both passes.
+//!
 //! Lowering is total over hostile input: every malformed body —
 //! truncated attributes, unreachable blocks, absurd stack depths, broken
 //! wide pairs — produces a typed [`ExecError`], never a panic. The
 //! constructs the tier does not lower (`jsr`/`ret` subroutines,
 //! `multianewarray`, `ldc` of class constants) also error, leaving those
 //! methods on the interpreter tier.
+
+use std::collections::HashMap;
 
 use dvm_bytecode::insn::{ArithOp, Insn, Kind};
 use dvm_bytecode::Code;
@@ -37,6 +44,34 @@ enum Tag {
 
 type Shape = Vec<Tag>;
 
+/// The entry shapes of a method's reachable instructions, packed into one
+/// buffer: instruction `i`'s shape is `tags[start..start + len]` once
+/// `at[i]` is `Some((start, len))`. A recorded shape never changes (every
+/// later path must agree with it), so recording only appends.
+struct Shapes {
+    tags: Vec<Tag>,
+    at: Vec<Option<(usize, usize)>>,
+}
+
+impl Shapes {
+    fn get(&self, i: usize) -> Option<&[Tag]> {
+        self.at[i].map(|(start, len)| &self.tags[start..start + len])
+    }
+
+    fn record(&mut self, i: usize, shape: &[Tag]) {
+        self.at[i] = Some((self.tags.len(), shape.len()));
+        self.tags.extend_from_slice(shape);
+    }
+}
+
+/// What a call site's descriptor says about the operand stack.
+#[derive(Debug, Clone, Copy)]
+struct CallShape {
+    params: usize,
+    /// `None` for `void`; otherwise whether the result is wide.
+    ret_wide: Option<bool>,
+}
+
 struct Lower<'a> {
     pool: &'a ConstPool,
     max_locals: u16,
@@ -45,6 +80,8 @@ struct Lower<'a> {
     /// Highest register index used + 1, tracked as u32 to detect
     /// overflow of the 16-bit register namespace.
     peak: u32,
+    /// Call shapes by `Methodref` index, parsed once for both passes.
+    calls: HashMap<u16, CallShape>,
 }
 
 impl Lower<'_> {
@@ -64,13 +101,13 @@ impl Lower<'_> {
         Ok(VReg(idx as u16))
     }
 
-    /// Register for local slot `slot`.
-    fn lreg(&mut self, slot: u16) -> Result<VReg> {
+    /// Register for local slot `slot`, used by the instruction at `at`.
+    fn lreg(&mut self, slot: u16, at: usize) -> Result<VReg> {
         if slot >= self.max_locals {
             // Hostile bodies may index past max_locals; verified code
             // cannot.
             return Err(ExecError::BadStack {
-                at: 0,
+                at,
                 reason: format!("local {slot} outside max_locals {}", self.max_locals),
             });
         }
@@ -173,14 +210,14 @@ impl Lower<'_> {
                 self.push(RInsn::Const { dst, v });
             }
             Insn::Load(kind, slot) => {
-                let src = self.lreg(*slot)?;
+                let src = self.lreg(*slot, at)?;
                 let wide = matches!(kind, Kind::Long | Kind::Double);
                 let dst = self.push_value(shape, wide)?;
                 self.push(RInsn::Move { dst, src });
             }
             Insn::Store(_, slot) => {
                 let (src, _) = self.pop_value(shape, at)?;
-                let dst = self.lreg(*slot)?;
+                let dst = self.lreg(*slot, at)?;
                 self.push(RInsn::Move { dst, src });
             }
             Insn::ArrayLoad(k) => {
@@ -289,7 +326,7 @@ impl Lower<'_> {
                 });
             }
             Insn::IInc(slot, delta) => {
-                let r = self.lreg(*slot)?;
+                let r = self.lreg(*slot, at)?;
                 self.push(RInsn::ArithImm {
                     op: ArithOp::Add,
                     dst: r,
@@ -397,20 +434,24 @@ impl Lower<'_> {
                 targets,
             } => {
                 let (on, _) = self.pop_value(shape, at)?;
-                self.push(RInsn::TableSwitch {
-                    on,
-                    low: *low,
-                    targets: targets.clone(),
-                    default: *default,
-                });
+                if self.emit {
+                    self.push(RInsn::TableSwitch {
+                        on,
+                        low: *low,
+                        targets: targets.clone(),
+                        default: *default,
+                    });
+                }
             }
             Insn::LookupSwitch { default, pairs } => {
                 let (on, _) = self.pop_value(shape, at)?;
-                self.push(RInsn::LookupSwitch {
-                    on,
-                    pairs: pairs.clone(),
-                    default: *default,
-                });
+                if self.emit {
+                    self.push(RInsn::LookupSwitch {
+                        on,
+                        pairs: pairs.clone(),
+                        default: *default,
+                    });
+                }
             }
             Insn::Return(kind) => {
                 let src = match kind {
@@ -521,49 +562,55 @@ impl Lower<'_> {
     fn dup_form(&mut self, at: usize, insn: &Insn, shape: &mut Shape) -> Result<()> {
         // Pop the blocks, then re-push with moves mirroring the
         // interpreter's slot shuffling, staged through scratch registers
-        // above the live stack.
+        // above the live stack. At most four values take part: a block
+        // of up to two slots and as many skipped beneath it.
         let top_slots: u16 = match insn {
             Insn::DupX1 | Insn::DupX2 => 1,
             _ => 2,
         };
-        let mut block = Vec::new();
+        let mut popped = [(VReg(0), false); 4];
+        let mut count = 0;
         let mut slots = 0;
         while slots < top_slots {
             let (r, wide) = self.pop_value(shape, at)?;
             slots += if wide { 2 } else { 1 };
-            block.push((r, wide));
+            popped[count] = (r, wide);
+            count += 1;
         }
-        let mut skipped = Vec::new();
+        let block = count;
         match insn {
             Insn::Dup2 => {}
             Insn::DupX1 | Insn::Dup2X1 => {
-                skipped.push(self.pop_value(shape, at)?);
+                popped[count] = self.pop_value(shape, at)?;
+                count += 1;
             }
             Insn::DupX2 | Insn::Dup2X2 => {
                 let (r, wide) = self.pop_value(shape, at)?;
-                skipped.push((r, wide));
+                popped[count] = (r, wide);
+                count += 1;
                 if !wide {
-                    skipped.push(self.pop_value(shape, at)?);
+                    popped[count] = self.pop_value(shape, at)?;
+                    count += 1;
                 }
             }
             _ => unreachable!(),
         }
+        let popped = &popped[..count];
         // Stage originals into scratch registers above everything.
         let scratch_base = shape.len()
-            + block
+            + popped
                 .iter()
-                .chain(skipped.iter())
                 .map(|(_, w)| if *w { 2 } else { 1 })
                 .sum::<usize>()
                 * 2
             + 4;
-        let mut staged = Vec::new();
-        for (i, (r, w)) in block.iter().chain(skipped.iter()).enumerate() {
+        let mut staged = [(VReg(0), false); 4];
+        for (i, (r, w)) in popped.iter().enumerate() {
             let s = self.sreg(scratch_base + i * 2)?;
             self.push(RInsn::Move { dst: s, src: *r });
-            staged.push((s, *w));
+            staged[i] = (s, *w);
         }
-        let (staged_block, staged_skipped) = staged.split_at(block.len());
+        let (staged_block, staged_skipped) = staged[..count].split_at(block);
         // Final layout bottom-up: block copy, skipped, block.
         for group in [staged_block, staged_skipped, staged_block] {
             for (src, wide) in group.iter().rev() {
@@ -575,18 +622,36 @@ impl Lower<'_> {
     }
 
     fn call(&mut self, at: usize, idx: u16, shape: &mut Shape, kind: InvokeKind) -> Result<()> {
-        let (_, _, d) = self.pool.get_member_ref(idx)?;
-        let desc = MethodDescriptor::parse(d)?;
+        let call = match self.calls.get(&idx) {
+            Some(&call) => call,
+            None => {
+                let (_, _, d) = self.pool.get_member_ref(idx)?;
+                let desc = MethodDescriptor::parse(d)?;
+                let call = CallShape {
+                    params: desc.params.len(),
+                    ret_wide: desc.ret.as_ref().map(|rt| rt.slot_width() == 2),
+                };
+                self.calls.insert(idx, call);
+                call
+            }
+        };
+        // Pass 1 only needs the shape: it pops without keeping registers.
         let mut args = Vec::new();
-        for _ in 0..desc.params.len() {
-            args.push(self.pop_value(shape, at)?.0);
+        for _ in 0..call.params {
+            let (r, _) = self.pop_value(shape, at)?;
+            if self.emit {
+                args.push(r);
+            }
         }
         if kind != InvokeKind::Static {
-            args.push(self.pop_value(shape, at)?.0);
+            let (r, _) = self.pop_value(shape, at)?;
+            if self.emit {
+                args.push(r);
+            }
         }
         args.reverse();
-        let dst = match &desc.ret {
-            Some(rt) => Some(self.push_value(shape, rt.slot_width() == 2)?),
+        let dst = match call.ret_wide {
+            Some(wide) => Some(self.push_value(shape, wide)?),
             None => None,
         };
         self.push(RInsn::Invoke {
@@ -613,44 +678,53 @@ pub fn lower(code: &Code, pool: &ConstPool, name: &str, descriptor: &str) -> Res
     code.validate_targets()?;
 
     // Pass 1: entry shapes by dataflow.
-    let mut shapes: Vec<Option<Shape>> = vec![None; n];
+    let mut shapes = Shapes {
+        tags: Vec::new(),
+        at: vec![None; n],
+    };
     let mut work = vec![0usize];
-    shapes[0] = Some(Vec::new());
+    shapes.record(0, &[]);
     for h in &code.handlers {
-        if h.handler < n && shapes[h.handler].is_none() {
-            shapes[h.handler] = Some(vec![Tag::Single]);
+        if h.handler < n && shapes.get(h.handler).is_none() {
+            shapes.record(h.handler, &[Tag::Single]);
             work.push(h.handler);
         }
     }
-    let mut probe = Lower {
+    let mut xl = Lower {
         pool,
         max_locals: code.max_locals,
         ops: Vec::new(),
         emit: false,
         peak: code.max_locals as u32,
+        calls: HashMap::new(),
     };
+    // Scratch reused by every instruction of both passes.
+    let mut shape: Shape = Vec::new();
+    let mut succ: Vec<usize> = Vec::new();
     while let Some(i) = work.pop() {
-        let Some(entry) = shapes[i].clone() else {
+        let Some(entry) = shapes.get(i) else {
             continue;
         };
+        shape.clear();
+        shape.extend_from_slice(entry);
         let insn = &code.insns[i];
-        let mut shape = entry;
-        probe.transfer(i, insn, &mut shape)?;
-        let mut succ = insn.branch_targets();
+        xl.transfer(i, insn, &mut shape)?;
+        succ.clear();
+        insn.for_each_target(|t| succ.push(t));
         if insn.can_fall_through() {
             succ.push(i + 1);
         }
-        for s in succ {
+        for &s in &succ {
             if s >= n {
                 return Err(ExecError::BadTarget { index: s, len: n });
             }
-            match &shapes[s] {
+            match shapes.get(s) {
                 None => {
-                    shapes[s] = Some(shape.clone());
+                    shapes.record(s, &shape);
                     work.push(s);
                 }
                 Some(existing) => {
-                    if existing != &shape {
+                    if existing != shape.as_slice() {
                         return Err(ExecError::BadStack {
                             at: s,
                             reason: "stack shape mismatch at merge".into(),
@@ -662,21 +736,18 @@ pub fn lower(code: &Code, pool: &ConstPool, name: &str, descriptor: &str) -> Res
     }
 
     // Pass 2: emit IR, recording where each bytecode instruction begins.
-    let mut xl = Lower {
-        pool,
-        max_locals: code.max_locals,
-        ops: Vec::new(),
-        emit: true,
-        peak: probe.peak,
-    };
+    // Pass 1 emitted nothing, so its register peak and call shapes carry
+    // over unchanged.
+    xl.emit = true;
     let mut ir_start = vec![usize::MAX; n + 1];
     for (i, insn) in code.insns.iter().enumerate() {
         ir_start[i] = xl.ops.len();
-        let Some(entry) = shapes[i].clone() else {
+        let Some(entry) = shapes.get(i) else {
             // Unreachable bytecode: skip entirely.
             continue;
         };
-        let mut shape = entry;
+        shape.clear();
+        shape.extend_from_slice(entry);
         xl.transfer(i, insn, &mut shape)?;
     }
     ir_start[n] = xl.ops.len();
@@ -691,13 +762,18 @@ pub fn lower(code: &Code, pool: &ConstPool, name: &str, descriptor: &str) -> Res
     let mut ops = xl.ops;
     let end = ops.len();
     for op in &mut ops {
-        op.map_targets(|bc| resolved[bc]);
-        for t in op.branch_targets() {
+        let mut past_end = None;
+        op.map_targets(|bc| {
+            let t = resolved[bc];
             if t >= end {
-                // The branch falls off the end of the body after empty
-                // translations; verified code cannot do this.
-                return Err(ExecError::BadTarget { index: t, len: end });
+                past_end.get_or_insert(t);
             }
+            t
+        });
+        if let Some(t) = past_end {
+            // The branch falls off the end of the body after empty
+            // translations; verified code cannot do this.
+            return Err(ExecError::BadTarget { index: t, len: end });
         }
     }
 
@@ -919,6 +995,26 @@ mod tests {
         };
         let f = lower(&code, &pool, "ur", "()V").unwrap();
         assert_eq!(f.insns.len(), 1);
+    }
+
+    #[test]
+    fn local_out_of_range_reports_the_instruction_that_used_it() {
+        let pool = ConstPool::new();
+        let code = Code {
+            insns: vec![
+                Insn::IConst(1),
+                Insn::Store(Kind::Int, 0),
+                Insn::IInc(1, 1),
+                Insn::Load(Kind::Int, 5),
+                Insn::Return(Some(Kind::Int)),
+            ],
+            handlers: vec![],
+            max_locals: 2,
+        };
+        assert!(matches!(
+            lower(&code, &pool, "loc", "()I"),
+            Err(ExecError::BadStack { at: 3, .. })
+        ));
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //! reasoning unsound, and the proxy's injected stubs never carry
 //! handlers.
 
-use std::collections::HashMap;
-
 use dvm_bytecode::insn::{ArithOp, LogicOp, NumKind, NumType, ShiftOp};
 use dvm_classfile::ConstPool;
 
@@ -74,9 +72,13 @@ pub fn optimize(func: &mut Function, pool: &ConstPool) -> PassStats {
     }
     for _ in 0..MAX_ITERATIONS {
         stats.iterations += 1;
-        let folded = fold_constants(func);
-        let copies = propagate_copies(func);
-        let eliminated = eliminate_dead(func);
+        // Folding and copy propagation rewrite instructions without moving
+        // any, so one leader set serves all three passes; only DCE moves
+        // instructions, and the next iteration recomputes it.
+        let lead = leaders(&func.insns);
+        let folded = fold_constants(func, &lead);
+        let copies = propagate_copies(func, &lead);
+        let eliminated = eliminate_dead(func, &lead);
         stats.folded += folded;
         stats.copies_propagated += copies;
         stats.eliminated += eliminated;
@@ -137,23 +139,57 @@ fn leaders(insns: &[RInsn]) -> Vec<bool> {
         *first = true;
     }
     for (i, insn) in insns.iter().enumerate() {
-        let targets = insn.branch_targets();
-        for &t in &targets {
-            if t < lead.len() {
-                lead[t] = true;
+        let mut branches = false;
+        insn.for_each_target(|t| {
+            branches = true;
+            if let Some(l) = lead.get_mut(t) {
+                *l = true;
             }
-        }
-        if (!targets.is_empty() || !insn.can_fall_through()) && i + 1 < lead.len() {
+        });
+        if (branches || !insn.can_fall_through()) && i + 1 < lead.len() {
             lead[i + 1] = true;
         }
     }
     lead
 }
 
-fn fold_sop(s: SOp, known: &HashMap<VReg, RConst>) -> SOp {
+/// One fact per register, for the block-local passes: a dense vector
+/// indexed by register number, so tracking a fact is an index rather
+/// than a hash. Registers past the end read as untracked and grow it.
+struct RegMap<T>(Vec<Option<T>>);
+
+impl<T: Copy + PartialEq> RegMap<T> {
+    fn new(func: &Function) -> RegMap<T> {
+        RegMap(vec![None; func.num_regs as usize])
+    }
+
+    fn get(&self, r: VReg) -> Option<T> {
+        self.0.get(r.0 as usize).copied().flatten()
+    }
+
+    fn insert(&mut self, r: VReg, v: T) {
+        let i = r.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(v);
+    }
+
+    fn remove(&mut self, r: VReg) {
+        if let Some(slot) = self.0.get_mut(r.0 as usize) {
+            *slot = None;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(None);
+    }
+}
+
+fn fold_sop(s: SOp, known: &RegMap<RConst>) -> SOp {
     if let SOp::Reg(r) = s {
-        if let Some(RConst::Int(v)) = known.get(&r) {
-            return SOp::Imm(*v);
+        if let Some(RConst::Int(v)) = known.get(r) {
+            return SOp::Imm(v);
         }
     }
     s
@@ -314,8 +350,8 @@ fn cmp_const(kind: CmpKind, a: RConst, b: RConst) -> Option<RConst> {
 
 /// The per-instruction rewrite of the folding pass; returns the
 /// replacement when the instruction can be strengthened.
-fn fold_one(insn: &RInsn, known: &HashMap<VReg, RConst>) -> Option<RInsn> {
-    let k = |r: &VReg| known.get(r).copied();
+fn fold_one(insn: &RInsn, known: &RegMap<RConst>) -> Option<RInsn> {
+    let k = |r: &VReg| known.get(*r);
     match insn {
         RInsn::Move { dst, src } => Some(RInsn::Const {
             dst: *dst,
@@ -484,10 +520,10 @@ fn fold_one(insn: &RInsn, known: &HashMap<VReg, RConst>) -> Option<RInsn> {
     }
 }
 
-/// Block-local constant folding and immediate-form strengthening.
-pub fn fold_constants(func: &mut Function) -> usize {
-    let lead = leaders(&func.insns);
-    let mut known: HashMap<VReg, RConst> = HashMap::new();
+/// Block-local constant folding and immediate-form strengthening, over
+/// the blocks `lead` marks.
+fn fold_constants(func: &mut Function, lead: &[bool]) -> usize {
+    let mut known = RegMap::new(func);
     let mut changed = 0;
     for (i, insn) in func.insns.iter_mut().enumerate() {
         if lead[i] {
@@ -500,31 +536,36 @@ pub fn fold_constants(func: &mut Function) -> usize {
         if let RInsn::Const { dst, v } = insn {
             known.insert(*dst, *v);
         } else if let Some(dst) = insn.writes() {
-            known.remove(&dst);
+            known.remove(dst);
         }
     }
     changed
 }
 
-/// Block-local copy propagation: reads of a `Move` destination are
-/// rerouted to its (transitively resolved) source.
-pub fn propagate_copies(func: &mut Function) -> usize {
-    let lead = leaders(&func.insns);
-    let mut copy_of: HashMap<VReg, VReg> = HashMap::new();
+/// Block-local copy propagation over the blocks `lead` marks: reads of a
+/// `Move` destination are rerouted to its (transitively resolved) source.
+fn propagate_copies(func: &mut Function, lead: &[bool]) -> usize {
+    let mut copy_of = RegMap::new(func);
     let mut changed = 0;
     for (i, insn) in func.insns.iter_mut().enumerate() {
         if lead[i] {
             copy_of.clear();
         }
-        insn.map_reads(|r| match copy_of.get(&r) {
-            Some(&root) => {
+        insn.map_reads(|r| match copy_of.get(r) {
+            Some(root) => {
                 changed += 1;
                 root
             }
             None => r,
         });
         if let Some(dst) = insn.writes() {
-            copy_of.retain(|k, v| *k != dst && *v != dst);
+            // Forget every copy relation `dst` took part in.
+            copy_of.remove(dst);
+            for root in &mut copy_of.0 {
+                if *root == Some(dst) {
+                    *root = None;
+                }
+            }
             // Source reads were already rerouted above, so `src` is a
             // propagation root.
             if let RInsn::Move { dst, src } = insn {
@@ -537,19 +578,19 @@ pub fn propagate_copies(func: &mut Function) -> usize {
     changed
 }
 
-/// Liveness-based dead-code elimination over the whole body.
+/// Liveness-based dead-code elimination over the whole body, whose
+/// basic blocks `lead` marks.
 ///
 /// Computes backward liveness across basic blocks, then deletes
 /// side-effect-free instructions whose destination is dead (plus
 /// identity moves), repairing branch targets afterwards. Returns the
 /// number of instructions removed. Bodies with handlers are left alone.
-pub fn eliminate_dead(func: &mut Function) -> usize {
+fn eliminate_dead(func: &mut Function, lead: &[bool]) -> usize {
     if !func.handlers.is_empty() || func.insns.is_empty() {
         return 0;
     }
     let n = func.insns.len();
     let nr = func.num_regs as usize + 1;
-    let lead = leaders(&func.insns);
     let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
     let nb = starts.len();
     let mut block_of = vec![0usize; n];
@@ -563,45 +604,59 @@ pub fn eliminate_dead(func: &mut Function) -> usize {
         }
     }
     let end_of = |bi: usize| if bi + 1 < nb { starts[bi + 1] } else { n };
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for (bi, s) in succ.iter_mut().enumerate() {
+    // Successor blocks, flattened: block `bi`'s are
+    // `succ[succ_at[bi]..succ_at[bi + 1]]`.
+    let mut succ: Vec<usize> = Vec::new();
+    let mut succ_at: Vec<usize> = Vec::with_capacity(nb + 1);
+    for bi in 0..nb {
+        succ_at.push(succ.len());
         let last = end_of(bi) - 1;
         let insn = &func.insns[last];
-        for t in insn.branch_targets() {
-            s.push(block_of[t]);
-        }
+        insn.for_each_target(|t| succ.push(block_of[t]));
         if insn.can_fall_through() && last + 1 < n {
-            s.push(block_of[last + 1]);
+            succ.push(block_of[last + 1]);
         }
     }
+    succ_at.push(succ.len());
 
-    // reg() clamps into the bitset so a malformed register index can
-    // never panic the pass; lowering guarantees indices < num_regs.
+    // Liveness as bitsets of `words` words per block, all in one buffer;
+    // `live` is the one scratch set every block is computed in. reg()
+    // clamps into the set so a malformed register index can never panic
+    // the pass; lowering guarantees indices < num_regs.
+    let words = nr.div_ceil(64);
     let reg = |r: VReg| (r.0 as usize).min(nr - 1);
-    let back_apply = |insns: &[RInsn], mut live: Vec<bool>| -> Vec<bool> {
-        for insn in insns.iter().rev() {
-            if let Some(d) = insn.writes() {
-                live[reg(d)] = false;
-            }
-            for r in insn.reads() {
-                live[reg(r)] = true;
+    let set = |bits: &mut [u64], r: VReg, on: bool| {
+        let i = reg(r);
+        if on {
+            bits[i / 64] |= 1 << (i % 64);
+        } else {
+            bits[i / 64] &= !(1 << (i % 64));
+        }
+    };
+    let is_set = |bits: &[u64], r: VReg| bits[reg(r) / 64] & (1 << (reg(r) % 64)) != 0;
+    let live_out = |bi: usize, live: &mut [u64], live_in: &[u64]| {
+        live.fill(0);
+        for &s in &succ[succ_at[bi]..succ_at[bi + 1]] {
+            for (l, i) in live.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
+                *l |= *i;
             }
         }
-        live
     };
-    let mut live_in: Vec<Vec<bool>> = vec![vec![false; nr]; nb];
+    let mut live_in = vec![0u64; nb * words];
+    let mut live = vec![0u64; words];
     loop {
         let mut stable = true;
         for bi in (0..nb).rev() {
-            let mut out = vec![false; nr];
-            for &s in &succ[bi] {
-                for (o, i) in out.iter_mut().zip(&live_in[s]) {
-                    *o |= *i;
+            live_out(bi, &mut live, &live_in);
+            for insn in func.insns[starts[bi]..end_of(bi)].iter().rev() {
+                if let Some(d) = insn.writes() {
+                    set(&mut live, d, false);
                 }
+                insn.for_each_read(|r| set(&mut live, r, true));
             }
-            let new_in = back_apply(&func.insns[starts[bi]..end_of(bi)], out);
-            if new_in != live_in[bi] {
-                live_in[bi] = new_in;
+            let block_in = &mut live_in[bi * words..(bi + 1) * words];
+            if *block_in != *live {
+                block_in.copy_from_slice(&live);
                 stable = false;
             }
         }
@@ -612,19 +667,14 @@ pub fn eliminate_dead(func: &mut Function) -> usize {
 
     let mut keep = vec![true; n];
     let mut removed = 0;
-    for bi in 0..nb {
-        let mut live = vec![false; nr];
-        for &s in &succ[bi] {
-            for (l, i) in live.iter_mut().zip(&live_in[s]) {
-                *l |= *i;
-            }
-        }
-        for i in (starts[bi]..end_of(bi)).rev() {
+    for (bi, &start) in starts.iter().enumerate() {
+        live_out(bi, &mut live, &live_in);
+        for i in (start..end_of(bi)).rev() {
             let insn = &func.insns[i];
             let dead = match insn.writes() {
                 Some(d) if insn.side_effect_free() => {
                     let identity = matches!(insn, RInsn::Move { dst, src } if dst == src);
-                    identity || !live[reg(d)]
+                    identity || !is_set(&live, d)
                 }
                 _ => false,
             };
@@ -634,18 +684,16 @@ pub fn eliminate_dead(func: &mut Function) -> usize {
                 continue;
             }
             if let Some(d) = insn.writes() {
-                live[reg(d)] = false;
+                set(&mut live, d, false);
             }
-            for r in insn.reads() {
-                live[reg(r)] = true;
-            }
+            insn.for_each_read(|r| set(&mut live, r, true));
         }
     }
     if removed == 0 {
         return 0;
     }
-    // Compact and repair targets: a target maps to the position its
-    // instruction (or, if removed, the next surviving one) now holds.
+    // Compact in place and repair targets: a target maps to the position
+    // its instruction (or, if removed, the next surviving one) now holds.
     let mut new_index = vec![0usize; n + 1];
     let mut c = 0;
     for i in 0..n {
@@ -655,13 +703,11 @@ pub fn eliminate_dead(func: &mut Function) -> usize {
         }
     }
     new_index[n] = c;
-    let old = std::mem::take(&mut func.insns);
-    for (i, mut insn) in old.into_iter().enumerate() {
-        if !keep[i] {
-            continue;
-        }
+    let mut kept = keep.iter();
+    func.insns
+        .retain(|_| *kept.next().expect("one flag per instruction"));
+    for insn in &mut func.insns {
         insn.map_targets(|t| new_index[t]);
-        func.insns.push(insn);
     }
     removed
 }
@@ -889,7 +935,8 @@ mod tests {
             1,
             2,
         );
-        let removed = eliminate_dead(&mut f);
+        let lead = leaders(&f.insns);
+        let removed = eliminate_dead(&mut f, &lead);
         assert_eq!(removed, 2);
         assert_eq!(
             f.insns,
@@ -913,7 +960,8 @@ mod tests {
             1,
             2,
         );
-        assert_eq!(eliminate_dead(&mut f), 0);
+        let lead = leaders(&f.insns);
+        assert_eq!(eliminate_dead(&mut f, &lead), 0);
         assert_eq!(f.insns.len(), 3);
     }
 

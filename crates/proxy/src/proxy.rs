@@ -268,10 +268,13 @@ struct ProxyMetrics {
     request_ns: Arc<Histogram>,
     origin_fetch_ns: Arc<Histogram>,
     ir_lower_ns: Arc<Histogram>,
+    /// Per pipeline stage, in pipeline order: its `proxy.stage.<name>_ns`
+    /// histogram and its `stage.<name>` span name.
+    stages: Vec<(Arc<Histogram>, String)>,
 }
 
 impl ProxyMetrics {
-    fn register(telemetry: &Telemetry) -> ProxyMetrics {
+    fn register(telemetry: &Telemetry, pipeline: &Pipeline) -> ProxyMetrics {
         let r = telemetry.registry();
         ProxyMetrics {
             requests: r.counter("proxy.requests"),
@@ -292,6 +295,16 @@ impl ProxyMetrics {
             request_ns: r.histogram("proxy.request_ns"),
             origin_fetch_ns: r.histogram("proxy.origin.fetch_ns"),
             ir_lower_ns: r.histogram("exec.lower_ns"),
+            stages: pipeline
+                .names()
+                .into_iter()
+                .map(|stage| {
+                    (
+                        r.histogram(&format!("proxy.stage.{stage}_ns")),
+                        format!("stage.{stage}"),
+                    )
+                })
+                .collect(),
         }
     }
 }
@@ -336,7 +349,7 @@ impl Proxy {
     ) -> Proxy {
         let telemetry = Arc::new(Telemetry::new("proxy"));
         telemetry.recorder().set_node("proxy");
-        let metrics = ProxyMetrics::register(&telemetry);
+        let metrics = ProxyMetrics::register(&telemetry, &pipeline);
         Proxy {
             origin,
             pipeline,
@@ -390,7 +403,7 @@ impl Proxy {
     /// between components that should report as one node.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Proxy {
         telemetry.recorder().set_node(telemetry.node());
-        self.metrics = ProxyMetrics::register(&telemetry);
+        self.metrics = ProxyMetrics::register(&telemetry, &self.pipeline);
         self.telemetry = telemetry;
         self
     }
@@ -542,20 +555,23 @@ impl Proxy {
 
         // Parse once for all static services.
         let class = ClassFile::parse(&original).map_err(|e| ProxyError::Parse(e.to_string()))?;
-        let registry = self.telemetry.registry();
+        // The pipeline reports its stages in order, so the n-th report
+        // belongs to the n-th pre-resolved handle.
+        let mut stages = self.metrics.stages.iter();
         let mut rewritten = self
             .pipeline
-            .run_traced(class, ctx, &mut |stage, elapsed_ns| {
-                registry
-                    .histogram(&format!("proxy.stage.{stage}_ns"))
-                    .record(elapsed_ns);
+            .run_traced(class, ctx, &mut |_, elapsed_ns| {
+                let Some((histogram, span_name)) = stages.next() else {
+                    return;
+                };
+                histogram.record(elapsed_ns);
                 if let Some((trace, parent)) = span {
                     let end = recorder.now_ns();
                     recorder.record_span(
                         trace,
                         SpanId::generate(),
                         parent,
-                        &format!("stage.{stage}"),
+                        span_name,
                         end.saturating_sub(elapsed_ns),
                         elapsed_ns,
                     );

@@ -10,8 +10,17 @@
 //! Subroutines (`jsr`/`ret`) are rejected outright — the paper notes that
 //! verifier implementations differ on subroutine constraints, and this
 //! verifier takes the strict position.
+//!
+//! Simulating an instruction allocates nothing. The states of a method's
+//! program points share one buffer (`States`), a popped state is copied
+//! into one reused scratch state, merges join in place, reference names
+//! are shared, and what the constant pool says about a member is parsed
+//! once per class (`PoolMemo`). Allocation happens per method (the state
+//! buffer grows by doubling) and when a new assumption is recorded.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use dvm_bytecode::insn::{AKind, Insn, Kind, NumKind, NumType};
 use dvm_bytecode::Code;
@@ -32,45 +41,160 @@ pub struct Phase3Output {
     pub assumptions: Vec<ScopedAssumption>,
 }
 
-/// Abstract machine state at one program point.
-#[derive(Debug, Clone, PartialEq)]
+/// Abstract machine state at one program point, as simulated.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct MState {
     locals: Vec<VType>,
     stack: Vec<VType>,
     this_init: bool,
 }
 
-impl MState {
-    fn merge(&self, other: &MState) -> Option<MState> {
-        if self.stack.len() != other.stack.len() || self.locals.len() != other.locals.len() {
+/// The states of one method's program points, packed into one buffer:
+/// point `i`'s locals, then its stack, occupy the slots from `p.start`
+/// once `at[i]` holds `p`. Every state of a method has the same number of
+/// locals, and a merge never changes a stack's depth, so recording a point
+/// only appends and a point keeps its slots for the rest of the method.
+struct States {
+    locals: usize,
+    slots: Vec<VType>,
+    at: Vec<Option<Point>>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    start: usize,
+    depth: usize,
+    this_init: bool,
+}
+
+impl States {
+    /// Room for `n` points, with `entry` recorded at point 0.
+    fn new(n: usize, entry: &MState) -> States {
+        let mut states = States {
+            locals: entry.locals.len(),
+            slots: Vec::new(),
+            at: vec![None; n],
+        };
+        states.record(0, entry);
+        states
+    }
+
+    /// The stack depth of point `i`, or `None` if it was never reached.
+    fn depth(&self, i: usize) -> Option<usize> {
+        self.at[i].map(|p| p.depth)
+    }
+
+    /// Copies point `i`'s state into `st`, reusing its buffers; `false`
+    /// if `i` was never reached.
+    fn load(&self, i: usize, st: &mut MState) -> bool {
+        let Some(p) = self.at[i] else {
+            return false;
+        };
+        let slots = &self.slots[p.start..p.start + self.locals + p.depth];
+        let (locals, stack) = slots.split_at(self.locals);
+        st.locals.clear();
+        st.locals.extend_from_slice(locals);
+        st.stack.clear();
+        st.stack.extend_from_slice(stack);
+        st.this_init = p.this_init;
+        true
+    }
+
+    /// Gives the unreached point `i` the state `st`.
+    fn record(&mut self, i: usize, st: &MState) {
+        self.at[i] = Some(Point {
+            start: self.slots.len(),
+            depth: st.stack.len(),
+            this_init: st.this_init,
+        });
+        self.slots.extend_from_slice(&st.locals);
+        self.slots.extend_from_slice(&st.stack);
+    }
+
+    /// Joins `incoming` into point `i`'s state element by element, in
+    /// place. Returns `None` when `i` was never reached or the shapes
+    /// differ (the state is then untouched), otherwise whether anything
+    /// changed. Allocates nothing.
+    fn merge_into(&mut self, i: usize, incoming: &MState) -> Option<bool> {
+        let Some(p) = &mut self.at[i] else {
+            return None;
+        };
+        if p.depth != incoming.stack.len() || self.locals != incoming.locals.len() {
             return None;
         }
-        Some(MState {
-            locals: self
-                .locals
-                .iter()
-                .zip(&other.locals)
-                .map(|(a, b)| a.merge(b))
-                .collect(),
-            stack: self
-                .stack
-                .iter()
-                .zip(&other.stack)
-                .map(|(a, b)| a.merge(b))
-                .collect(),
-            this_init: self.this_init && other.this_init,
-        })
+        let mut changed = false;
+        let slots = &mut self.slots[p.start..p.start + self.locals + p.depth];
+        for (a, b) in slots
+            .iter_mut()
+            .zip(incoming.locals.iter().chain(&incoming.stack))
+        {
+            if a != b {
+                let joined = a.merge(b);
+                if joined != *a {
+                    *a = joined;
+                    changed = true;
+                }
+            }
+        }
+        if p.this_init && !incoming.this_init {
+            p.this_init = false;
+            changed = true;
+        }
+        Some(changed)
+    }
+}
+
+/// Parameter and return types of one `Methodref`.
+struct MethodSig {
+    params: Vec<VType>,
+    ret: Option<VType>,
+}
+
+/// What phase 3 derives from one class's constant pool, computed on first
+/// use and shared by every method and every revisit of an instruction.
+#[derive(Default)]
+struct PoolMemo {
+    /// Interned names: every `VType::Ref` built from a pool or literal
+    /// name shares one allocation per distinct name.
+    names: HashSet<Arc<str>>,
+    /// Field type per `Fieldref` index.
+    fields: HashMap<u16, VType>,
+    /// Parameter and return types per `Methodref` index.
+    methods: HashMap<u16, Rc<MethodSig>>,
+    /// Result type per `anewarray` class index.
+    arrays: HashMap<u16, VType>,
+    /// Element type per reference-array type name.
+    elements: HashMap<Arc<str>, VType>,
+}
+
+impl PoolMemo {
+    fn name(&mut self, name: &str) -> Arc<str> {
+        if let Some(n) = self.names.get(name) {
+            return Arc::clone(n);
+        }
+        let n: Arc<str> = name.into();
+        self.names.insert(Arc::clone(&n));
+        n
+    }
+
+    fn reference(&mut self, name: &str) -> VType {
+        VType::Ref(self.name(name))
     }
 }
 
 struct Ctx<'a> {
     cf: &'a ClassFile,
-    class: String,
-    method: String,
+    memo: &'a mut PoolMemo,
+    class: Arc<str>,
+    method: &'a str,
     is_init: bool,
-    ret: Option<FieldType>,
+    ret: Option<&'a FieldType>,
+    ret_type: Option<VType>,
     checks: u64,
-    assumptions: Vec<ScopedAssumption>,
+    /// Method-scope assumptions in the order first formed, and the same
+    /// set hashed for the duplicate test.
+    assumptions: Vec<Assumption>,
+    seen: HashSet<Assumption>,
 }
 
 impl Ctx<'_> {
@@ -78,40 +202,29 @@ impl Ctx<'_> {
         dvm_fuzz::cov!("verify.phase3.fail");
         VerifyFailure {
             phase: 3,
-            class: self.class.clone(),
-            method: Some(self.method.clone()),
+            class: self.class.to_string(),
+            method: Some(self.method.to_owned()),
             at: Some(at),
             reason,
         }
     }
 
-    fn assume(&mut self, a: Assumption, scope: Scope) {
+    /// Records a method-scope assumption; `check` attaches the method.
+    fn assume(&mut self, a: Assumption) {
         // Assumptions about this class itself are checked locally instead.
-        let subject_is_self = a.subject() == self.class;
-        if subject_is_self {
+        if a.subject() == &*self.class || self.seen.contains(&a) {
             return;
         }
-        let method = match scope {
-            Scope::Class => None,
-            // The descriptor is attached by check() once the method's
-            // verification completes.
-            Scope::Method => Some((self.method.clone(), String::new())),
-        };
-        let sa = ScopedAssumption {
-            assumption: a,
-            scope,
-            method,
-        };
-        if !self.assumptions.contains(&sa) {
-            self.assumptions.push(sa);
-        }
+        self.seen.insert(a.clone());
+        self.assumptions.push(a);
     }
 }
 
 /// Runs phase 3 over the decoded bodies from phase 2.
 pub fn check(cf: &ClassFile, bodies: &[(usize, Code)]) -> Result<Phase3Output> {
     dvm_fuzz::cov!("verify.phase3");
-    let class = cf.name()?.to_owned();
+    let mut memo = PoolMemo::default();
+    let class = memo.name(cf.name()?);
     let mut out = Phase3Output::default();
 
     // Class-scope assumption: the superclass relationship (the paper's
@@ -129,30 +242,37 @@ pub fn check(cf: &ClassFile, bodies: &[(usize, Code)]) -> Result<Phase3Output> {
         }
     }
 
+    let mut seen: HashSet<ScopedAssumption> = HashSet::new();
     for (mi, code) in bodies {
         let m = &cf.methods[*mi];
-        let mname = m.name(&cf.pool)?.to_owned();
-        let mdesc = m.descriptor(&cf.pool)?.to_owned();
-        let desc = MethodDescriptor::parse(&mdesc)?;
+        let mname = m.name(&cf.pool)?;
+        let mdesc = m.descriptor(&cf.pool)?;
+        let desc = MethodDescriptor::parse(mdesc)?;
 
         let mut ctx = Ctx {
             cf,
-            class: class.clone(),
-            method: mname.clone(),
+            memo: &mut memo,
+            class: Arc::clone(&class),
+            method: mname,
             is_init: mname == "<init>",
-            ret: desc.ret.clone(),
+            ret: desc.ret.as_ref(),
+            ret_type: desc.ret.as_ref().map(VType::of_field_type),
             checks: 0,
             assumptions: Vec::new(),
+            seen: HashSet::new(),
         };
 
         verify_method(&mut ctx, m.access.is_static(), &desc, code)?;
 
         out.checks += ctx.checks;
-        for mut sa in ctx.assumptions {
-            if let Some((n, _)) = &sa.method {
-                sa.method = Some((n.clone(), mdesc.clone()));
-            }
-            if !out.assumptions.contains(&sa) {
+        for assumption in ctx.assumptions {
+            let sa = ScopedAssumption {
+                assumption,
+                scope: Scope::Method,
+                method: Some((mname.to_owned(), mdesc.to_owned())),
+            };
+            if !seen.contains(&sa) {
+                seen.insert(sa.clone());
                 out.assumptions.push(sa);
             }
         }
@@ -166,7 +286,7 @@ fn initial_state(ctx: &Ctx<'_>, is_static: bool, desc: &MethodDescriptor, code: 
         locals.push(if ctx.is_init {
             VType::UninitThis
         } else {
-            VType::Ref(ctx.class.clone())
+            VType::Ref(Arc::clone(&ctx.class))
         });
     }
     for p in &desc.params {
@@ -198,58 +318,52 @@ fn verify_method(
 ) -> Result<()> {
     dvm_fuzz::cov!("verify.phase3.method");
     let n = code.insns.len();
-    let mut states: Vec<Option<MState>> = vec![None; n];
-    let mut work: Vec<usize> = Vec::new();
-
     let entry = initial_state(ctx, is_static, desc, code);
-    states[0] = Some(entry);
-    work.push(0);
+    let mut states = States::new(n, &entry);
+    let mut work: Vec<usize> = vec![0];
 
     // Handler catch types, resolved once.
     let mut handler_types: HashMap<usize, VType> = HashMap::new();
     for h in &code.handlers {
         let t = if h.catch_type == 0 {
-            VType::Ref("java/lang/Throwable".to_owned())
+            ctx.memo.reference("java/lang/Throwable")
         } else {
-            let name = ctx.cf.pool.get_class_name(h.catch_type)?.to_owned();
-            ctx.assume(
-                Assumption::Extends {
-                    class: name.clone(),
-                    superclass: "java/lang/Throwable".to_owned(),
-                },
-                Scope::Method,
-            );
-            VType::Ref(name)
+            let name = ctx.cf.pool.get_class_name(h.catch_type)?;
+            ctx.assume(Assumption::Extends {
+                class: name.to_owned(),
+                superclass: "java/lang/Throwable".to_owned(),
+            });
+            ctx.memo.reference(name)
         };
         handler_types.insert(h.handler, t);
     }
 
+    // Scratch space reused by every pop: the state being simulated, the
+    // state a covering handler is entered with, and the successor list.
+    let mut st = entry;
+    let mut caught = MState::default();
+    let mut succs: Vec<usize> = Vec::new();
     while let Some(i) = work.pop() {
-        let Some(state) = states[i].clone() else {
+        if !states.load(i, &mut st) {
             continue;
-        };
-        let insn = &code.insns[i];
-        let mut st = state.clone();
-        let succs = simulate(ctx, i, insn, &mut st)?;
+        }
+        succs.clear();
+        simulate(ctx, i, &code.insns[i], &mut st, &mut succs)?;
 
         // Propagate to exception handlers covering this instruction: the
         // handler sees current locals with a one-element stack.
         for h in &code.handlers {
             if i >= h.start && i < h.end {
-                let hstate = MState {
-                    locals: st.locals.clone(),
-                    stack: vec![handler_types
-                        .get(&h.handler)
-                        .cloned()
-                        .unwrap_or(VType::Ref("java/lang/Throwable".to_owned()))],
-                    this_init: st.this_init,
-                };
-                propagate(ctx, &mut states, &mut work, h.handler, hstate, i, n)?;
+                caught.locals.clone_from(&st.locals);
+                caught.stack.clear();
+                caught.stack.push(handler_types[&h.handler].clone());
+                caught.this_init = st.this_init;
+                propagate(ctx, &mut states, &mut work, h.handler, &caught, i, n)?;
             }
         }
 
-        for s in succs {
-            propagate(ctx, &mut states, &mut work, s, st.clone(), i, n)?;
+        for &s in &succs {
+            propagate(ctx, &mut states, &mut work, s, &st, i, n)?;
         }
     }
     Ok(())
@@ -257,10 +371,10 @@ fn verify_method(
 
 fn propagate(
     ctx: &mut Ctx<'_>,
-    states: &mut [Option<MState>],
+    states: &mut States,
     work: &mut Vec<usize>,
     target: usize,
-    incoming: MState,
+    incoming: &MState,
     from: usize,
     n: usize,
 ) -> Result<()> {
@@ -268,27 +382,24 @@ fn propagate(
         return Err(ctx.fail(from, format!("branch target {target} out of range")));
     }
     ctx.checks += 1;
-    match &states[target] {
+    match states.depth(target) {
         None => {
-            states[target] = Some(incoming);
+            states.record(target, incoming);
             work.push(target);
         }
-        Some(existing) => {
-            let merged = existing.merge(&incoming).ok_or_else(|| {
-                ctx.fail(
+        Some(depth) => match states.merge_into(target, incoming) {
+            None => {
+                return Err(ctx.fail(
                     target,
                     format!(
-                        "stack shape mismatch at merge: {} vs {} entries",
-                        existing.stack.len(),
+                        "stack shape mismatch at merge: {depth} vs {} entries",
                         incoming.stack.len()
                     ),
-                )
-            })?;
-            if &merged != existing {
-                states[target] = Some(merged);
-                work.push(target);
+                ))
             }
-        }
+            Some(true) => work.push(target),
+            Some(false) => {}
+        },
     }
     Ok(())
 }
@@ -330,17 +441,14 @@ fn compat(ctx: &mut Ctx<'_>, at: usize, value: &VType, want: &VType) -> Result<(
         | (VType::Double, VType::Double)
         | (VType::Null, VType::Ref(_)) => true,
         (VType::Ref(a), VType::Ref(b)) => {
-            if a == b || b == "java/lang/Object" {
+            if a == b || &**b == "java/lang/Object" {
                 true
             } else {
                 // Subtyping across classes: defer to the link phase.
-                ctx.assume(
-                    Assumption::Extends {
-                        class: a.clone(),
-                        superclass: b.clone(),
-                    },
-                    Scope::Method,
-                );
+                ctx.assume(Assumption::Extends {
+                    class: a.to_string(),
+                    superclass: b.to_string(),
+                });
                 true
             }
         }
@@ -365,13 +473,15 @@ fn num_vtype(kind: NumKind) -> VType {
     }
 }
 
-fn kind_vtype(kind: Kind, class_hint: &str) -> VType {
+/// The type a primitive `load`/`store` kind moves. Reference kinds are
+/// checked with [`VType::is_reference`] instead and never reach here.
+fn kind_vtype(kind: Kind) -> VType {
     match kind {
         Kind::Int => VType::Int,
         Kind::Long => VType::Long,
         Kind::Float => VType::Float,
         Kind::Double => VType::Double,
-        Kind::Ref => VType::Ref(class_hint.to_owned()),
+        Kind::Ref => VType::object(),
     }
 }
 
@@ -381,7 +491,7 @@ fn akind_elem(kind: AKind) -> VType {
         AKind::Long => VType::Long,
         AKind::Float => VType::Float,
         AKind::Double => VType::Double,
-        AKind::Ref => VType::Ref("java/lang/Object".to_owned()),
+        AKind::Ref => VType::object(),
     }
 }
 
@@ -407,11 +517,17 @@ fn num_type_vtype(t: NumType) -> VType {
     }
 }
 
-/// Simulates `insn` over `st`, returning explicit successor indices (the
-/// fall-through successor `i + 1` is included when applicable).
+/// Simulates `insn` over `st`, appending its successor indices to `succs`
+/// (the fall-through successor `i + 1` is included when applicable).
 #[allow(clippy::too_many_lines)]
-fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result<Vec<usize>> {
-    let mut succs = Vec::new();
+fn simulate(
+    ctx: &mut Ctx<'_>,
+    i: usize,
+    insn: &Insn,
+    st: &mut MState,
+    succs: &mut Vec<usize>,
+) -> Result<()> {
+    let cf = ctx.cf;
     let mut fall = true;
     match insn {
         Insn::Nop => {}
@@ -422,18 +538,18 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
         Insn::DConst(_) => st.stack.push(VType::Double),
         Insn::Ldc(idx) => {
             ctx.checks += 1;
-            match ctx.cf.pool.get(*idx) {
+            match cf.pool.get(*idx) {
                 Ok(Constant::Integer(_)) => st.stack.push(VType::Int),
                 Ok(Constant::Float(_)) => st.stack.push(VType::Float),
                 Ok(Constant::String { .. }) => {
-                    st.stack.push(VType::Ref("java/lang/String".to_owned()))
+                    st.stack.push(ctx.memo.reference("java/lang/String"))
                 }
                 other => return Err(ctx.fail(i, format!("ldc of invalid constant: {other:?}"))),
             }
         }
         Insn::Ldc2(idx) => {
             ctx.checks += 1;
-            match ctx.cf.pool.get(*idx) {
+            match cf.pool.get(*idx) {
                 Ok(Constant::Long(_)) => st.stack.push(VType::Long),
                 Ok(Constant::Double(_)) => st.stack.push(VType::Double),
                 other => return Err(ctx.fail(i, format!("ldc2_w of invalid constant: {other:?}"))),
@@ -454,18 +570,17 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
                     }
                 }
                 _ => {
-                    let want = kind_vtype(*kind, "");
+                    let want = kind_vtype(*kind);
                     if v != want {
                         return Err(ctx.fail(i, format!("load expected {want:?}, found {v:?}")));
                     }
                     if v.is_wide() {
-                        let tail = st.locals.get(slot + 1).cloned();
                         let want_tail = if v == VType::Long {
                             VType::Long2
                         } else {
                             VType::Double2
                         };
-                        if tail != Some(want_tail) {
+                        if st.locals.get(slot + 1) != Some(&want_tail) {
                             return Err(ctx.fail(i, "broken wide local pair".into()));
                         }
                     }
@@ -483,7 +598,7 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
                     }
                 }
                 _ => {
-                    let want = kind_vtype(*kind, "");
+                    let want = kind_vtype(*kind);
                     if v != want {
                         return Err(ctx.fail(i, format!("store expected {want:?}, found {v:?}")));
                     }
@@ -656,11 +771,9 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
         }
         Insn::Return(kind) => {
             ctx.checks += 1;
-            let ret = ctx.ret.clone();
-            match (kind, &ret) {
-                (None, None) => {}
-                (Some(k), Some(rt)) => {
-                    let want = VType::of_field_type(rt);
+            match (kind, ctx.ret, ctx.ret_type.clone()) {
+                (None, None, _) => {}
+                (Some(k), Some(rt), Some(want)) => {
                     let v = pop(ctx, st, i)?;
                     let kind_ok = match k {
                         Kind::Int => want == VType::Int,
@@ -674,7 +787,7 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
                     }
                     compat(ctx, i, &v, &want)?;
                 }
-                (got, want) => {
+                (got, want, _) => {
                     return Err(
                         ctx.fail(i, format!("return {got:?} from method returning {want:?}"))
                     );
@@ -687,33 +800,33 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
         }
         Insn::GetStatic(idx) => {
             let (c, n, d) = member(ctx, i, *idx)?;
-            field_assumption(ctx, i, &c, &n, &d)?;
-            st.stack.push(VType::of_field_type(&FieldType::parse(&d)?));
+            field_assumption(ctx, i, c, n, d)?;
+            st.stack.push(field_type(ctx, *idx, d)?);
         }
         Insn::PutStatic(idx) => {
             let (c, n, d) = member(ctx, i, *idx)?;
-            field_assumption(ctx, i, &c, &n, &d)?;
-            let want = VType::of_field_type(&FieldType::parse(&d)?);
+            field_assumption(ctx, i, c, n, d)?;
+            let want = field_type(ctx, *idx, d)?;
             let v = pop(ctx, st, i)?;
             compat(ctx, i, &v, &want)?;
         }
         Insn::GetField(idx) => {
             let (c, n, d) = member(ctx, i, *idx)?;
-            field_assumption(ctx, i, &c, &n, &d)?;
+            field_assumption(ctx, i, c, n, d)?;
             pop_initialized_ref(ctx, st, i)?;
-            st.stack.push(VType::of_field_type(&FieldType::parse(&d)?));
+            st.stack.push(field_type(ctx, *idx, d)?);
         }
         Insn::PutField(idx) => {
             let (c, n, d) = member(ctx, i, *idx)?;
-            field_assumption(ctx, i, &c, &n, &d)?;
-            let want = VType::of_field_type(&FieldType::parse(&d)?);
+            field_assumption(ctx, i, c, n, d)?;
+            let want = field_type(ctx, *idx, d)?;
             let v = pop(ctx, st, i)?;
             compat(ctx, i, &v, &want)?;
             // Receiver: an initialized reference, or `this` inside a
             // constructor storing to its own fields before super-init.
             let recv = pop(ctx, st, i)?;
             let ok =
-                recv.is_initialized_reference() || (recv == VType::UninitThis && c == ctx.class);
+                recv.is_initialized_reference() || (recv == VType::UninitThis && c == &*ctx.class);
             if !ok {
                 return Err(ctx.fail(i, format!("putfield on {recv:?}")));
             }
@@ -729,31 +842,31 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
         }
         Insn::New(idx) => {
             ctx.checks += 1;
-            ctx.cf
-                .pool
+            cf.pool
                 .get_class_name(*idx)
                 .map_err(|e| ctx.fail(i, e.to_string()))?;
             st.stack.push(VType::Uninit(i));
         }
         Insn::NewArray(kind) => {
             pop_expect(ctx, st, i, &VType::Int)?;
-            st.stack
-                .push(VType::Ref(akind_array_desc(*kind).to_owned()));
+            st.stack.push(ctx.memo.reference(akind_array_desc(*kind)));
         }
         Insn::ANewArray(idx) => {
-            let name = ctx
-                .cf
+            let name = cf
                 .pool
                 .get_class_name(*idx)
-                .map_err(|e| ctx.fail(i, e.to_string()))?
-                .to_owned();
+                .map_err(|e| ctx.fail(i, e.to_string()))?;
             pop_expect(ctx, st, i, &VType::Int)?;
-            let desc = if name.starts_with('[') {
-                format!("[{name}")
-            } else {
-                format!("[L{name};")
-            };
-            st.stack.push(VType::Ref(desc));
+            let memo = &mut *ctx.memo;
+            let t = memo.arrays.entry(*idx).or_insert_with(|| {
+                let desc = if name.starts_with('[') {
+                    format!("[{name}")
+                } else {
+                    format!("[L{name};")
+                };
+                VType::Ref(desc.into())
+            });
+            st.stack.push(t.clone());
         }
         Insn::ArrayLength => {
             let arr = pop_initialized_ref(ctx, st, i)?;
@@ -767,32 +880,26 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
         Insn::AThrow => {
             let exc = pop_initialized_ref(ctx, st, i)?;
             if let VType::Ref(name) = &exc {
-                if name != "java/lang/Throwable" {
-                    ctx.assume(
-                        Assumption::Extends {
-                            class: name.clone(),
-                            superclass: "java/lang/Throwable".to_owned(),
-                        },
-                        Scope::Method,
-                    );
+                if &**name != "java/lang/Throwable" {
+                    ctx.assume(Assumption::Extends {
+                        class: name.to_string(),
+                        superclass: "java/lang/Throwable".to_owned(),
+                    });
                 }
             }
             fall = false;
         }
         Insn::CheckCast(idx) => {
-            let name = ctx
-                .cf
+            let name = cf
                 .pool
                 .get_class_name(*idx)
-                .map_err(|e| ctx.fail(i, e.to_string()))?
-                .to_owned();
+                .map_err(|e| ctx.fail(i, e.to_string()))?;
             pop_initialized_ref(ctx, st, i)?;
-            st.stack.push(VType::Ref(name));
+            st.stack.push(ctx.memo.reference(name));
         }
         Insn::InstanceOf(idx) => {
             ctx.checks += 1;
-            ctx.cf
-                .pool
+            cf.pool
                 .get_class_name(*idx)
                 .map_err(|e| ctx.fail(i, e.to_string()))?;
             pop_initialized_ref(ctx, st, i)?;
@@ -802,22 +909,20 @@ fn simulate(ctx: &mut Ctx<'_>, i: usize, insn: &Insn, st: &mut MState) -> Result
             pop_initialized_ref(ctx, st, i)?;
         }
         Insn::MultiANewArray(idx, dims) => {
-            let name = ctx
-                .cf
+            let name = cf
                 .pool
                 .get_class_name(*idx)
-                .map_err(|e| ctx.fail(i, e.to_string()))?
-                .to_owned();
+                .map_err(|e| ctx.fail(i, e.to_string()))?;
             for _ in 0..*dims {
                 pop_expect(ctx, st, i, &VType::Int)?;
             }
-            st.stack.push(VType::Ref(name));
+            st.stack.push(ctx.memo.reference(name));
         }
     }
     if fall {
         succs.push(i + 1);
     }
-    Ok(succs)
+    Ok(())
 }
 
 fn check_array_ref(ctx: &mut Ctx<'_>, i: usize, arr: &VType, kind: AKind) -> Result<VType> {
@@ -829,10 +934,16 @@ fn check_array_ref(ctx: &mut Ctx<'_>, i: usize, arr: &VType, kind: AKind) -> Res
             match kind {
                 AKind::Ref => {
                     if elem_desc.starts_with('L') || elem_desc.starts_with('[') {
-                        let elem = FieldType::parse(elem_desc)
-                            .map(|ft| VType::of_field_type(&ft))
-                            .unwrap_or(VType::Ref("java/lang/Object".to_owned()));
-                        Ok(elem)
+                        let elem = ctx
+                            .memo
+                            .elements
+                            .entry(Arc::clone(name))
+                            .or_insert_with(|| {
+                                FieldType::parse(elem_desc)
+                                    .map(|ft| VType::of_field_type(&ft))
+                                    .unwrap_or_else(|_| VType::object())
+                            });
+                        Ok(elem.clone())
                     } else {
                         Err(ctx.fail(i, format!("reference array op on {name}")))
                     }
@@ -840,7 +951,7 @@ fn check_array_ref(ctx: &mut Ctx<'_>, i: usize, arr: &VType, kind: AKind) -> Res
                 prim => {
                     let want = akind_array_desc(prim);
                     // boolean arrays share the byte opcodes.
-                    let ok = name == want || (prim == AKind::Byte && name == "[Z");
+                    let ok = &**name == want || (prim == AKind::Byte && &**name == "[Z");
                     if ok {
                         Ok(akind_elem(prim))
                     } else {
@@ -854,63 +965,91 @@ fn check_array_ref(ctx: &mut Ctx<'_>, i: usize, arr: &VType, kind: AKind) -> Res
     }
 }
 
+/// Examines the stack entry `*depth` below the top exactly as popping it
+/// would — one check, underflow if absent — without moving it, and
+/// returns whether it is a category-2 value.
+fn peek(ctx: &mut Ctx<'_>, st: &MState, at: usize, depth: &mut usize) -> Result<bool> {
+    ctx.checks += 1;
+    let len = st.stack.len();
+    if *depth >= len {
+        return Err(ctx.fail(at, "operand stack underflow".into()));
+    }
+    *depth += 1;
+    Ok(st.stack[len - *depth].is_wide())
+}
+
 fn dup_form(ctx: &mut Ctx<'_>, st: &mut MState, i: usize, insn: &Insn) -> Result<()> {
-    // Generic block duplication mirroring the interpreter's semantics,
-    // with category checks per form.
+    // Block duplication mirroring the interpreter's semantics, with
+    // category checks per form. The top `block` entries are copied below
+    // the `skipped` ones beneath them, in place.
     let top_slots: u16 = match insn {
         Insn::DupX1 | Insn::DupX2 => 1,
         _ => 2,
     };
-    let mut block = Vec::new();
+    let mut depth = 0;
     let mut slots = 0;
     while slots < top_slots {
-        let v = pop(ctx, st, i)?;
-        slots += if v.is_wide() { 2 } else { 1 };
-        block.push(v);
+        slots += if peek(ctx, st, i, &mut depth)? { 2 } else { 1 };
     }
-    if matches!(insn, Insn::DupX1 | Insn::DupX2) && block[0].is_wide() {
+    let block = depth;
+    if matches!(insn, Insn::DupX1 | Insn::DupX2) && st.stack[st.stack.len() - 1].is_wide() {
         return Err(ctx.fail(i, "dup_x of category-2 value".into()));
     }
-    let mut skipped = Vec::new();
     match insn {
         Insn::Dup2 => {}
         Insn::DupX1 | Insn::Dup2X1 => {
-            let v = pop(ctx, st, i)?;
-            if v.is_wide() {
+            if peek(ctx, st, i, &mut depth)? {
                 return Err(ctx.fail(i, "x1 form across category-2 value".into()));
             }
-            skipped.push(v);
         }
         Insn::DupX2 | Insn::Dup2X2 => {
-            let v = pop(ctx, st, i)?;
-            let wide = v.is_wide();
-            skipped.push(v);
-            if !wide {
-                skipped.push(pop(ctx, st, i)?);
+            if !peek(ctx, st, i, &mut depth)? {
+                peek(ctx, st, i, &mut depth)?;
             }
         }
         _ => unreachable!(),
     }
-    for v in block.iter().rev() {
-        st.stack.push(v.clone());
-    }
-    for v in skipped.iter().rev() {
-        st.stack.push(v.clone());
-    }
-    for v in block.iter().rev() {
-        st.stack.push(v.clone());
-    }
+    // [.., skipped, block] → [.., skipped, block, block] → [.., block, skipped, block]
+    let len = st.stack.len();
+    st.stack.extend_from_within(len - block..);
+    st.stack[len - depth..].rotate_right(block);
     Ok(())
 }
 
-fn member(ctx: &mut Ctx<'_>, i: usize, idx: u16) -> Result<(String, String, String)> {
+/// The class, name and descriptor of a member reference, borrowed from
+/// the pool.
+fn member<'a>(ctx: &mut Ctx<'a>, i: usize, idx: u16) -> Result<(&'a str, &'a str, &'a str)> {
     ctx.checks += 1;
-    let (c, n, d) = ctx
-        .cf
-        .pool
+    let cf = ctx.cf;
+    cf.pool
         .get_member_ref(idx)
-        .map_err(|e| ctx.fail(i, e.to_string()))?;
-    Ok((c.to_owned(), n.to_owned(), d.to_owned()))
+        .map_err(|e| ctx.fail(i, e.to_string()))
+}
+
+/// The verification type of the field `idx` names (its descriptor is
+/// `descriptor`), parsed once per class.
+fn field_type(ctx: &mut Ctx<'_>, idx: u16, descriptor: &str) -> Result<VType> {
+    if let Some(t) = ctx.memo.fields.get(&idx) {
+        return Ok(t.clone());
+    }
+    let t = VType::of_field_type(&FieldType::parse(descriptor)?);
+    ctx.memo.fields.insert(idx, t.clone());
+    Ok(t)
+}
+
+/// The parameter and return types of the method `idx` names, parsed once
+/// per class.
+fn method_sig(ctx: &mut Ctx<'_>, i: usize, idx: u16, descriptor: &str) -> Result<Rc<MethodSig>> {
+    if let Some(sig) = ctx.memo.methods.get(&idx) {
+        return Ok(Rc::clone(sig));
+    }
+    let desc = MethodDescriptor::parse(descriptor).map_err(|e| ctx.fail(i, e.to_string()))?;
+    let sig = Rc::new(MethodSig {
+        params: desc.params.iter().map(VType::of_field_type).collect(),
+        ret: desc.ret.as_ref().map(VType::of_field_type),
+    });
+    ctx.memo.methods.insert(idx, Rc::clone(&sig));
+    Ok(sig)
 }
 
 /// For references to this class, check the member locally; for others,
@@ -922,7 +1061,7 @@ fn field_assumption(
     name: &str,
     descriptor: &str,
 ) -> Result<()> {
-    if class == ctx.class {
+    if class == &*ctx.class {
         ctx.checks += 1;
         let found = ctx.cf.fields.iter().any(|f| {
             f.name(&ctx.cf.pool).map(|n| n == name).unwrap_or(false)
@@ -937,14 +1076,11 @@ fn field_assumption(
             ));
         }
     } else {
-        ctx.assume(
-            Assumption::FieldExists {
-                class: class.to_owned(),
-                name: name.to_owned(),
-                descriptor: descriptor.to_owned(),
-            },
-            Scope::Method,
-        );
+        ctx.assume(Assumption::FieldExists {
+            class: class.to_owned(),
+            name: name.to_owned(),
+            descriptor: descriptor.to_owned(),
+        });
     }
     Ok(())
 }
@@ -956,14 +1092,14 @@ enum InvokeKind {
 }
 
 fn invoke(ctx: &mut Ctx<'_>, st: &mut MState, i: usize, idx: u16, kind: InvokeKind) -> Result<()> {
+    let cf = ctx.cf;
     let (class, name, descriptor) = member(ctx, i, idx)?;
-    let desc = MethodDescriptor::parse(&descriptor).map_err(|e| ctx.fail(i, e.to_string()))?;
+    let sig = method_sig(ctx, i, idx, descriptor)?;
 
     // Arguments, right to left.
-    for p in desc.params.iter().rev() {
-        let want = VType::of_field_type(p);
+    for want in sig.params.iter().rev() {
         let v = pop(ctx, st, i)?;
-        compat(ctx, i, &v, &want)?;
+        compat(ctx, i, &v, want)?;
     }
 
     let is_ctor = name == "<init>";
@@ -980,7 +1116,7 @@ fn invoke(ctx: &mut Ctx<'_>, st: &mut MState, i: usize, idx: u16, kind: InvokeKi
                     // The constructed class must match the `new` site's class.
                     ctx.checks += 1;
                     // Replace every occurrence with the initialized type.
-                    let init = VType::Ref(class.clone());
+                    let init = ctx.memo.reference(class);
                     for v in st.locals.iter_mut().chain(st.stack.iter_mut()) {
                         if *v == VType::Uninit(site) {
                             *v = init.clone();
@@ -991,19 +1127,14 @@ fn invoke(ctx: &mut Ctx<'_>, st: &mut MState, i: usize, idx: u16, kind: InvokeKi
                     // Must be a constructor of this class or its direct
                     // superclass.
                     ctx.checks += 1;
-                    let sup = ctx
-                        .cf
-                        .super_name()
-                        .ok()
-                        .flatten()
-                        .unwrap_or("java/lang/Object");
-                    if class != ctx.class && class != sup {
+                    let sup = cf.super_name().ok().flatten().unwrap_or("java/lang/Object");
+                    if class != &*ctx.class && class != sup {
                         return Err(ctx.fail(
                             i,
                             format!("constructor chain calls {class}, expected {sup} or self"),
                         ));
                     }
-                    let init = VType::Ref(ctx.class.clone());
+                    let init = VType::Ref(Arc::clone(&ctx.class));
                     for v in st.locals.iter_mut().chain(st.stack.iter_mut()) {
                         if *v == VType::UninitThis {
                             *v = init.clone();
@@ -1022,25 +1153,22 @@ fn invoke(ctx: &mut Ctx<'_>, st: &mut MState, i: usize, idx: u16, kind: InvokeKi
             }
             let recv = pop_initialized_ref(ctx, st, i)?;
             if let VType::Ref(rname) = &recv {
-                if rname != &class && class != "java/lang/Object" && !rname.starts_with('[') {
-                    ctx.assume(
-                        Assumption::Extends {
-                            class: rname.clone(),
-                            superclass: class.clone(),
-                        },
-                        Scope::Method,
-                    );
+                if &**rname != class && class != "java/lang/Object" && !rname.starts_with('[') {
+                    ctx.assume(Assumption::Extends {
+                        class: rname.to_string(),
+                        superclass: class.to_owned(),
+                    });
                 }
             }
         }
     }
 
     // Member-existence assumption or local check.
-    if class == ctx.class {
+    if class == &*ctx.class {
         ctx.checks += 1;
-        let found = ctx.cf.methods.iter().any(|m| {
-            m.name(&ctx.cf.pool).map(|n| n == name).unwrap_or(false)
-                && m.descriptor(&ctx.cf.pool)
+        let found = cf.methods.iter().any(|m| {
+            m.name(&cf.pool).map(|n| n == name).unwrap_or(false)
+                && m.descriptor(&cf.pool)
                     .map(|d| d == descriptor)
                     .unwrap_or(false)
         });
@@ -1048,31 +1176,133 @@ fn invoke(ctx: &mut Ctx<'_>, st: &mut MState, i: usize, idx: u16, kind: InvokeKi
         // treat a miss as an assumption on the superclass instead of an
         // error.
         if !found {
-            if let Ok(Some(sup)) = ctx.cf.super_name() {
-                let sup = sup.to_owned();
-                ctx.assume(
-                    Assumption::MethodExists {
-                        class: sup,
-                        name: name.clone(),
-                        descriptor: descriptor.clone(),
-                    },
-                    Scope::Method,
-                );
+            if let Ok(Some(sup)) = cf.super_name() {
+                ctx.assume(Assumption::MethodExists {
+                    class: sup.to_owned(),
+                    name: name.to_owned(),
+                    descriptor: descriptor.to_owned(),
+                });
             }
         }
     } else {
-        ctx.assume(
-            Assumption::MethodExists {
-                class: class.clone(),
-                name: name.clone(),
-                descriptor: descriptor.clone(),
-            },
-            Scope::Method,
-        );
+        ctx.assume(Assumption::MethodExists {
+            class: class.to_owned(),
+            name: name.to_owned(),
+            descriptor: descriptor.to_owned(),
+        });
     }
 
-    if let Some(rt) = &desc.ret {
-        st.stack.push(VType::of_field_type(rt));
+    if let Some(rt) = &sig.ret {
+        st.stack.push(rt.clone());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A small deterministic generator (xorshift), so the property below
+    /// needs no dependency and replays identically.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> usize {
+            (self.next() % n) as usize
+        }
+
+        fn vtype(&mut self) -> VType {
+            match self.below(9) {
+                0 => VType::Top,
+                1 => VType::Int,
+                2 => VType::Float,
+                3 => VType::Long,
+                4 => VType::Null,
+                5 => VType::UninitThis,
+                6 => VType::Uninit(self.below(3)),
+                7 => VType::object(),
+                _ => VType::Ref(["A", "B", "[I"][self.below(3)].into()),
+            }
+        }
+
+        fn state(&mut self, locals: usize, stack: usize) -> MState {
+            MState {
+                locals: (0..locals).map(|_| self.vtype()).collect(),
+                stack: (0..stack).map(|_| self.vtype()).collect(),
+                this_init: self.below(2) == 0,
+            }
+        }
+    }
+
+    /// `before` recorded at a point, `incoming` merged into it: the
+    /// merge's answer and the state the point holds afterwards.
+    fn merged(before: &MState, incoming: &MState) -> (Option<bool>, MState) {
+        let mut states = States::new(1, before);
+        let changed = states.merge_into(0, incoming);
+        let mut after = MState::default();
+        assert!(states.load(0, &mut after));
+        (changed, after)
+    }
+
+    #[test]
+    fn merge_into_is_the_elementwise_join() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..2_000 {
+            let (locals, stack) = (rng.below(4), rng.below(4));
+            let before = rng.state(locals, stack);
+            let incoming = rng.state(locals, stack);
+            let join = |a: &[VType], b: &[VType]| -> Vec<VType> {
+                a.iter().zip(b).map(|(a, b)| a.merge(b)).collect()
+            };
+            let expected = MState {
+                locals: join(&before.locals, &incoming.locals),
+                stack: join(&before.stack, &incoming.stack),
+                this_init: before.this_init && incoming.this_init,
+            };
+            let (changed, after) = merged(&before, &incoming);
+            assert_eq!(after, expected);
+            assert_eq!(changed, Some(after != before));
+            // Joining what is already there changes nothing.
+            assert_eq!(merged(&after, &incoming).0, Some(false));
+        }
+    }
+
+    #[test]
+    fn merge_into_rejects_shape_mismatches_untouched() {
+        let mut rng = Rng(7);
+        for _ in 0..500 {
+            let (locals, stack) = (rng.below(4), rng.below(4));
+            let before = rng.state(locals, stack);
+            for incoming in [rng.state(locals, stack + 1), rng.state(locals + 1, stack)] {
+                assert_eq!(merged(&before, &incoming), (None, before.clone()));
+            }
+        }
+        // A point nothing has reached has no state to merge into.
+        let mut states = States::new(2, &rng.state(1, 0));
+        assert_eq!(states.merge_into(1, &rng.state(1, 0)), None);
+    }
+
+    #[test]
+    fn states_keep_their_slots_as_points_are_added() {
+        let mut rng = Rng(11);
+        let entry = rng.state(3, 0);
+        let mut states = States::new(8, &entry);
+        let recorded: Vec<MState> = (1..8).map(|d| rng.state(3, d % 4)).collect();
+        for (i, st) in recorded.iter().enumerate() {
+            states.record(i + 1, st);
+        }
+        let mut out = MState::default();
+        for (i, st) in std::iter::once(&entry).chain(&recorded).enumerate() {
+            assert!(states.load(i, &mut out));
+            assert_eq!(&out, st);
+            assert_eq!(states.depth(i), Some(st.stack.len()));
+        }
+    }
 }

@@ -151,22 +151,24 @@ fn inject_clinit_checks(cf: &mut ClassFile, checks: &[Assumption]) -> Result<()>
     let block = check_block(cf, checks)?;
     let existing = cf.find_method("<clinit>", "()V").is_some();
     if existing {
-        let pool_snapshot = cf.pool.clone();
-        let m = cf
-            .find_method_mut("<clinit>", "()V")
-            .expect("checked above");
-        let attr = m.code().ok_or_else(|| VerifyFailure {
-            phase: 4,
-            class: String::new(),
-            method: Some("<clinit>".into()),
-            at: None,
-            reason: "initializer without code".into(),
-        })?;
+        let attr = cf
+            .find_method("<clinit>", "()V")
+            .expect("checked above")
+            .code()
+            .ok_or_else(|| VerifyFailure {
+                phase: 4,
+                class: String::new(),
+                method: Some("<clinit>".into()),
+                at: None,
+                reason: "initializer without code".into(),
+            })?;
         let code = Code::decode(attr)?;
         let mut ed = CodeEditor::new(code);
         ed.insert_prologue(block);
-        let new_attr = ed.into_code().encode(&pool_snapshot)?;
-        m.set_code(new_attr);
+        let new_attr = ed.into_code().encode(&cf.pool)?;
+        cf.find_method_mut("<clinit>", "()V")
+            .expect("checked above")
+            .set_code(new_attr);
     } else {
         let mut insns = block;
         insns.push(Insn::Return(None));
@@ -217,16 +219,13 @@ fn inject_method_checks(
         *t = skip_to;
     }
 
-    let pool_snapshot = cf.pool.clone();
-    let m = cf
-        .find_method_mut(mname, mdesc)
-        .ok_or_else(|| VerifyFailure {
-            phase: 4,
-            class: class_name.clone(),
-            method: Some(mname.to_owned()),
-            at: None,
-            reason: "instrumented method disappeared".into(),
-        })?;
+    let m = cf.find_method(mname, mdesc).ok_or_else(|| VerifyFailure {
+        phase: 4,
+        class: class_name.clone(),
+        method: Some(mname.to_owned()),
+        at: None,
+        reason: "instrumented method disappeared".into(),
+    })?;
     let attr = m.code().ok_or_else(|| VerifyFailure {
         phase: 4,
         class: class_name,
@@ -237,8 +236,10 @@ fn inject_method_checks(
     let code = Code::decode(attr)?;
     let mut ed = CodeEditor::new(code);
     ed.insert_prologue(block);
-    let new_attr = ed.into_code().encode(&pool_snapshot)?;
-    m.set_code(new_attr);
+    let new_attr = ed.into_code().encode(&cf.pool)?;
+    cf.find_method_mut(mname, mdesc)
+        .expect("found above")
+        .set_code(new_attr);
     Ok(())
 }
 

@@ -1,8 +1,13 @@
 //! The verification type lattice.
 
+use std::sync::{Arc, LazyLock};
+
 use dvm_classfile::descriptor::FieldType;
 
 /// An abstract value type tracked by the phase-3 dataflow.
+///
+/// Reference names are shared (`Arc<str>`), so copying a state from one
+/// program point to the next copies pointers, not class names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VType {
     /// Unusable: merge conflict or uninitialized local.
@@ -23,14 +28,22 @@ pub enum VType {
     Null,
     /// A reference of the given internal class name (`[`-prefixed names are
     /// array types).
-    Ref(String),
+    Ref(Arc<str>),
     /// `this` in a constructor before `super.<init>` has run.
     UninitThis,
     /// The result of `new` at the given instruction index, before `<init>`.
     Uninit(usize),
 }
 
+static OBJECT: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from("java/lang/Object"));
+
 impl VType {
+    /// A reference to `java/lang/Object`, the join of distinct reference
+    /// types. Shares one name allocation process-wide.
+    pub fn object() -> VType {
+        VType::Ref(Arc::clone(&OBJECT))
+    }
+
     /// Converts a descriptor type to its verification type.
     pub fn of_field_type(ft: &FieldType) -> VType {
         match ft {
@@ -42,8 +55,8 @@ impl VType {
             FieldType::Float => VType::Float,
             FieldType::Long => VType::Long,
             FieldType::Double => VType::Double,
-            FieldType::Object(name) => VType::Ref(name.clone()),
-            FieldType::Array(_) => VType::Ref(ft.descriptor()),
+            FieldType::Object(name) => VType::Ref(name.as_str().into()),
+            FieldType::Array(_) => VType::Ref(ft.descriptor().into()),
         }
     }
 
@@ -80,7 +93,7 @@ impl VType {
         }
         match (self, other) {
             (Null, r @ Ref(_)) | (r @ Ref(_), Null) => r.clone(),
-            (Ref(_), Ref(_)) => Ref("java/lang/Object".to_owned()),
+            (Ref(_), Ref(_)) => VType::object(),
             _ => Top,
         }
     }
@@ -109,6 +122,7 @@ mod tests {
         let a = VType::Ref("A".into());
         let b = VType::Ref("B".into());
         assert_eq!(a.merge(&b), VType::Ref("java/lang/Object".into()));
+        assert_eq!(a.merge(&b), VType::object());
     }
 
     #[test]
@@ -128,6 +142,16 @@ mod tests {
         assert_eq!(
             VType::of_field_type(&FieldType::Array(Box::new(FieldType::Int))),
             VType::Ref("[I".into())
+        );
+    }
+
+    #[test]
+    fn debug_form_matches_a_plain_string_name() {
+        // Failure messages print types with `{:?}`; sharing the name must
+        // not change what they say.
+        assert_eq!(
+            format!("{:?}", VType::Ref("java/lang/String".into())),
+            format!("Ref({:?})", "java/lang/String".to_owned())
         );
     }
 }
