@@ -77,13 +77,14 @@ const GATES: &[Gate] = &[
         noise_floor: None,
     },
     Gate {
-        // Reactor-over-blocking request rate at the C10K rung. The
-        // acceptance bar for the reactor port was >= 3x. Wide tolerance:
-        // the denominator is 9.5k thread spawns on a shared box, noisy
-        // even at best-of-3, and the real signal (the reactor falling
-        // back toward thread-per-connection rates) is a >5x collapse.
+        // Request rate at the C10K rung. Wide tolerance: the rung is
+        // ten thousand connects on a shared box, noisy even at
+        // best-of-3, and the real signal (the event loop collapsing
+        // toward a thread per connection, ~10x slower) is far larger.
+        // The rung's `p99_us_c10k` is reported but not gated: on a
+        // 2-core box quick runs read anywhere from 1.4 to 71 ms.
         bench: "net",
-        metric: "reactor_speedup_c10k",
+        metric: "req_per_s_c10k",
         better: Better::Higher,
         tolerance: Some(0.5),
         ceiling: None,

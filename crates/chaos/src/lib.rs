@@ -30,9 +30,8 @@
 //!   `no-post-recovery-corruption`).
 //!
 //! The in-server [`dvm_net::FaultPlan`] and this crate compose: the
-//! plan injects faults *inside* the server (drops, delays, corrupt or
-//! truncated replies at the source), the link injects them *on the
-//! wire*, and the same invariants must hold under both.
+//! plan drops connections *inside* the server, the link injects faults
+//! *on the wire*, and the same invariants must hold under both.
 
 pub mod brownout;
 pub mod link;

@@ -374,7 +374,7 @@ impl Organization {
     }
 
     /// [`Organization::serve`] with explicit server tuning (connection
-    /// limit, poll interval, fault injection).
+    /// limit, idle deadline, fault injection).
     pub fn serve_with(
         &self,
         addr: impl std::net::ToSocketAddrs,

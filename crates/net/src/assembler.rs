@@ -3,14 +3,14 @@
 //! A TCP stream delivers the frame grammar in arbitrary chunks — a
 //! length prefix split across two reads, three pipelined frames in one
 //! read, one byte at a time from a hostile peer. This module owns the
-//! *byte-arrival* state machine both server engines share:
+//! *byte-arrival* state machine:
 //!
 //! - [`peek_frame`] is the pure boundary judgment (no state): given a
 //!   buffered prefix, is a whole frame present, is more input needed, or
-//!   can this prefix never frame? The reactor engine calls it directly
+//!   can this prefix never frame? The server's reactor calls it directly
 //!   against its per-connection read buffer.
 //! - [`FrameAssembler`] wraps it with a buffer for push-style callers
-//!   (the blocking engine's `FrameReader`, tests, the fuzzer): feed
+//!   (benchmark clients, tests, the fuzzer): feed
 //!   chunks with [`FrameAssembler::push`], pull decoded frames with
 //!   [`FrameAssembler::next_frame`].
 //!

@@ -10,9 +10,11 @@
 //!   (`CODE_REQUEST`/`CODE_RESPONSE`, typed error frames, and
 //!   `AUDIT_EVENT` frames streaming monitor events to the console),
 //!   encoded in pure std;
-//! - [`server`] — [`ProxyServer`], a concurrent thread-per-connection TCP
-//!   server bounded by a connection-limit semaphore, wrapping the
-//!   existing `dvm_proxy::Proxy` filter pipeline, cache, and signer;
+//! - [`server`] — [`ProxyServer`], a TCP server on the `dvm-reactor`
+//!   epoll loop (one thread owns every connection, a small worker pool
+//!   runs requests, arrivals past the connection limit get a typed
+//!   `Overloaded` rejection), wrapping the existing `dvm_proxy::Proxy`
+//!   filter pipeline, cache, and signer;
 //! - [`client`] — [`NetClassProvider`], a `ClassProvider` connector with
 //!   connect/read timeouts, bounded retries with exponential backoff, and
 //!   signature verification on receipt, plus [`RemoteConsole`], an audit
@@ -27,7 +29,6 @@ pub mod client;
 pub mod frame;
 pub(crate) mod protocol;
 pub(crate) mod reactor_server;
-pub mod sema;
 pub mod server;
 
 pub use assembler::{peek_frame, FrameAssembler};
@@ -37,6 +38,6 @@ pub use client::{
 };
 pub use frame::{kind_from_u8, kind_to_u8, ErrorCode, Frame, FrameError, Hello, MAX_FRAME_LEN};
 pub use server::{
-    FaultAction, FaultPlan, FaultRule, FaultScope, FaultTrigger, MembershipView, MetricsSource,
-    MigrateBatch, MigrateExporter, ProxyServer, ServerConfig, ServerStats, MIGRATE_BATCH,
+    FaultPlan, MembershipView, MetricsSource, MigrateBatch, MigrateExporter, ProxyServer,
+    ServerConfig, ServerStats, MIGRATE_BATCH,
 };

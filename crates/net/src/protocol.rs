@@ -1,14 +1,11 @@
-//! Engine-agnostic server protocol logic.
+//! Server protocol logic, kept apart from socket I/O.
 //!
-//! The server speaks one protocol through two engines: the blocking
-//! thread-per-connection loop (`server::serve_connection`) and the
-//! epoll reactor (`reactor_server`). Both funnel every decoded frame
+//! The reactor glue (`reactor_server`) funnels every decoded frame
 //! through [`handle_frame`], which owns the request/response semantics
 //! — stats, fault-plan decisions, membership and migration answers —
 //! and stays ignorant of sockets. The one frame that does real work,
-//! `CODE_REQUEST`, comes back as [`Flow::Execute`] so each engine can
-//! run [`execute_plan`] where blocking is acceptable: inline on a
-//! connection thread, or on the reactor's worker pool.
+//! `CODE_REQUEST`, comes back as [`Flow::Execute`] so the reactor can
+//! run [`execute_plan`] on its worker pool, off the loop thread.
 
 use std::sync::atomic::Ordering;
 
@@ -17,11 +14,11 @@ use dvm_proxy::{CacheTier, ProxyError, RequestContext, ServedFrom};
 use dvm_telemetry::{SpanId, TraceContext};
 
 use crate::frame::{kind_from_u8, ErrorCode, Frame, Hello};
-use crate::server::{FaultAction, Inner, MIGRATE_BATCH};
+use crate::server::{Inner, MIGRATE_BATCH};
 
-/// What the engine must do after a frame is handled. Replies queued in
-/// the `replies` buffer are sent regardless; `Flow` says what happens
-/// next.
+/// What the connection must do after a frame is handled. Replies queued
+/// in the `replies` buffer are sent regardless; `Flow` says what
+/// happens next.
 #[derive(Debug)]
 pub(crate) enum Flow {
     /// Keep serving this connection.
@@ -41,30 +38,16 @@ pub(crate) struct ExecPlan {
     pub request_id: u32,
     pub url: String,
     pub trace: Option<TraceContext>,
-    /// A non-`Drop` fault to apply on the response path.
-    pub fault: Option<FaultAction>,
     /// Client identity captured from the connection's handshake.
     pub client: String,
     pub principal: String,
 }
 
-/// The outcome of [`execute_plan`]: raw wire bytes (already counted on
-/// the out-metrics) plus whether the connection must close after they
-/// flush (`Truncate` kills the connection by design).
-#[derive(Debug)]
-pub(crate) struct ExecOutput {
-    pub bytes: Vec<u8>,
-    pub close: bool,
-}
-
-/// Per-connection protocol state, engine-owned.
+/// Per-connection protocol state.
 #[derive(Debug, Default)]
 pub(crate) struct ConnProto {
     /// The handshake, once one arrived (identity for later requests).
     pub hello: Option<Hello>,
-    /// 1-based count of code requests on this connection, for
-    /// per-connection fault triggers.
-    pub conn_requests: u64,
 }
 
 /// Handles one client frame: updates stats, queues reply frames, and
@@ -103,22 +86,17 @@ pub(crate) fn handle_frame(
             ..
         } => {
             inner.stats.lock().requests += 1;
-            proto.conn_requests += 1;
-            let fault = inner.config.fault.as_ref().and_then(|plan| {
-                let server_seq = inner.request_counter.fetch_add(1, Ordering::SeqCst) + 1;
-                plan.decide(server_seq, proto.conn_requests)
-            });
-            if fault.is_some() {
-                inner.stats.lock().faults_injected += 1;
-            }
-            if fault == Some(FaultAction::Drop) {
-                return Flow::Kill;
+            if let Some(plan) = &inner.config.fault {
+                let seq = inner.request_counter.fetch_add(1, Ordering::SeqCst) + 1;
+                if plan.drops(seq) {
+                    inner.stats.lock().faults_injected += 1;
+                    return Flow::Kill;
+                }
             }
             Flow::Execute(ExecPlan {
                 request_id,
                 url,
                 trace,
-                fault,
                 client: proto
                     .hello
                     .as_ref()
@@ -337,15 +315,11 @@ pub(crate) fn handle_frame(
     }
 }
 
-/// Serves one `CODE_REQUEST` through the proxy pipeline. This is the
-/// blocking half — rewrite pipeline, store I/O, injected delays — and
-/// must run off the reactor loop (the blocking engine runs it inline on
-/// its connection thread). Out-metrics for the returned bytes are
-/// counted here.
-pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> ExecOutput {
-    if let Some(FaultAction::Delay(d)) = plan.fault {
-        std::thread::sleep(d);
-    }
+/// Serves one `CODE_REQUEST` through the proxy pipeline and returns the
+/// encoded reply. This is the blocking half — rewrite pipeline, store
+/// I/O — and must run off the reactor loop. Out-metrics for the
+/// returned bytes are counted here.
+pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> Vec<u8> {
     // A traced request gets a "shard.serve" span covering the whole
     // server-side handling; its id is allocated now so the proxy's
     // spans parent under it.
@@ -361,7 +335,7 @@ pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> ExecOutput {
             parent: id,
         }),
     };
-    let mut reply = match inner.proxy.handle_request_detailed(&plan.url, &ctx) {
+    let reply = match inner.proxy.handle_request_detailed(&plan.url, &ctx) {
         Ok(response) => {
             inner.stats.lock().responses += 1;
             Frame::CodeResponse {
@@ -397,38 +371,5 @@ pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> ExecOutput {
             serve_duration,
         );
     }
-    match plan.fault {
-        Some(FaultAction::Corrupt) => {
-            // Flip one byte in the middle of the payload: the frame
-            // still parses, so only the client's signature check can
-            // catch the damage.
-            if let Frame::CodeResponse { bytes, .. } = &mut reply {
-                if !bytes.is_empty() {
-                    let mid = bytes.len() / 2;
-                    bytes[mid] ^= 0xFF;
-                }
-            }
-            ExecOutput {
-                bytes: inner.encode_counted(&reply),
-                close: false,
-            }
-        }
-        Some(FaultAction::Truncate(n)) => {
-            // Deliver a strict prefix of the encoded frame, then die:
-            // the client must see a mid-frame truncation, never a
-            // short-but-clean close.
-            let encoded = reply.encode();
-            let cut = n.clamp(1, encoded.len().saturating_sub(1));
-            inner.metrics.frames_out.inc();
-            inner.metrics.bytes_out.add(cut as u64);
-            ExecOutput {
-                bytes: encoded[..cut].to_vec(),
-                close: true,
-            }
-        }
-        _ => ExecOutput {
-            bytes: inner.encode_counted(&reply),
-            close: false,
-        },
-    }
+    inner.encode_counted(&reply)
 }

@@ -1,17 +1,16 @@
-//! The reactor engine: `ProxyServer`'s protocol on the `dvm-reactor`
-//! event loop.
+//! `ProxyServer`'s protocol on the `dvm-reactor` event loop.
 //!
 //! [`NetHandler`] is the glue between the loop's byte-level callbacks
-//! and the engine-agnostic protocol ([`crate::protocol`]): frame
-//! boundaries come from [`crate::assembler::peek_frame`], decoded
-//! frames go through `handle_frame`, and `CODE_REQUEST` execution
-//! (the one blocking step) is deferred to the reactor's worker pool so
-//! ten thousand idle connections cost buffers, not threads.
+//! and the socket-free protocol ([`crate::protocol`]): frame boundaries
+//! come from [`crate::assembler::peek_frame`], decoded frames go
+//! through `handle_frame`, and `CODE_REQUEST` execution (the one
+//! blocking step) is deferred to the reactor's worker pool so ten
+//! thousand idle connections cost buffers, not threads.
 //!
-//! Overload semantics match the blocking engine: a connection beyond
-//! `max_connections` is still accepted, its first complete frame is
-//! read, and it gets a typed `Overloaded` error before the close — the
-//! rejection is never lost to a reset racing the client's write.
+//! A connection beyond `max_connections` is still accepted, its first
+//! complete frame is read, and it gets a typed `Overloaded` error before
+//! the close — the rejection is never lost to a reset racing the
+//! client's write.
 
 use std::sync::Arc;
 
@@ -129,26 +128,19 @@ impl dvm_reactor::Handler for NetHandler {
             Flow::Close => io.close_after_flush(),
             Flow::Kill => io.close(),
             Flow::Execute(plan) => {
-                // The blocking step — rewrite pipeline, store I/O,
-                // injected delays — runs on the pool; the loop stops
-                // consuming this connection's frames until the output
-                // is delivered back, which preserves response order.
+                // The blocking step — rewrite pipeline, store I/O —
+                // runs on the pool; the loop stops consuming this
+                // connection's frames until the output is delivered
+                // back, which preserves response order.
                 let inner = self.inner.clone();
-                io.defer(move || {
-                    let out = execute_plan(&inner, plan);
-                    JobOutput {
-                        bytes: out.bytes,
-                        close: out.close,
-                        kill: false,
-                    }
-                });
+                io.defer(move || JobOutput::reply(execute_plan(&inner, plan)));
             }
         }
     }
 
     fn on_violation(&self, io: &mut Io<'_>, _conn: &mut RConn, detail: &str) {
-        // Framing violation (bad length prefix): same typed answer the
-        // blocking engine gives to an unparseable stream.
+        // Framing violation (bad length prefix): the same typed answer
+        // an undecodable frame body gets.
         self.inner.stats.lock().malformed += 1;
         self.inner.metrics.malformed.inc();
         self.send_frame(

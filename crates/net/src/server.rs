@@ -2,40 +2,31 @@
 //!
 //! The server wraps the existing `dvm_proxy::Proxy` — its filter
 //! pipeline, rewrite cache, and signer all run unchanged behind the
-//! socket — and speaks the protocol through one of two engines sharing
-//! the logic in [`crate::protocol`]:
-//!
-//! - **reactor** (default, `ServerConfig::reactor`): the `dvm-reactor`
-//!   epoll event loop — one loop thread owns every connection and a
-//!   bounded worker pool executes requests (`crate::reactor_server`).
-//! - **blocking**: the original thread-per-connection engine, bounded
-//!   by a connection-limit [`Semaphore`]; kept as a fallback and as a
-//!   baseline for the C10K benchmark.
+//! socket — and serves it on the `dvm-reactor` epoll event loop: one
+//! loop thread owns every connection and a bounded worker pool executes
+//! requests (`crate::reactor_server`), with the protocol itself in
+//! [`crate::protocol`].
 //!
 //! `AUDIT_EVENT` frames from clients are ingested straight into the
 //! shared `AdminConsole`, so the paper's remote administration console
 //! keeps working when the trust boundary becomes a network hop.
 //! [`ProxyServer::shutdown`] joins every thread before returning — no
-//! leaked connections, whichever engine serves.
+//! leaked connections.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use dvm_monitor::AdminConsole;
-use dvm_netsim::SimRng;
 use dvm_proxy::Proxy;
+use dvm_reactor::{Reactor, ReactorConfig};
 use dvm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
-use crate::assembler::FrameAssembler;
-use crate::frame::{ErrorCode, Frame, FrameError};
-use crate::protocol::{execute_plan, handle_frame, ConnProto, Flow};
-use crate::sema::Semaphore;
+use crate::frame::Frame;
+use crate::reactor_server::{NetHandler, ReactorTelemetry};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -45,28 +36,20 @@ pub struct ServerConfig {
     /// than queued indefinitely — clients back off and retry, and a
     /// cluster client fails over to another shard immediately.
     pub max_connections: usize,
-    /// Idle-poll granularity for connection threads (bounds shutdown
-    /// latency; not a client-visible deadline). Blocking engine only.
-    pub poll_interval: Duration,
     /// Optional fault injection for resilience tests.
     pub fault: Option<FaultPlan>,
-    /// Serve through the epoll reactor (`dvm-reactor`): one loop thread
-    /// owns every connection and only request *execution* uses worker
-    /// threads. Off, the original thread-per-connection engine serves —
-    /// same protocol, same stats, same telemetry names.
-    pub reactor: bool,
     /// Close connections with no read/write progress for this long
     /// (slowloris defense). `None` keeps the pre-deadline behavior:
     /// idle connections stay up indefinitely.
     pub idle_deadline: Option<Duration>,
-    /// Reactor worker threads for request execution; `0` picks
-    /// `max(2, available_parallelism)`. Reactor engine only.
+    /// Worker threads for request execution; `0` picks
+    /// `max(2, available_parallelism)`.
     pub workers: usize,
-    /// Reactor per-connection read-buffer bound while a request is in
-    /// flight (see `dvm_reactor::ReactorConfig::read_buf_limit`).
+    /// Per-connection read-buffer bound while a request is in flight
+    /// (see `dvm_reactor::ReactorConfig::read_buf_limit`).
     pub read_buf_limit: usize,
-    /// Reactor per-connection output backlog beyond which the
-    /// connection is backpressured (reads pause until the peer drains).
+    /// Per-connection output backlog beyond which the connection is
+    /// backpressured (reads pause until the peer drains).
     pub write_buf_limit: usize,
 }
 
@@ -74,9 +57,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            poll_interval: Duration::from_millis(50),
             fault: None,
-            reactor: true,
             idle_deadline: None,
             workers: 0,
             read_buf_limit: 64 << 10,
@@ -85,123 +66,27 @@ impl Default for ServerConfig {
     }
 }
 
-/// Deliberate failure injection: a schedule of [`FaultRule`]s evaluated
-/// against every code request. The first rule whose trigger fires
-/// supplies the [`FaultAction`]; rules that do not fire leave the
-/// request untouched. The same plan is shared by a standalone
-/// [`ProxyServer`] and every shard of a `ProxyCluster`, so one schedule
-/// describes an organization-wide failure mode.
-#[derive(Debug, Clone, Default)]
+/// Deliberate failure injection for resilience tests: abruptly drop the
+/// connection instead of answering every `n`-th code request, counted
+/// across all connections (1-based). The same plan is shared by a
+/// standalone [`ProxyServer`] and every shard of a `ProxyCluster`, so
+/// one plan describes an organization-wide failure mode. Faults on the
+/// wire itself (delays, corruption, truncation) are `dvm-chaos`'s job.
+#[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
-    /// Rules, evaluated in order; the first firing rule wins.
-    pub rules: Vec<FaultRule>,
+    period: u64,
 }
 
 impl FaultPlan {
-    /// The classic single-fault plan: abruptly drop the connection
-    /// instead of answering every `n`-th code request (counted across
-    /// all connections, 1-based).
+    /// Drops every `n`-th code request; `n == 0` never drops.
     pub fn drop_every_nth(n: u64) -> FaultPlan {
-        FaultPlan {
-            rules: vec![FaultRule {
-                action: FaultAction::Drop,
-                trigger: FaultTrigger::EveryNth(n),
-                scope: FaultScope::PerServer,
-            }],
-        }
+        FaultPlan { period: n }
     }
 
-    /// Appends a rule (builder style).
-    pub fn with(mut self, action: FaultAction, trigger: FaultTrigger, scope: FaultScope) -> Self {
-        self.rules.push(FaultRule {
-            action,
-            trigger,
-            scope,
-        });
-        self
+    /// Whether the server's `seq`-th code request (1-based) is dropped.
+    pub(crate) fn drops(&self, seq: u64) -> bool {
+        self.period > 0 && seq.is_multiple_of(self.period)
     }
-
-    /// The action to apply to a request, given its 1-based sequence
-    /// numbers on the whole server and on its connection. Pure: the same
-    /// `(plan, server_seq, conn_seq)` always answers the same, which is
-    /// what makes seeded schedules replayable.
-    pub fn decide(&self, server_seq: u64, conn_seq: u64) -> Option<FaultAction> {
-        self.rules.iter().find_map(|r| {
-            let seq = match r.scope {
-                FaultScope::PerServer => server_seq,
-                FaultScope::PerConnection => conn_seq,
-            };
-            r.trigger.fires(seq).then_some(r.action)
-        })
-    }
-}
-
-/// One fault-injection rule: what to do, when, counted against what.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultRule {
-    /// The failure to inject.
-    pub action: FaultAction,
-    /// When the failure fires.
-    pub trigger: FaultTrigger,
-    /// Which request counter the trigger is evaluated against.
-    pub scope: FaultScope,
-}
-
-/// The injectable failure modes on the server side of the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Abruptly close the connection instead of answering.
-    Drop,
-    /// Answer, but only after sleeping this long (client read-timeout
-    /// territory).
-    Delay(Duration),
-    /// Answer with the payload's bytes corrupted (one byte flipped), so
-    /// the client's signature verification must catch it.
-    Corrupt,
-    /// Send only the first `n` bytes of the encoded response, then close
-    /// — a mid-frame truncation as seen by the client.
-    Truncate(usize),
-}
-
-/// When a [`FaultRule`] fires, as a function of a request sequence
-/// number (1-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// Every `n`-th request (`seq % n == 0`); never for `n == 0`.
-    EveryNth(u64),
-    /// Exactly the `n`-th request.
-    Once(u64),
-    /// Pseudo-randomly with probability `per_mille`/1000, decided by a
-    /// pure function of `(seed, seq)` — deterministic replay without any
-    /// shared generator state across connection threads.
-    Seeded {
-        /// Experiment seed.
-        seed: u64,
-        /// Firing probability in thousandths.
-        per_mille: u16,
-    },
-}
-
-impl FaultTrigger {
-    /// Whether the trigger fires for 1-based request number `seq`.
-    pub fn fires(self, seq: u64) -> bool {
-        match self {
-            FaultTrigger::EveryNth(n) => n > 0 && seq.is_multiple_of(n),
-            FaultTrigger::Once(n) => seq == n,
-            FaultTrigger::Seeded { seed, per_mille } => {
-                SimRng::derive(seed, seq).next_f64() < f64::from(per_mille) / 1000.0
-            }
-        }
-    }
-}
-
-/// Which request counter a [`FaultTrigger`] is evaluated against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultScope {
-    /// The server-wide request counter (across all connections).
-    PerServer,
-    /// The connection's own request counter.
-    PerConnection,
 }
 
 /// Most entries a single `MIGRATE_BEGIN` answer will stream before
@@ -323,7 +208,7 @@ pub struct ServerStats {
     /// reaping).
     pub idle_reaped: u64,
     /// Times a connection crossed its write-buffer limit and had its
-    /// reads paused until the peer drained (reactor engine only).
+    /// reads paused until the peer drained.
     pub backpressure_stalls: u64,
 }
 
@@ -370,20 +255,16 @@ impl ServerMetrics {
     }
 }
 
-/// Engine-shared server state: the protocol layer (`crate::protocol`)
-/// and both engines (blocking threads here, the reactor in
-/// `crate::reactor_server`) all work against this.
+/// Server state shared by the protocol layer (`crate::protocol`) and
+/// the reactor glue (`crate::reactor_server`).
 pub(crate) struct Inner {
     pub(crate) proxy: Arc<Proxy>,
     pub(crate) console: Option<Arc<Mutex<AdminConsole>>>,
     pub(crate) config: ServerConfig,
-    pub(crate) running: AtomicBool,
-    pub(crate) sema: Arc<Semaphore>,
     pub(crate) stats: Mutex<ServerStats>,
     pub(crate) request_counter: AtomicU64,
     pub(crate) anon_sessions: AtomicU64,
     pub(crate) live: AtomicUsize,
-    pub(crate) conns: Mutex<Vec<JoinHandle<()>>>,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) membership: Mutex<Option<Arc<MembershipView>>>,
@@ -393,18 +274,12 @@ pub(crate) struct Inner {
 
 impl Inner {
     /// Encodes `frame` for the wire, counting it and its bytes on the
-    /// out-metrics (the single choke point both engines send through).
+    /// out-metrics (the single choke point every reply goes through).
     pub(crate) fn encode_counted(&self, frame: &Frame) -> Vec<u8> {
         let encoded = frame.encode();
         self.metrics.frames_out.inc();
         self.metrics.bytes_out.add(encoded.len() as u64);
         encoded
-    }
-
-    /// Writes `frame`, counting it and its bytes on the wire.
-    fn send(&self, writer: &mut TcpStream, frame: &Frame) -> bool {
-        let encoded = self.encode_counted(frame);
-        writer.write_all(&encoded).is_ok()
     }
 }
 
@@ -412,10 +287,8 @@ impl Inner {
 pub struct ProxyServer {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    /// Accept thread (blocking engine only).
-    accept: Option<JoinHandle<()>>,
-    /// The event loop (reactor engine only).
-    reactor: Option<dvm_reactor::Reactor>,
+    /// The event loop; taken on shutdown.
+    reactor: Option<Reactor>,
 }
 
 impl std::fmt::Debug for ProxyServer {
@@ -439,66 +312,39 @@ impl ProxyServer {
         config: ServerConfig,
     ) -> std::io::Result<ProxyServer> {
         let listener = TcpListener::bind(addr)?;
-        // Deepen the accept queue past std's 128 on both engines: a
-        // connect burst deeper than the queue costs each overflowing
-        // peer a SYN retransmit (seconds of kernel backoff).
-        {
-            use std::os::unix::io::AsRawFd;
-            let _ = dvm_reactor::sys::deepen_backlog(
-                listener.as_raw_fd(),
-                config.max_connections.clamp(128, 65_535) as i32,
-            );
-        }
         let addr = listener.local_addr()?;
         let telemetry = proxy.telemetry();
         let metrics = ServerMetrics::register(&telemetry);
-        let max_connections = config.max_connections.max(1);
+        let rconfig = ReactorConfig {
+            max_connections: config.max_connections.max(1),
+            workers: config.workers,
+            read_buf_limit: config.read_buf_limit,
+            write_buf_limit: config.write_buf_limit,
+            idle_deadline: config.idle_deadline,
+        };
         let inner = Arc::new(Inner {
             proxy,
             console,
             config,
-            running: AtomicBool::new(true),
-            sema: Arc::new(Semaphore::new(max_connections)),
             stats: Mutex::new(ServerStats::default()),
             request_counter: AtomicU64::new(0),
             anon_sessions: AtomicU64::new(1),
             live: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
             telemetry,
             metrics,
             membership: Mutex::new(None),
             exporter: Mutex::new(None),
             scrape: Mutex::new(None),
         });
-        let (accept, reactor) = if inner.config.reactor {
-            let handler = Arc::new(crate::reactor_server::NetHandler {
-                inner: inner.clone(),
-            });
-            let observer = Arc::new(crate::reactor_server::ReactorTelemetry::register(
-                &inner.telemetry,
-                inner.clone(),
-            ));
-            let rconfig = dvm_reactor::ReactorConfig {
-                max_connections,
-                workers: inner.config.workers,
-                read_buf_limit: inner.config.read_buf_limit,
-                write_buf_limit: inner.config.write_buf_limit,
-                idle_deadline: inner.config.idle_deadline,
-            };
-            let reactor = dvm_reactor::Reactor::start(listener, handler, rconfig, observer)?;
-            (None, Some(reactor))
-        } else {
-            let accept_inner = inner.clone();
-            let accept = std::thread::Builder::new()
-                .name("dvm-net-accept".into())
-                .spawn(move || accept_loop(listener, accept_inner))?;
-            (Some(accept), None)
-        };
+        let handler = Arc::new(NetHandler {
+            inner: inner.clone(),
+        });
+        let observer = Arc::new(ReactorTelemetry::register(&inner.telemetry, inner.clone()));
+        let reactor = Reactor::start(listener, handler, rconfig, observer)?;
         Ok(ProxyServer {
             inner,
             addr,
-            accept,
-            reactor,
+            reactor: Some(reactor),
         })
     }
 
@@ -544,35 +390,19 @@ impl ProxyServer {
         *self.inner.scrape.lock() = Some(source);
     }
 
-    /// Stops accepting, waits for every connection thread to exit, and
-    /// returns the final statistics. Idempotent via [`Drop`].
+    /// Stops accepting, closes every connection, joins the loop and its
+    /// workers, and returns the final statistics. Idempotent via
+    /// [`Drop`].
     pub fn shutdown(mut self) -> ServerStats {
         self.shutdown_in_place();
         self.stats()
     }
 
     fn shutdown_in_place(&mut self) {
-        if !self.inner.running.swap(false, Ordering::SeqCst) {
-            return;
-        }
         if let Some(r) = self.reactor.take() {
-            // The loop closes every connection and joins its workers.
             r.shutdown();
             debug_assert_eq!(self.inner.live.load(Ordering::SeqCst), 0);
-            return;
         }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Connection threads observe `running == false` within one poll
-        // interval; join them all.
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.inner.conns.lock());
-        for h in handles {
-            let _ = h.join();
-        }
-        debug_assert_eq!(self.inner.live.load(Ordering::SeqCst), 0);
     }
 }
 
@@ -582,227 +412,22 @@ impl Drop for ProxyServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if !inner.running.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if !inner.running.load(Ordering::SeqCst) {
-            break;
+#[cfg(test)]
+mod tests {
+    use super::FaultPlan;
+
+    #[test]
+    fn drop_every_nth_fires_on_exactly_the_multiples() {
+        for n in [1u64, 4, 17] {
+            let plan = FaultPlan::drop_every_nth(n);
+            let fired: Vec<u64> = (1..=100).filter(|&seq| plan.drops(seq)).collect();
+            let multiples: Vec<u64> = (1..=100).filter(|seq| seq % n == 0).collect();
+            assert_eq!(fired, multiples, "n = {n}");
         }
-        // Bounded concurrency with admission control: at capacity, the
-        // connection is told so with a typed `Overloaded` frame instead
-        // of queueing indefinitely (clients back off; cluster clients
-        // fail over to another shard).
-        let Some(permit) = inner.sema.try_acquire_owned() else {
-            inner.stats.lock().overload_rejects += 1;
-            inner.metrics.overload_rejects.inc();
-            // A short-lived detached thread drains the handshake and
-            // delivers the rejection so the accept loop never stalls on
-            // a slow peer.
-            let _ = std::thread::Builder::new()
-                .name("dvm-net-reject".into())
-                .spawn(move || reject_overloaded(stream));
-            continue;
-        };
-        if !inner.running.load(Ordering::SeqCst) {
-            break;
-        }
-        inner.stats.lock().connections += 1;
-        inner.live.fetch_add(1, Ordering::SeqCst);
-        inner.metrics.live_connections.add(1);
-        let conn_inner = inner.clone();
-        let handle = std::thread::Builder::new()
-            .name("dvm-net-conn".into())
-            .spawn(move || {
-                serve_connection(stream, &conn_inner);
-                conn_inner.live.fetch_sub(1, Ordering::SeqCst);
-                conn_inner.metrics.live_connections.add(-1);
-                drop(permit);
-            });
-        match handle {
-            Ok(h) => {
-                let mut conns = inner.conns.lock();
-                // Reap finished threads occasionally so the handle list
-                // doesn't grow without bound on long-lived servers.
-                if conns.len() >= 2 * inner.config.max_connections {
-                    let (done, pending): (Vec<_>, Vec<_>) =
-                        conns.drain(..).partition(|h| h.is_finished());
-                    for d in done {
-                        let _ = d.join();
-                    }
-                    *conns = pending;
-                }
-                conns.push(h);
-            }
-            Err(_) => {
-                inner.live.fetch_sub(1, Ordering::SeqCst);
-                inner.metrics.live_connections.add(-1);
-            }
-        }
+        let never = FaultPlan::drop_every_nth(0);
+        assert!(
+            (1..=100).all(|seq| !never.drops(seq)),
+            "n = 0 must never fire"
+        );
     }
-}
-
-/// Tells a connection the server is at capacity: read its opening frame
-/// (so the error is not lost to a reset racing the client's write), send
-/// the typed rejection, close.
-fn reject_overloaded(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let mut reader = FrameReader {
-        stream: match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        },
-        asm: FrameAssembler::new(),
-        bytes_in: None,
-    };
-    let _ = reader.poll_frame();
-    let _ = Frame::Error {
-        request_id: 0,
-        code: ErrorCode::Overloaded,
-        message: "server at connection capacity".into(),
-    }
-    .write_to(&mut stream);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Accumulates stream bytes through a [`FrameAssembler`] and yields
-/// whole frames, tolerating idle timeouts between frames without losing
-/// partial reads.
-struct FrameReader {
-    stream: TcpStream,
-    asm: FrameAssembler,
-    /// When set, every byte read off the socket is counted here.
-    bytes_in: Option<Arc<Counter>>,
-}
-
-impl FrameReader {
-    fn poll_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        loop {
-            if let Some(frame) = self.asm.next_frame()? {
-                return Ok(Some(frame));
-            }
-            let mut chunk = [0u8; 8192];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(FrameError::Io(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed".into(),
-                    ))
-                }
-                Ok(n) => {
-                    if let Some(c) = &self.bytes_in {
-                        c.add(n as u64);
-                    }
-                    self.asm.push(&chunk[..n]);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, inner: &Inner) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(inner.config.poll_interval));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = FrameReader {
-        stream,
-        asm: FrameAssembler::new(),
-        bytes_in: Some(inner.metrics.bytes_in.clone()),
-    };
-    let mut proto = ConnProto::default();
-    let mut last_activity = Instant::now();
-
-    while inner.running.load(Ordering::SeqCst) {
-        let frame = match reader.poll_frame() {
-            Ok(Some(frame)) => {
-                last_activity = Instant::now();
-                frame
-            }
-            Ok(None) => {
-                // Idle poll tick: reap the connection if it has made no
-                // progress within the deadline (slowloris defense — a
-                // stalled peer must not hold this thread forever).
-                if let Some(deadline) = inner.config.idle_deadline {
-                    if last_activity.elapsed() >= deadline {
-                        inner.stats.lock().idle_reaped += 1;
-                        inner.metrics.idle_reaped.inc();
-                        break;
-                    }
-                }
-                continue;
-            }
-            // Transport-class failures (including a client that died
-            // mid-frame) have no one left to answer.
-            Err(e) if e.is_transport() => break,
-            Err(e) => {
-                inner.stats.lock().malformed += 1;
-                inner.metrics.malformed.inc();
-                let _ = inner.send(
-                    &mut writer,
-                    &Frame::Error {
-                        request_id: 0,
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    },
-                );
-                break;
-            }
-        };
-        let mut replies = Vec::new();
-        let flow = handle_frame(inner, &mut proto, frame, &mut replies);
-        let mut write_ok = true;
-        for f in &replies {
-            if !inner.send(&mut writer, f) {
-                write_ok = false;
-                break;
-            }
-        }
-        if !write_ok {
-            break;
-        }
-        match flow {
-            Flow::Continue => {}
-            Flow::Close => break,
-            Flow::Kill => {
-                let _ = reader.stream.shutdown(Shutdown::Both);
-                break;
-            }
-            Flow::Execute(plan) => {
-                // The blocking engine runs request execution inline on
-                // this connection thread (bytes are pre-counted by
-                // `execute_plan`).
-                let out = execute_plan(inner, plan);
-                let sent = writer.write_all(&out.bytes).is_ok();
-                if out.close {
-                    let _ = writer.flush();
-                    let _ = reader.stream.shutdown(Shutdown::Both);
-                    break;
-                }
-                if !sent {
-                    break;
-                }
-            }
-        }
-    }
-    let _ = reader.stream.shutdown(Shutdown::Both);
 }

@@ -6,7 +6,8 @@
 //! composing the services as stackable code-transformation [`filter`]s,
 //! caching rewrites ([`cache`]), signing output so injected checks are
 //! inseparable from applications ([`sign`], over a from-scratch RFC 1321
-//! [`md5`]), and keeping an audit trail for the administration console.
+//! [`md5`]). The paper's audit trail is the monitor's: rewritten code
+//! reports `AUDIT_EVENT`s to the administration console (`dvm-monitor`).
 
 pub mod cache;
 pub mod filter;
@@ -17,7 +18,7 @@ pub mod sign;
 pub use cache::{CacheExportPage, CacheStats, CacheTier, RewriteCache};
 pub use filter::{Filter, FilterError, NullFilter, Pipeline, RequestContext};
 pub use proxy::{
-    ir_key, CodeOrigin, IrProducer, IrProduct, MapOrigin, PeerCache, Proxy, ProxyAuditRecord,
-    ProxyError, ProxyStats, RewriteCost, ServedFrom, ServedResponse, IR_SCHEME,
+    ir_key, CodeOrigin, IrProducer, IrProduct, MapOrigin, PeerCache, Proxy, ProxyError, ProxyStats,
+    RewriteCost, ServedFrom, ServedResponse, IR_SCHEME,
 };
 pub use sign::{SignatureCheck, Signer, TAG_LEN};

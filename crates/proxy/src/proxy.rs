@@ -3,10 +3,9 @@
 //! A transparent proxy at the organization's trust boundary: it intercepts
 //! code requests, serves rewrites from its cache, otherwise fetches from
 //! the origin, parses once, runs the filter pipeline, serializes once,
-//! optionally signs the result, and records an audit-trail entry for the
-//! remote administration console. All state is internally synchronized so
-//! many client sessions can drive one proxy concurrently (the §4.2 scaling
-//! experiment).
+//! and optionally signs the result. All state is internally synchronized
+//! so many client sessions can drive one proxy concurrently (the §4.2
+//! scaling experiment).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -119,7 +118,7 @@ impl std::fmt::Display for ProxyError {
 
 impl std::error::Error for ProxyError {}
 
-/// How a request was satisfied, for the audit trail.
+/// How a request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedFrom {
     /// Rewritten now (origin fetch + pipeline).
@@ -201,23 +200,6 @@ pub struct ServedResponse {
     pub served_from: ServedFrom,
     /// Simulated processing time in nanoseconds, charged by the
     /// [`RewriteCost`] model (zero for cache hits).
-    pub processing_ns: u64,
-}
-
-/// One audit-trail record.
-#[derive(Debug, Clone)]
-pub struct ProxyAuditRecord {
-    /// Requested URL.
-    pub url: String,
-    /// Requesting client.
-    pub client: String,
-    /// How the request was satisfied.
-    pub served_from: ServedFrom,
-    /// Bytes served.
-    pub bytes: usize,
-    /// Simulated processing time in nanoseconds (parse + filters +
-    /// generate, charged by the [`RewriteCost`] model; zero for cache
-    /// hits).
     pub processing_ns: u64,
 }
 
@@ -319,7 +301,6 @@ pub struct Proxy {
     rewrite_cost: RewriteCost,
     peer: parking_lot::RwLock<Option<Arc<dyn PeerCache>>>,
     ir_producer: parking_lot::RwLock<Option<Arc<dyn IrProducer>>>,
-    audit: Mutex<Vec<ProxyAuditRecord>>,
     stats: Mutex<ProxyStats>,
     telemetry: Arc<Telemetry>,
     metrics: ProxyMetrics,
@@ -359,7 +340,6 @@ impl Proxy {
             rewrite_cost: RewriteCost::default(),
             peer: parking_lot::RwLock::new(None),
             ir_producer: parking_lot::RwLock::new(None),
-            audit: Mutex::new(Vec::new()),
             stats: Mutex::new(ProxyStats::default()),
             telemetry,
             metrics,
@@ -485,7 +465,7 @@ impl Proxy {
                     self.stats.lock().ir_served += 1;
                     self.metrics.ir_served.inc();
                 }
-                self.finish(url, ctx, &bytes, served_from, 0);
+                self.count_served(&bytes);
                 return Ok(ServedResponse {
                     bytes,
                     served_from,
@@ -515,7 +495,7 @@ impl Proxy {
                         self.stats.lock().ir_served += 1;
                         self.metrics.ir_served.inc();
                     }
-                    self.finish(url, ctx, &bytes, ServedFrom::Peer, 0);
+                    self.count_served(&bytes);
                     return Ok(ServedResponse {
                         bytes,
                         served_from: ServedFrom::Peer,
@@ -622,7 +602,7 @@ impl Proxy {
         if let Some((product, start, lower_ns)) = ir {
             self.install_ir(&bytes, product, start, lower_ns, span);
         }
-        self.finish(url, ctx, &bytes, ServedFrom::Rewritten, elapsed);
+        self.count_served(&bytes);
         Ok(ServedResponse {
             bytes,
             served_from: ServedFrom::Rewritten,
@@ -687,22 +667,8 @@ impl Proxy {
         }
     }
 
-    fn finish(
-        &self,
-        url: &str,
-        ctx: &RequestContext,
-        bytes: &[u8],
-        served_from: ServedFrom,
-        processing_ns: u64,
-    ) {
+    fn count_served(&self, bytes: &[u8]) {
         self.stats.lock().bytes_served += bytes.len() as u64;
-        self.audit.lock().push(ProxyAuditRecord {
-            url: url.to_owned(),
-            client: ctx.client.clone(),
-            served_from,
-            bytes: bytes.len(),
-            processing_ns,
-        });
     }
 
     /// Snapshot of the aggregate statistics.
@@ -792,11 +758,6 @@ impl Proxy {
             let _ = store.flush();
         }
     }
-
-    /// Snapshot of the audit trail.
-    pub fn audit_trail(&self) -> Vec<ProxyAuditRecord> {
-        self.audit.lock().clone()
-    }
 }
 
 #[cfg(test)]
@@ -831,15 +792,18 @@ mod tests {
             client: "c1".into(),
             ..Default::default()
         };
-        let b1 = proxy.handle_request("http://x/A.class", &ctx).unwrap();
-        let b2 = proxy.handle_request("http://x/A.class", &ctx).unwrap();
-        assert_eq!(b1, b2);
+        let r1 = proxy
+            .handle_request_detailed("http://x/A.class", &ctx)
+            .unwrap();
+        let r2 = proxy
+            .handle_request_detailed("http://x/A.class", &ctx)
+            .unwrap();
+        assert_eq!(r1.bytes, r2.bytes);
+        assert_eq!(r1.served_from, ServedFrom::Rewritten);
+        assert_eq!(r2.served_from, ServedFrom::MemoryCache);
         let stats = proxy.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.rewrites, 1);
-        let audit = proxy.audit_trail();
-        assert_eq!(audit[0].served_from, ServedFrom::Rewritten);
-        assert_eq!(audit[1].served_from, ServedFrom::MemoryCache);
     }
 
     #[test]

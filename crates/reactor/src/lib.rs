@@ -1,12 +1,12 @@
 //! `dvm-reactor`: a from-scratch nonblocking event loop for the DVM's
 //! network trust boundary (C10K and beyond on one loop thread).
 //!
-//! The thread-per-connection server spends a thread's stack and a
-//! scheduler slot per client, and its short read timeouts turn ten
-//! thousand mostly-idle connections into a permanent poll storm. This
-//! crate replaces that shape with the classic reactor architecture,
-//! built directly on raw `epoll`/`eventfd`/`accept4` syscalls ([`sys`])
-//! with no external dependencies:
+//! A thread-per-connection server spends a thread's stack and a
+//! scheduler slot per client, and its read timeouts turn ten thousand
+//! mostly-idle connections into a permanent poll storm. This crate
+//! serves them with the classic reactor architecture instead, built
+//! directly on raw `epoll`/`eventfd`/`accept4` syscalls ([`sys`]) with
+//! no external dependencies:
 //!
 //! - **One loop thread** owns every connection: accepts, reads, frame
 //!   segmentation, and writes all happen on it, so connection state
@@ -114,8 +114,8 @@ pub enum Boundary {
 pub enum CloseReason {
     /// The peer closed (EOF) or reset.
     PeerClosed,
-    /// The handler asked ([`Io::close`]/[`Io::close_after_flush`] or a
-    /// closing [`JobOutput`]).
+    /// The handler asked ([`Io::close`]/[`Io::close_after_flush`] or
+    /// [`JobOutput::kill`]).
     HandlerClosed,
     /// [`Boundary::Violation`] — unparseable input.
     Violation,
@@ -132,8 +132,6 @@ pub enum CloseReason {
 pub struct JobOutput {
     /// Bytes to queue on the connection's output buffer.
     pub bytes: Vec<u8>,
-    /// Flush everything queued, then close.
-    pub close: bool,
     /// Close immediately, discarding any unflushed output (after
     /// `bytes`, which are still queued first — leave it empty for a
     /// true abrupt drop).
@@ -143,27 +141,13 @@ pub struct JobOutput {
 impl JobOutput {
     /// Queue `bytes` and keep serving.
     pub fn reply(bytes: Vec<u8>) -> JobOutput {
-        JobOutput {
-            bytes,
-            close: false,
-            kill: false,
-        }
-    }
-
-    /// Queue `bytes`, flush, then close.
-    pub fn reply_then_close(bytes: Vec<u8>) -> JobOutput {
-        JobOutput {
-            bytes,
-            close: true,
-            kill: false,
-        }
+        JobOutput { bytes, kill: false }
     }
 
     /// Abruptly drop the connection without replying.
     pub fn kill() -> JobOutput {
         JobOutput {
             bytes: Vec::new(),
-            close: false,
             kill: true,
         }
     }
@@ -780,9 +764,6 @@ impl<H: Handler> LoopState<H> {
                 if !c.out.bytes.is_empty() {
                     conn.out.wbuf.extend_from_slice(&c.out.bytes);
                 }
-                if c.out.close {
-                    conn.out.draining = true;
-                }
                 if c.out.kill {
                     conn.out.kill = true;
                 }
@@ -1130,7 +1111,7 @@ mod tests {
     }
 
     #[test]
-    fn violation_gets_a_reply_then_close() {
+    fn violation_gets_a_final_reply_before_the_close() {
         let (reactor, handler, _) = start_echo(ReactorConfig::default());
         let mut c = TcpStream::connect(reactor.addr()).unwrap();
         c.write_all(&[0u8]).unwrap(); // zero-length frame: violation

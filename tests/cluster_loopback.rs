@@ -364,7 +364,7 @@ fn cluster_client_matches_single_server_client() {
 /// `(site, kind)` sequence in the organization's console, with exactly
 /// the same count.
 #[test]
-fn batched_remote_audit_trail_matches_the_in_process_one() {
+fn batched_remote_audit_events_match_the_in_process_ones() {
     let applets = small_applets(73, 1);
     let org = org_over(&applets);
     let cluster = org.serve_cluster(3).unwrap();

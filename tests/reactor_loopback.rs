@@ -1,12 +1,11 @@
-//! Loopback tests for the epoll reactor engine (`dvm-reactor` behind
+//! Loopback tests for the epoll reactor (`dvm-reactor` behind
 //! `ProxyServer`): slowloris reaping, write backpressure under pipelined
-//! load, the blocking fallback engine, and an ignored C10K soak.
+//! load, and an ignored C10K soak.
 //!
-//! `net_loopback.rs` proves the protocol behaves the same on either
-//! engine; this file targets the properties only the reactor has — a
-//! deadline that reaps stalled connections without a thread per victim,
-//! bounded per-connection output with pause/resume, and one loop thread
-//! holding thousands of sockets.
+//! `net_loopback.rs` covers the protocol; this file targets what the
+//! event loop adds — a deadline that reaps stalled connections without
+//! a thread per victim, bounded per-connection output with
+//! pause/resume, and one loop thread holding thousands of sockets.
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -203,36 +202,6 @@ fn pipelined_reads_hit_backpressure_and_drain_intact() {
     drop(s);
     let stats = server.shutdown();
     assert!(stats.backpressure_stalls >= 1);
-    assert_eq!(stats.errors, 0);
-}
-
-/// `reactor: false` still serves the full protocol on the original
-/// thread-per-connection engine — the fallback is live, not vestigial.
-#[test]
-fn blocking_engine_still_serves_with_reactor_off() {
-    let applets = small_applets(3, 2);
-    let org = org_over(&applets);
-    let server = org
-        .serve_with(
-            "127.0.0.1:0",
-            ServerConfig {
-                reactor: false,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-    let mut client = org
-        .remote_client(server.addr(), "fallback", "applets")
-        .unwrap();
-    let report = client.run_main(&applets[0].main_class).unwrap();
-    assert!(
-        matches!(report.completion, dvm_repro::jvm::Completion::Normal(_)),
-        "blocking engine: {:?}",
-        report.completion
-    );
-    drop(client);
-    let stats = server.shutdown();
-    assert_eq!(stats.connections, 2);
     assert_eq!(stats.errors, 0);
 }
 
