@@ -516,7 +516,7 @@ impl NetClassProvider {
                 request_id: rid,
                 served_from,
                 processing_ns,
-                bytes,
+                mut bytes,
             } => {
                 if rid != request_id {
                     return Err(NetError::Protocol(format!(
@@ -531,20 +531,20 @@ impl NetClassProvider {
                 } else {
                     Some(dvm_proxy::ir_key(&bytes))
                 };
-                let payload = match &self.signer {
-                    Some(signer) => match signer.detach(&bytes) {
-                        (SignatureCheck::Valid, Some(payload)) => payload.to_vec(),
-                        _ => {
-                            self.stats.signature_failures += 1;
-                            return Err(NetError::BadSignature);
-                        }
-                    },
-                    None => bytes,
-                };
-                self.stats.bytes_received += payload.len() as u64;
+                // A valid signature is a suffix: cut it off the decoded
+                // buffer rather than copying the payload out.
+                if let Some(signer) = &self.signer {
+                    let (SignatureCheck::Valid, Some(payload)) = signer.detach(&bytes) else {
+                        self.stats.signature_failures += 1;
+                        return Err(NetError::BadSignature);
+                    };
+                    let len = payload.len();
+                    bytes.truncate(len);
+                }
+                self.stats.bytes_received += bytes.len() as u64;
                 let transfer = NetTransfer {
                     url: url.to_owned(),
-                    bytes: payload.len(),
+                    bytes: bytes.len(),
                     served_from,
                     processing_ns,
                     ir_key,
@@ -552,7 +552,7 @@ impl NetClassProvider {
                 if let Some(hook) = &mut self.hook {
                     hook(&transfer);
                 }
-                Ok((payload, transfer))
+                Ok((bytes, transfer))
             }
             Frame::Error {
                 request_id: rid,

@@ -11,8 +11,9 @@
 //!   `AUDIT_EVENT` frames streaming monitor events to the console),
 //!   encoded in pure std;
 //! - [`server`] — [`ProxyServer`], a TCP server on the `dvm-reactor`
-//!   epoll loop (one thread owns every connection, a small worker pool
-//!   runs requests, arrivals past the connection limit get a typed
+//!   epoll loop (one thread owns every connection and answers cache
+//!   hits, a small worker pool runs the requests that may block,
+//!   arrivals past the connection limit get a typed
 //!   `Overloaded` rejection), wrapping the existing `dvm_proxy::Proxy`
 //!   filter pipeline, cache, and signer;
 //! - [`client`] — [`NetClassProvider`], a `ClassProvider` connector with

@@ -3,14 +3,17 @@
 //! The reactor glue (`reactor_server`) funnels every decoded frame
 //! through [`handle_frame`], which owns the request/response semantics
 //! — stats, fault-plan decisions, membership and migration answers —
-//! and stays ignorant of sockets. The one frame that does real work,
-//! `CODE_REQUEST`, comes back as [`Flow::Execute`] so the reactor can
-//! run [`execute_plan`] on its worker pool, off the loop thread.
+//! and stays ignorant of sockets. The one frame that can do real work,
+//! `CODE_REQUEST`, comes back as [`Flow::Execute`]: the reactor first
+//! tries [`serve_inline`], which answers a memory-tier hit on the loop
+//! thread, and otherwise runs [`execute_plan`] on its worker pool. Both
+//! close their bookkeeping through one `ServeScope`, so the two paths
+//! count and trace a request identically.
 
 use std::sync::atomic::Ordering;
 
 use dvm_monitor::{ClientDescription, SessionId, SiteId};
-use dvm_proxy::{CacheTier, ProxyError, RequestContext, ServedFrom};
+use dvm_proxy::{CacheTier, ProxyError, RequestContext, ServedFrom, ServedResponse};
 use dvm_telemetry::{SpanId, TraceContext};
 
 use crate::frame::{kind_from_u8, ErrorCode, Frame, Hello};
@@ -27,7 +30,8 @@ pub(crate) enum Flow {
     Close,
     /// Drop the connection abruptly, without flushing.
     Kill,
-    /// Run [`execute_plan`] (blocking work) and deliver its output.
+    /// Serve a code request: [`serve_inline`] on a memory-tier hit,
+    /// otherwise [`execute_plan`] (blocking work) off the loop.
     Execute(ExecPlan),
 }
 
@@ -320,56 +324,95 @@ pub(crate) fn handle_frame(
 /// I/O — and must run off the reactor loop. Out-metrics for the
 /// returned bytes are counted here.
 pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> Vec<u8> {
-    // A traced request gets a "shard.serve" span covering the whole
-    // server-side handling; its id is allocated now so the proxy's
-    // spans parent under it.
-    let recorder = inner.telemetry.recorder();
-    let serve_start = recorder.now_ns();
-    let serve_span = plan.trace.map(|t| (t, SpanId::generate()));
+    let scope = ServeScope::begin(inner, plan.trace);
     let ctx = RequestContext {
         client: plan.client,
         principal: plan.principal,
         url: plan.url.clone(),
-        trace: serve_span.map(|(t, id)| TraceContext {
+        trace: scope.child_trace(),
+    };
+    let result = inner.proxy.handle_request_detailed(&plan.url, &ctx);
+    let reply = scope.finish(inner, plan.request_id, result);
+    inner.encode_counted(&reply)
+}
+
+/// Answers a `CODE_REQUEST` that hits the proxy's memory tier without
+/// blocking — on the reactor loop, with no pool hop. `None` (a miss, a
+/// contended cache, a disk-only entry, caching off) means nothing was
+/// counted and the plan goes to [`execute_plan`] as usual.
+pub(crate) fn serve_inline(inner: &Inner, plan: &ExecPlan) -> Option<Frame> {
+    let scope = ServeScope::begin(inner, plan.trace);
+    let hit = inner
+        .proxy
+        .try_serve_memory(&plan.url, scope.child_trace())?;
+    Some(scope.finish(inner, plan.request_id, Ok(hit)))
+}
+
+/// The server-side bookkeeping of one `CODE_REQUEST`, shared by the
+/// inline and the deferred path: `responses`/`errors`, the
+/// `net.server.serve_ns` record and, for a traced request, a
+/// "shard.serve" span covering the whole handling.
+struct ServeScope {
+    start: u64,
+    /// `(caller's context, this span's id)`: the id is allocated up
+    /// front so the proxy's spans parent under it.
+    span: Option<(TraceContext, SpanId)>,
+}
+
+impl ServeScope {
+    fn begin(inner: &Inner, trace: Option<TraceContext>) -> ServeScope {
+        ServeScope {
+            start: inner.telemetry.recorder().now_ns(),
+            span: trace.map(|t| (t, SpanId::generate())),
+        }
+    }
+
+    /// The trace context the proxy's spans parent under.
+    fn child_trace(&self) -> Option<TraceContext> {
+        self.span.map(|(t, id)| TraceContext {
             trace: t.trace,
             parent: id,
-        }),
-    };
-    let reply = match inner.proxy.handle_request_detailed(&plan.url, &ctx) {
-        Ok(response) => {
-            inner.stats.lock().responses += 1;
-            Frame::CodeResponse {
-                request_id: plan.request_id,
-                served_from: response.served_from,
-                processing_ns: response.processing_ns,
-                bytes: response.bytes.to_vec(),
-            }
-        }
-        Err(e) => {
-            inner.stats.lock().errors += 1;
-            let code = match &e {
-                ProxyError::NotFound(_) => ErrorCode::NotFound,
-                ProxyError::Parse(_) => ErrorCode::Parse,
-                ProxyError::Filter(_) => ErrorCode::Filter,
-            };
-            Frame::Error {
-                request_id: plan.request_id,
-                code,
-                message: e.to_string(),
-            }
-        }
-    };
-    let serve_duration = recorder.now_ns().saturating_sub(serve_start);
-    inner.metrics.serve_ns.record(serve_duration);
-    if let Some((t, id)) = serve_span {
-        recorder.record_span(
-            t.trace,
-            id,
-            t.parent,
-            "shard.serve",
-            serve_start,
-            serve_duration,
-        );
+        })
     }
-    inner.encode_counted(&reply)
+
+    /// Turns the proxy's answer into the reply frame and closes the
+    /// bookkeeping.
+    fn finish(
+        self,
+        inner: &Inner,
+        request_id: u32,
+        result: Result<ServedResponse, ProxyError>,
+    ) -> Frame {
+        let reply = match result {
+            Ok(response) => {
+                inner.stats.lock().responses += 1;
+                Frame::CodeResponse {
+                    request_id,
+                    served_from: response.served_from,
+                    processing_ns: response.processing_ns,
+                    bytes: response.bytes.to_vec(),
+                }
+            }
+            Err(e) => {
+                inner.stats.lock().errors += 1;
+                let code = match &e {
+                    ProxyError::NotFound(_) => ErrorCode::NotFound,
+                    ProxyError::Parse(_) => ErrorCode::Parse,
+                    ProxyError::Filter(_) => ErrorCode::Filter,
+                };
+                Frame::Error {
+                    request_id,
+                    code,
+                    message: e.to_string(),
+                }
+            }
+        };
+        let recorder = inner.telemetry.recorder();
+        let duration = recorder.now_ns().saturating_sub(self.start);
+        inner.metrics.serve_ns.record(duration);
+        if let Some((t, id)) = self.span {
+            recorder.record_span(t.trace, id, t.parent, "shard.serve", self.start, duration);
+        }
+        reply
+    }
 }

@@ -3,9 +3,12 @@
 //! [`NetHandler`] is the glue between the loop's byte-level callbacks
 //! and the socket-free protocol ([`crate::protocol`]): frame boundaries
 //! come from [`crate::assembler::peek_frame`], decoded frames go
-//! through `handle_frame`, and `CODE_REQUEST` execution (the one
-//! blocking step) is deferred to the reactor's worker pool so ten
-//! thousand idle connections cost buffers, not threads.
+//! through `handle_frame`. A `CODE_REQUEST` that hits the proxy's
+//! memory tier is answered right here on the loop thread — a refcount
+//! bump and an encode, cheaper than the two thread wake-ups a pool hop
+//! costs. Anything that may block (a miss that rewrites, a disk-tier
+//! read, a contended cache) is deferred to the reactor's worker pool,
+//! so ten thousand idle connections cost buffers, not threads.
 //!
 //! A connection beyond `max_connections` is still accepted, its first
 //! complete frame is read, and it gets a typed `Overloaded` error before
@@ -19,7 +22,7 @@ use dvm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::assembler::peek_frame;
 use crate::frame::{ErrorCode, Frame};
-use crate::protocol::{execute_plan, handle_frame, ConnProto, Flow};
+use crate::protocol::{execute_plan, handle_frame, serve_inline, ConnProto, Flow};
 use crate::server::Inner;
 
 /// Per-connection state on the reactor: protocol state plus the
@@ -128,6 +131,13 @@ impl dvm_reactor::Handler for NetHandler {
             Flow::Close => io.close_after_flush(),
             Flow::Kill => io.close(),
             Flow::Execute(plan) => {
+                // A memory hit is answered inline. It cannot overtake a
+                // deferred request on this connection: the loop stops
+                // handing us its frames while a job is in flight.
+                if let Some(reply) = serve_inline(&self.inner, &plan) {
+                    self.send_frame(io, &reply);
+                    return;
+                }
                 // The blocking step — rewrite pipeline, store I/O —
                 // runs on the pool; the loop stops consuming this
                 // connection's frames until the output is delivered

@@ -3,8 +3,9 @@
 //! The server wraps the existing `dvm_proxy::Proxy` — its filter
 //! pipeline, rewrite cache, and signer all run unchanged behind the
 //! socket — and serves it on the `dvm-reactor` epoll event loop: one
-//! loop thread owns every connection and a bounded worker pool executes
-//! requests (`crate::reactor_server`), with the protocol itself in
+//! loop thread owns every connection and answers memory-tier hits
+//! itself, and a bounded worker pool executes the requests that may
+//! block (`crate::reactor_server`), with the protocol itself in
 //! [`crate::protocol`].
 //!
 //! `AUDIT_EVENT` frames from clients are ingested straight into the

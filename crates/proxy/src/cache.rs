@@ -18,7 +18,7 @@
 //! a partially recovered record degrades to a cache *miss* (the class
 //! is re-rewritten) rather than ever serving wrong bytes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use dvm_store::{Store, StoreStats};
@@ -81,18 +81,11 @@ fn seal(value: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Opens a sealed envelope, returning the payload only when the digest
-/// still matches it.
-fn unseal(mut sealed: Vec<u8>) -> Option<Vec<u8>> {
-    if sealed.len() < 16 {
-        return None;
-    }
-    let payload_digest = md5(&sealed[16..]);
-    if payload_digest != sealed[..16] {
-        return None;
-    }
-    sealed.drain(..16);
-    Some(sealed)
+/// Opens a sealed envelope, returning the payload (copied once, into
+/// its shared allocation) only when the digest still matches it.
+fn unseal(sealed: &[u8]) -> Option<Arc<[u8]>> {
+    let (digest, payload) = sealed.split_at_checked(16)?;
+    (md5(payload) == digest).then(|| Arc::from(payload))
 }
 
 /// A bounded-memory, unbounded-disk cache of rewritten class bytes.
@@ -100,7 +93,7 @@ fn unseal(mut sealed: Vec<u8>) -> Option<Vec<u8>> {
 pub struct RewriteCache {
     memory: HashMap<String, Arc<[u8]>>,
     // Insertion-ordered keys for FIFO eviction.
-    order: Vec<String>,
+    order: VecDeque<String>,
     disk: DiskTier,
     memory_capacity_bytes: usize,
     memory_bytes: usize,
@@ -114,7 +107,7 @@ impl RewriteCache {
     pub fn new(memory_capacity_bytes: usize) -> RewriteCache {
         RewriteCache {
             memory: HashMap::new(),
-            order: Vec::new(),
+            order: VecDeque::new(),
             disk: DiskTier::Ephemeral(HashMap::new()),
             memory_capacity_bytes,
             memory_bytes: 0,
@@ -168,14 +161,12 @@ impl RewriteCache {
             DiskTier::Ephemeral(map) => map.get(key).cloned(),
             DiskTier::Persistent(store) => {
                 let sealed = store.get(key).ok().flatten()?;
-                match unseal(sealed) {
-                    Some(payload) => Some(Arc::from(payload)),
-                    None => {
-                        let _ = store.delete(key);
-                        self.stats.disk_load_rejects += 1;
-                        None
-                    }
+                let payload = unseal(&sealed);
+                if payload.is_none() {
+                    let _ = store.delete(key);
+                    self.stats.disk_load_rejects += 1;
                 }
+                payload
             }
         }
     }
@@ -203,9 +194,8 @@ impl RewriteCache {
     /// Looks up `key`, reporting which tier answered. Disk hits are
     /// promoted to memory.
     pub fn get(&mut self, key: &str) -> Option<(Arc<[u8]>, CacheTier)> {
-        if let Some(v) = self.memory.get(key) {
-            self.stats.memory_hits += 1;
-            return Some((Arc::clone(v), CacheTier::Memory));
+        if let Some(v) = self.get_memory(key) {
+            return Some((v, CacheTier::Memory));
         }
         if let Some(v) = self.disk_get(key) {
             self.stats.disk_hits += 1;
@@ -214,6 +204,17 @@ impl RewriteCache {
         }
         self.stats.misses += 1;
         None
+    }
+
+    /// Looks up `key` in the memory tier only: a hit counts a
+    /// `memory_hits`, a miss counts nothing and never touches the disk
+    /// tier (the caller falls back to [`get`] for that).
+    ///
+    /// [`get`]: RewriteCache::get
+    pub fn get_memory(&mut self, key: &str) -> Option<Arc<[u8]>> {
+        let v = Arc::clone(self.memory.get(key)?);
+        self.stats.memory_hits += 1;
+        Some(v)
     }
 
     /// Inserts a rewritten class.
@@ -276,8 +277,8 @@ impl RewriteCache {
                     Ok((entries, complete)) => {
                         let mut out = Vec::with_capacity(entries.len());
                         for (k, sealed) in entries {
-                            match unseal(sealed) {
-                                Some(payload) => out.push((k, Arc::from(payload))),
+                            match unseal(&sealed) {
+                                Some(payload) => out.push((k, payload)),
                                 None => {
                                     let _ = store.delete(&k);
                                     rejects += 1;
@@ -309,9 +310,11 @@ impl RewriteCache {
         }
         self.memory_bytes += value.len();
         self.memory.insert(key.clone(), value);
-        self.order.push(key);
-        while self.memory_bytes > self.memory_capacity_bytes && !self.order.is_empty() {
-            let victim = self.order.remove(0);
+        self.order.push_back(key);
+        while self.memory_bytes > self.memory_capacity_bytes {
+            let Some(victim) = self.order.pop_front() else {
+                break;
+            };
             if let Some(v) = self.memory.remove(&victim) {
                 self.memory_bytes -= v.len();
                 self.stats.evictions += 1;
@@ -586,12 +589,12 @@ mod tests {
     #[test]
     fn envelope_round_trips_and_rejects_flips() {
         let sealed = seal(b"payload");
-        assert_eq!(unseal(sealed.clone()).as_deref(), Some(&b"payload"[..]));
+        assert_eq!(unseal(&sealed).as_deref(), Some(&b"payload"[..]));
         for i in 0..sealed.len() {
             let mut bad = sealed.clone();
             bad[i] ^= 0x01;
-            assert!(unseal(bad).is_none(), "flip at {i} accepted");
+            assert!(unseal(&bad).is_none(), "flip at {i} accepted");
         }
-        assert!(unseal(vec![0; 15]).is_none(), "short envelope accepted");
+        assert!(unseal(&[0; 15]).is_none(), "short envelope accepted");
     }
 }

@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use dvm_classfile::ClassFile;
 use dvm_netsim::CycleModel;
 use dvm_store::{Store, StoreStats};
-use dvm_telemetry::{Counter, Histogram, SpanId, Telemetry};
+use dvm_telemetry::{Counter, Histogram, SpanId, Telemetry, TraceContext};
 
 use crate::cache::{CacheExportPage, CacheStats, CacheTier, RewriteCache};
 use crate::filter::{FilterError, Pipeline, RequestContext};
@@ -291,6 +291,13 @@ impl ProxyMetrics {
     }
 }
 
+/// One request's wall clock and, when traced, its `proxy.handle` span:
+/// `(context, span id, start ns)`.
+struct RequestScope {
+    wall: Instant,
+    span: Option<(TraceContext, SpanId, u64)>,
+}
+
 /// The proxy.
 pub struct Proxy {
     origin: Box<dyn CodeOrigin>,
@@ -417,27 +424,96 @@ impl Proxy {
         url: &str,
         ctx: &RequestContext,
     ) -> Result<ServedResponse, ProxyError> {
-        let wall = Instant::now();
+        let scope = self.begin_request(ctx.trace);
+        let result = self.serve(url, ctx, scope.span.map(|(t, id, _)| (t.trace, id)));
+        self.finish_request(scope, url, result)
+    }
+
+    /// Serves `url` from the memory tier when that needs no waiting —
+    /// how a server answers a hit on its event-loop thread. The cache
+    /// mutex is only *tried* (it also covers store I/O); a contended
+    /// lock, a miss, a disk-tier-only entry or a proxy without a cache
+    /// returns `None` having counted nothing, and the caller takes
+    /// [`Proxy::handle_request_detailed`] instead. A hit is accounted
+    /// exactly as that full path accounts a memory hit.
+    pub fn try_serve_memory(
+        &self,
+        url: &str,
+        trace: Option<TraceContext>,
+    ) -> Option<ServedResponse> {
+        if !self.caching {
+            return None;
+        }
+        let scope = self.begin_request(trace);
+        let bytes = self.cache.try_lock()?.get_memory(url)?;
+        let hit = self.cache_hit(bytes, CacheTier::Memory);
+        self.finish_request(scope, url, Ok(hit)).ok()
+    }
+
+    /// Opens one request's bookkeeping. When the request carries a
+    /// trace, the whole serve is one "proxy.handle" span; its id is
+    /// allocated up front so the per-stage and origin-fetch child spans
+    /// can parent under it.
+    fn begin_request(&self, trace: Option<TraceContext>) -> RequestScope {
+        RequestScope {
+            wall: Instant::now(),
+            span: trace.map(|t| (t, SpanId::generate(), self.telemetry.recorder().now_ns())),
+        }
+    }
+
+    /// Closes one request's bookkeeping, the same for every serve path:
+    /// `requests` and `errors`, `bytes_served` and `ir_served` (an
+    /// `ir://` url only ever succeeds from a cache or a peer), the
+    /// `proxy.request_ns` record and the `proxy.handle` span.
+    fn finish_request(
+        &self,
+        scope: RequestScope,
+        url: &str,
+        result: Result<ServedResponse, ProxyError>,
+    ) -> Result<ServedResponse, ProxyError> {
+        let ir = url.starts_with(IR_SCHEME);
+        {
+            let mut s = self.stats.lock();
+            s.requests += 1;
+            if let Ok(r) = &result {
+                s.bytes_served += r.bytes.len() as u64;
+                s.ir_served += u64::from(ir);
+            }
+        }
         self.metrics.requests.inc();
-        // When the request carries a trace, the whole serve is one
-        // "proxy.handle" span; its id is allocated up front so the
-        // per-stage and origin-fetch child spans can parent under it.
-        let handle = ctx
-            .trace
-            .map(|t| (t, SpanId::generate(), self.telemetry.recorder().now_ns()));
-        let result = self.serve(url, ctx, handle.map(|(t, id, _)| (t.trace, id)));
-        if result.is_err() {
-            self.metrics.errors.inc();
+        match &result {
+            Ok(_) if ir => self.metrics.ir_served.inc(),
+            Ok(_) => {}
+            Err(_) => self.metrics.errors.inc(),
         }
         self.metrics
             .request_ns
-            .record(wall.elapsed().as_nanos() as u64);
-        if let Some((t, id, start)) = handle {
+            .record(scope.wall.elapsed().as_nanos() as u64);
+        if let Some((t, id, start)) = scope.span {
             let rec = self.telemetry.recorder();
             let duration = rec.now_ns().saturating_sub(start);
             rec.record_span(t.trace, id, t.parent, "proxy.handle", start, duration);
         }
         result
+    }
+
+    /// A cache-tier hit: counts the tier and shapes the response.
+    fn cache_hit(&self, bytes: Arc<[u8]>, tier: CacheTier) -> ServedResponse {
+        let served_from = match tier {
+            CacheTier::Memory => {
+                self.metrics.cache_hit_memory.inc();
+                ServedFrom::MemoryCache
+            }
+            CacheTier::Disk => {
+                self.metrics.cache_hit_disk.inc();
+                ServedFrom::DiskCache
+            }
+        };
+        ServedResponse {
+            bytes,
+            served_from,
+            processing_ns: 0,
+        }
     }
 
     /// The serve path proper; `span` is `(trace, parent-for-children)`
@@ -448,29 +524,9 @@ impl Proxy {
         ctx: &RequestContext,
         span: Option<(dvm_telemetry::TraceId, SpanId)>,
     ) -> Result<ServedResponse, ProxyError> {
-        self.stats.lock().requests += 1;
         if self.caching {
             if let Some((bytes, tier)) = self.cache.lock().get(url) {
-                let served_from = match tier {
-                    CacheTier::Memory => {
-                        self.metrics.cache_hit_memory.inc();
-                        ServedFrom::MemoryCache
-                    }
-                    CacheTier::Disk => {
-                        self.metrics.cache_hit_disk.inc();
-                        ServedFrom::DiskCache
-                    }
-                };
-                if url.starts_with(IR_SCHEME) {
-                    self.stats.lock().ir_served += 1;
-                    self.metrics.ir_served.inc();
-                }
-                self.count_served(&bytes);
-                return Ok(ServedResponse {
-                    bytes,
-                    served_from,
-                    processing_ns: 0,
-                });
+                return Ok(self.cache_hit(bytes, tier));
             }
             self.metrics.cache_miss.inc();
         }
@@ -491,11 +547,6 @@ impl Proxy {
                         Arc::clone(&bytes),
                         CacheTier::Memory,
                     );
-                    if url.starts_with(IR_SCHEME) {
-                        self.stats.lock().ir_served += 1;
-                        self.metrics.ir_served.inc();
-                    }
-                    self.count_served(&bytes);
                     return Ok(ServedResponse {
                         bytes,
                         served_from: ServedFrom::Peer,
@@ -602,7 +653,6 @@ impl Proxy {
         if let Some((product, start, lower_ns)) = ir {
             self.install_ir(&bytes, product, start, lower_ns, span);
         }
-        self.count_served(&bytes);
         Ok(ServedResponse {
             bytes,
             served_from: ServedFrom::Rewritten,
@@ -665,10 +715,6 @@ impl Proxy {
                 }
             }
         }
-    }
-
-    fn count_served(&self, bytes: &[u8]) {
-        self.stats.lock().bytes_served += bytes.len() as u64;
     }
 
     /// Snapshot of the aggregate statistics.
@@ -804,6 +850,63 @@ mod tests {
         let stats = proxy.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.rewrites, 1);
+    }
+
+    /// The loop-thread probe books a memory hit exactly as the full
+    /// path does, and everything it cannot answer without waiting — a
+    /// miss, a disk-only entry, a held cache lock, no cache — comes
+    /// back `None` with nothing counted.
+    #[test]
+    fn memory_probe_books_a_hit_like_the_full_path_and_nothing_else() {
+        let make = |caching| {
+            Proxy::new(
+                Box::new(origin_with("t/A", "u")),
+                null_pipeline(),
+                1 << 20,
+                caching,
+                None,
+            )
+        };
+        let ctx = RequestContext::default();
+        let (full, probed) = (make(true), make(true));
+        full.handle_request("u", &ctx).unwrap();
+        probed.handle_request("u", &ctx).unwrap();
+
+        assert!(probed.try_serve_memory("absent", None).is_none());
+        probed.cache_fill("disk-only", b"bytes".to_vec(), CacheTier::Disk);
+        assert!(probed.try_serve_memory("disk-only", None).is_none());
+        let held = probed.cache.lock();
+        assert!(probed.try_serve_memory("u", None).is_none());
+        drop(held);
+
+        let expected = full.handle_request_detailed("u", &ctx).unwrap();
+        let hit = probed.try_serve_memory("u", None).unwrap();
+        assert_eq!(hit.served_from, ServedFrom::MemoryCache);
+        assert_eq!(hit.bytes, expected.bytes);
+        let books = |p: &Proxy| {
+            let s = p.stats();
+            let m = p.telemetry().registry().snapshot();
+            let counters = [
+                "proxy.requests",
+                "proxy.errors",
+                "proxy.cache.hit.memory",
+                "proxy.cache.hit.disk",
+                "proxy.cache.miss",
+            ]
+            .map(|c| m.counter(c));
+            let handled = m.histograms.get("proxy.request_ns").map(|h| h.count);
+            (s.requests, s.bytes_served, s.ir_served, counters, handled)
+        };
+        assert_eq!(books(&probed), books(&full));
+        assert_eq!(
+            probed.cache_stats().memory_hits,
+            full.cache_stats().memory_hits
+        );
+
+        let uncached = make(false);
+        uncached.handle_request("u", &ctx).unwrap();
+        assert!(uncached.try_serve_memory("u", None).is_none());
+        assert_eq!(uncached.stats().requests, 1);
     }
 
     #[test]

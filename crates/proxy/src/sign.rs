@@ -6,7 +6,7 @@
 //! use an HMAC-style nested keyed digest over MD5; clients redirect
 //! incorrectly signed or unsigned code back to the centralized services.
 
-use crate::md5::md5;
+use crate::md5::Md5;
 
 /// Length of an attached signature.
 pub const TAG_LEN: usize = 16;
@@ -34,14 +34,17 @@ impl Signer {
         Signer { key: key.to_vec() }
     }
 
-    /// Computes the tag for `data` (HMAC-style nested construction).
+    /// Computes the tag for `data` (HMAC-style nested construction):
+    /// `md5(key ‖ md5(key ‖ data))`, streamed — nothing is concatenated.
     pub fn tag(&self, data: &[u8]) -> [u8; TAG_LEN] {
-        let mut inner = self.key.clone();
-        inner.extend_from_slice(data);
-        let inner_digest = md5(&inner);
-        let mut outer = self.key.clone();
-        outer.extend_from_slice(&inner_digest);
-        md5(&outer)
+        let mut inner = Md5::new();
+        inner.update(&self.key);
+        inner.update(data);
+        let inner_digest = inner.finalize();
+        let mut outer = Md5::new();
+        outer.update(&self.key);
+        outer.update(&inner_digest);
+        outer.finalize()
     }
 
     /// Appends the tag to `data`, producing the signed wire form.
@@ -101,5 +104,41 @@ mod tests {
     fn short_input_is_unsigned() {
         let s = Signer::new(b"k");
         assert_eq!(s.detach(&[1, 2, 3]).0, SignatureCheck::Unsigned);
+    }
+
+    /// The concatenating construction `tag` replaced, kept as the oracle.
+    fn concatenated_tag(key: &[u8], data: &[u8]) -> [u8; TAG_LEN] {
+        let mut inner = key.to_vec();
+        inner.extend_from_slice(data);
+        let inner_digest = crate::md5::md5(&inner);
+        let mut outer = key.to_vec();
+        outer.extend_from_slice(&inner_digest);
+        crate::md5::md5(&outer)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn streamed_tag_equals_the_concatenated_construction(
+            key in proptest::collection::vec(any::<u8>(), 0..=130),
+            data in proptest::collection::vec(any::<u8>(), 0..=400),
+        ) {
+            let signer = Signer::new(&key);
+            prop_assert_eq!(signer.tag(&data), concatenated_tag(&key, &data));
+        }
+    }
+
+    #[test]
+    fn empty_and_block_sized_keys_match_the_concatenated_construction() {
+        let data = b"class bytes".repeat(40);
+        for len in [0usize, 1, 55, 56, 63, 64, 65, 100, 128, 200] {
+            let key = vec![0x5c; len];
+            assert_eq!(
+                Signer::new(&key).tag(&data),
+                concatenated_tag(&key, &data),
+                "key len {len}"
+            );
+        }
     }
 }

@@ -520,10 +520,16 @@ impl<H: Handler> LoopState<H> {
 
     fn submit_jobs(&mut self) {
         if !self.pending_jobs.is_empty() {
+            let jobs = self.pending_jobs.len();
             let mut guard = self.pool.queue.lock().unwrap();
             guard.0.extend(self.pending_jobs.drain(..));
             drop(guard);
-            self.pool.cv.notify_all();
+            // One wake-up per job: a worker drains the queue before it
+            // waits again, so waking every idle worker for one job only
+            // buys lock contention.
+            for _ in 0..jobs {
+                self.pool.cv.notify_one();
+            }
         }
     }
 

@@ -2,22 +2,33 @@
 //! clients, signature verification, cache-tier reporting, fault
 //! injection, and clean shutdown.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use dvm_repro::core::{CostModel, Organization, ServiceConfig};
-use dvm_repro::net::{FaultPlan, Hello, NetClassProvider, NetConfig, NetError, ServerConfig};
-use dvm_repro::proxy::{ServedFrom, Signer};
+use dvm_repro::net::{
+    FaultPlan, Frame, Hello, NetClassProvider, NetConfig, NetError, ProxyServer, ServerConfig,
+};
+use dvm_repro::proxy::{CacheTier, ServedFrom, Signer};
 use dvm_repro::security::Policy;
+use dvm_repro::telemetry::{SpanId, TraceContext, TraceId};
 use dvm_repro::workload::{corpus, Applet};
 
 /// A signed, cached, fully-serviced organization over `applets`.
 fn org_over(applets: &[Applet]) -> Organization {
+    org_with(applets, true)
+}
+
+/// [`org_over`] with the proxy's rewrite cache on or off.
+fn org_with(applets: &[Applet], caching: bool) -> Organization {
     let classes: Vec<_> = applets
         .iter()
         .flat_map(|a| a.classes.iter().cloned())
         .collect();
     let mut services = ServiceConfig::dvm();
     services.signing = true;
+    services.caching = caching;
     Organization::new(
         &classes,
         Policy::parse(dvm_repro::security::policy::example_policy()).unwrap(),
@@ -305,5 +316,208 @@ fn remote_client_matches_in_process_client() {
     };
     assert_eq!(manifest(&local_report), manifest(&remote_report));
 
+    server.shutdown();
+}
+
+/// Completions the reactor's worker pool handed back to the loop: one
+/// per deferred request, none for a request answered on the loop.
+fn pool_hops(server: &ProxyServer) -> u64 {
+    server
+        .telemetry()
+        .registry()
+        .histogram("reactor.wakeup_ns")
+        .count()
+}
+
+fn memory_hits(server: &ProxyServer) -> u64 {
+    server
+        .telemetry()
+        .registry()
+        .counter("proxy.cache.hit.memory")
+        .get()
+}
+
+/// A memory-tier hit is answered on the loop thread: no pool hop, and
+/// counted exactly once in both the proxy's and the server's books.
+#[test]
+fn memory_hits_are_served_inline_without_a_pool_hop() {
+    let applets = small_applets(29, 1);
+    let org = org_over(&applets);
+    let server = org.serve("127.0.0.1:0").unwrap();
+    let url = format!("class://{}", applets[0].main_class);
+    let mut client = NetClassProvider::new(
+        server.addr(),
+        hello("erin"),
+        org_signer(),
+        NetConfig::default(),
+    )
+    .unwrap();
+
+    let (first, miss) = client.fetch(&url).unwrap();
+    assert_eq!(miss.served_from, ServedFrom::Rewritten);
+    assert_eq!(pool_hops(&server), 1, "the miss runs on the pool");
+
+    let (hops, hits, responses) = (
+        pool_hops(&server),
+        memory_hits(&server),
+        server.stats().responses,
+    );
+    const N: u64 = 25;
+    for _ in 0..N {
+        let (bytes, hit) = client.fetch(&url).unwrap();
+        assert_eq!(hit.served_from, ServedFrom::MemoryCache);
+        assert_eq!(bytes, first, "an inline hit serves the verified bytes");
+    }
+    assert_eq!(pool_hops(&server), hops, "a memory hit woke the pool");
+    assert_eq!(memory_hits(&server), hits + N);
+    assert_eq!(server.stats().responses, responses + N);
+    assert_eq!(client.stats().signature_failures, 0);
+    server.shutdown();
+}
+
+/// Pipelined requests on one connection are answered in request order
+/// even when an inline hit sits between two deferred misses.
+#[test]
+fn pipelined_miss_hit_miss_replies_in_request_order() {
+    let applets = small_applets(31, 3);
+    let org = org_over(&applets);
+    let server = org.serve("127.0.0.1:0").unwrap();
+    let urls: Vec<String> = applets
+        .iter()
+        .map(|a| format!("class://{}", a.main_class))
+        .collect();
+    // Warm the middle url so it is a memory hit.
+    let mut warm = NetClassProvider::new(
+        server.addr(),
+        hello("frank"),
+        org_signer(),
+        NetConfig::default(),
+    )
+    .unwrap();
+    warm.fetch(&urls[1]).unwrap();
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut burst = Vec::new();
+    for (i, url) in urls.iter().enumerate() {
+        Frame::CodeRequest {
+            request_id: i as u32 + 1,
+            session: 0,
+            url: url.clone(),
+            native_format: "x86".into(),
+            trace: None,
+        }
+        .encode_into(&mut burst);
+    }
+    stream.write_all(&burst).unwrap();
+
+    let expected = [
+        ServedFrom::Rewritten,
+        ServedFrom::MemoryCache,
+        ServedFrom::Rewritten,
+    ];
+    for (i, want) in expected.into_iter().enumerate() {
+        match Frame::read_from(&mut stream).unwrap() {
+            Frame::CodeResponse {
+                request_id,
+                served_from,
+                ..
+            } => {
+                assert_eq!(request_id, i as u32 + 1, "reply {i} out of order");
+                assert_eq!(served_from, want, "reply {i}");
+            }
+            other => panic!("reply {i}: expected CODE_RESPONSE, got {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+/// What the loop cannot answer without waiting still goes to the pool:
+/// every request of a proxy without a cache, and a disk-tier hit.
+#[test]
+fn uncached_and_disk_tier_requests_still_use_the_pool() {
+    let applets = small_applets(37, 1);
+    let url = format!("class://{}", applets[0].main_class);
+
+    let org = org_with(&applets, false);
+    let server = org.serve("127.0.0.1:0").unwrap();
+    let mut client = NetClassProvider::new(
+        server.addr(),
+        hello("gina"),
+        org_signer(),
+        NetConfig::default(),
+    )
+    .unwrap();
+    for round in 1..=3 {
+        let (_, t) = client.fetch(&url).unwrap();
+        assert_eq!(t.served_from, ServedFrom::Rewritten);
+        assert_eq!(
+            pool_hops(&server),
+            round,
+            "caching off: every request deferred"
+        );
+    }
+    server.shutdown();
+
+    let org = org_over(&applets);
+    let server = org.serve("127.0.0.1:0").unwrap();
+    let disk_url = "class://disk/Only";
+    org.proxy
+        .cache_fill(disk_url, b"disk-only bytes".to_vec(), CacheTier::Disk);
+    let mut unsigned =
+        NetClassProvider::new(server.addr(), hello("hank"), None, NetConfig::default()).unwrap();
+    let (bytes, t) = unsigned.fetch(disk_url).unwrap();
+    assert_eq!(t.served_from, ServedFrom::DiskCache);
+    assert_eq!(bytes, b"disk-only bytes");
+    assert_eq!(pool_hops(&server), 1, "a disk-tier hit is deferred");
+    // The disk hit promoted the entry: the next request is inline.
+    let (_, t) = unsigned.fetch(disk_url).unwrap();
+    assert_eq!(t.served_from, ServedFrom::MemoryCache);
+    assert_eq!(pool_hops(&server), 1);
+    server.shutdown();
+}
+
+/// A traced inline hit records the same spans as a deferred one: the
+/// server's "shard.serve" with the proxy's "proxy.handle" under it.
+#[test]
+fn traced_inline_hit_records_serve_and_handle_spans() {
+    let applets = small_applets(41, 1);
+    let org = org_over(&applets);
+    let server = org.serve("127.0.0.1:0").unwrap();
+    let url = format!("class://{}", applets[0].main_class);
+    let mut client = NetClassProvider::new(
+        server.addr(),
+        hello("iris"),
+        org_signer(),
+        NetConfig::default(),
+    )
+    .unwrap();
+    client.fetch(&url).unwrap();
+    let hops = pool_hops(&server);
+
+    let trace = TraceContext {
+        trace: TraceId::generate(),
+        parent: SpanId::generate(),
+    };
+    let (_, t) = client.fetch_attempt_traced(&url, Some(trace)).unwrap();
+    assert_eq!(t.served_from, ServedFrom::MemoryCache);
+    assert_eq!(pool_hops(&server), hops, "the traced hit was not inline");
+
+    let spans = server.telemetry().recorder().for_trace(trace.trace);
+    let serve = spans
+        .iter()
+        .find(|s| s.name == "shard.serve")
+        .expect("shard.serve span");
+    assert_eq!(serve.parent, trace.parent);
+    let handle = spans
+        .iter()
+        .find(|s| s.name == "proxy.handle")
+        .expect("proxy.handle span");
+    assert_eq!(
+        handle.parent, serve.id,
+        "proxy.handle parents under shard.serve"
+    );
     server.shutdown();
 }
