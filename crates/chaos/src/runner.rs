@@ -14,11 +14,9 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use dvm_cluster::{ClusterClassProvider, ClusterClientConfig, ProxyCluster};
 use dvm_monitor::{AuditSink, EventKind, SiteId};
-use dvm_net::{Hello, ServerStats};
+use dvm_net::Hello;
 use dvm_netsim::SimRng;
 use dvm_proxy::{Proxy, RequestContext, ServedFrom, SignatureCheck, Signer};
 use dvm_telemetry::MetricsSnapshot;
@@ -380,14 +378,12 @@ impl ChaosRunner {
         }
 
         let ring = cluster.ring().clone();
-        let killed_stats: Mutex<Vec<(usize, ServerStats)>> = Mutex::new(Vec::new());
-        let cluster_mx = Mutex::new(cluster);
 
         let mut outcomes: Vec<Option<ClientOutcome>> = Vec::with_capacity(cfg.clients);
         let mut panics: Vec<String> = Vec::new();
 
         std::thread::scope(|scope| {
-            let killer = scope.spawn(|| {
+            let killer = scope.spawn(move || {
                 let start = Instant::now();
                 let mut kills = cfg.kills.clone();
                 kills.sort_by_key(|k| k.after);
@@ -396,9 +392,7 @@ impl ChaosRunner {
                     if kill.after > elapsed {
                         std::thread::sleep(kill.after - elapsed);
                     }
-                    if let Some(stats) = cluster_mx.lock().kill_shard(kill.shard) {
-                        killed_stats.lock().push((kill.shard, stats));
-                    }
+                    cluster.kill_shard(kill.shard);
                 }
             });
 
@@ -515,26 +509,17 @@ impl ChaosRunner {
         // --- telemetry-conservation -------------------------------------
         // Per shard: every served request arrived in at least one frame,
         // whether the shard survived the run or was killed mid-way.
-        let cluster = cluster_mx.into_inner();
-        let killed: HashMap<usize, ServerStats> = killed_stats.into_inner().into_iter().collect();
         let mut server_audit_received = 0u64;
         for (i, telemetry) in shard_telemetry.iter().enumerate() {
-            let stats = match killed.get(&i) {
-                Some(s) => *s,
-                None => match cluster.shard_stats(i) {
-                    Some(s) => s,
-                    None => continue,
-                },
-            };
-            server_audit_received += stats.audit_events;
             let snap = telemetry.registry().snapshot();
+            server_audit_received += snap.counter("net.server.audit_events");
             let frames_in = snap.counter("net.server.frames_in");
-            if frames_in < stats.requests {
+            let requests = snap.counter("net.server.requests");
+            if frames_in < requests {
                 violations.push(Violation {
                     invariant: "telemetry-conservation",
                     detail: format!(
-                        "shard {i}: frames_in {} < requests served {}",
-                        frames_in, stats.requests
+                        "shard {i}: frames_in {frames_in} < requests served {requests}"
                     ),
                 });
             }

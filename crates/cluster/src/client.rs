@@ -12,16 +12,18 @@
 //! readmits them when they recover.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use dvm_jvm::ClassProvider;
-use dvm_net::{Frame, Hello, NetClassProvider, NetClientStats, NetConfig, NetError, NetTransfer};
+use dvm_net::{
+    request_once, Frame, Hello, NetClassProvider, NetClientStats, NetConfig, NetError, NetTransfer,
+};
 use dvm_proxy::Signer;
-use dvm_telemetry::{Counter, Histogram, Registry, SpanId, Telemetry, TraceContext, TraceId};
+use dvm_telemetry::{Histogram, Registry, SpanId, Telemetry, TraceContext, TraceId};
 
 use crate::health::{HealthConfig, HealthTracker};
 use crate::ring::HashRing;
@@ -63,22 +65,26 @@ impl Default for ClusterClientConfig {
     }
 }
 
-/// Counters for one cluster client's lifetime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClusterClientStats {
-    /// Fetches attempted (one per `fetch` call).
-    pub requests: u64,
-    /// Fetches answered by a shard other than the URL's home.
-    pub non_home_serves: u64,
-    /// Individual failovers (a retryable failure moving on to the next
-    /// shard or round).
-    pub failovers: u64,
-    /// Shards skipped because their circuit was open.
-    pub quarantine_skips: u64,
-    /// Rounds where every shard was quarantined and one was force-probed.
-    pub desperation_probes: u64,
-    /// `RING_UPDATE` pulls that installed a newer ring epoch.
-    pub ring_syncs: u64,
+dvm_telemetry::counters! {
+    /// Registered handles behind [`ClusterClientStats`].
+    struct ClusterCounters;
+    /// One cluster client's counts, read from its telemetry plane.
+    pub struct ClusterClientStats {
+        /// Fetches attempted (one per `fetch` call).
+        requests = "cluster.requests",
+        /// Fetches answered by a shard other than the URL's home.
+        non_home_serves = "cluster.non_home_serves",
+        /// Individual failovers (a retryable failure moving on to the
+        /// next shard or round).
+        failovers = "cluster.failovers",
+        /// Shards skipped because their circuit was open.
+        quarantine_skips = "cluster.quarantine.skips",
+        /// Rounds where every shard was quarantined and one was
+        /// force-probed.
+        desperation_probes = "cluster.desperation_probes",
+        /// `RING_UPDATE` pulls that installed a newer ring epoch.
+        ring_syncs = "cluster.ring_syncs",
+    }
 }
 
 /// A cluster fetch failure.
@@ -109,24 +115,14 @@ impl std::error::Error for ClusterError {}
 /// Pre-registered telemetry handles for the cluster client's hot path.
 #[derive(Debug, Clone)]
 struct ClusterMetrics {
-    requests: Arc<Counter>,
-    failovers: Arc<Counter>,
-    quarantine_skips: Arc<Counter>,
-    non_home_serves: Arc<Counter>,
-    desperation_probes: Arc<Counter>,
-    ring_syncs: Arc<Counter>,
+    counters: ClusterCounters,
     fetch_ns: Arc<Histogram>,
 }
 
 impl ClusterMetrics {
     fn register(registry: &Registry) -> ClusterMetrics {
         ClusterMetrics {
-            requests: registry.counter("cluster.requests"),
-            failovers: registry.counter("cluster.failovers"),
-            quarantine_skips: registry.counter("cluster.quarantine.skips"),
-            non_home_serves: registry.counter("cluster.non_home_serves"),
-            desperation_probes: registry.counter("cluster.desperation_probes"),
-            ring_syncs: registry.counter("cluster.ring_syncs"),
+            counters: ClusterCounters::register(registry),
             fetch_ns: registry.histogram("cluster.fetch_ns"),
         }
     }
@@ -146,7 +142,6 @@ pub struct ClusterClassProvider {
     config: ClusterClientConfig,
     providers: HashMap<u32, NetClassProvider>,
     health: HealthTracker,
-    stats: ClusterClientStats,
     hook: Arc<Mutex<Option<TransferHook>>>,
     telemetry: Arc<Telemetry>,
     metrics: ClusterMetrics,
@@ -194,7 +189,6 @@ impl ClusterClassProvider {
             config,
             providers: HashMap::new(),
             health,
-            stats: ClusterClientStats::default(),
             hook: Arc::new(Mutex::new(None)),
             telemetry,
             metrics,
@@ -209,7 +203,9 @@ impl ClusterClassProvider {
     }
 
     /// Shares an externally owned telemetry plane (e.g. the DVM client's
-    /// own node). Re-registers every handle, so call before fetching.
+    /// own node). Re-registers every handle, so call it before the first
+    /// fetch: counts already taken stay on the old plane and drop out of
+    /// [`ClusterClassProvider::stats`].
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.metrics = ClusterMetrics::register(telemetry.registry());
         self.health.attach_metrics(telemetry.registry());
@@ -226,9 +222,9 @@ impl ClusterClassProvider {
         *self.hook.lock() = Some(hook);
     }
 
-    /// Counter snapshot.
+    /// This client's counts, read from its telemetry plane.
     pub fn stats(&self) -> ClusterClientStats {
-        self.stats
+        self.metrics.counters.view()
     }
 
     /// Aggregated per-shard connection counters (zeros for shards this
@@ -302,8 +298,7 @@ impl ClusterClassProvider {
         self.providers
             .retain(|shard, _| fresh.get(shard) == self.addrs.get(shard));
         self.addrs = fresh;
-        self.stats.ring_syncs += 1;
-        self.metrics.ring_syncs.inc();
+        self.metrics.counters.ring_syncs.inc();
     }
 
     fn provider(&mut self, shard: u32) -> Result<&mut NetClassProvider, NetError> {
@@ -362,8 +357,7 @@ impl ClusterClassProvider {
     /// roots a new trace; every shard attempt (and the serving shard's
     /// whole pipeline) records spans under it.
     pub fn fetch(&mut self, url: &str) -> Result<(Vec<u8>, NetTransfer), ClusterError> {
-        self.stats.requests += 1;
-        self.metrics.requests.inc();
+        self.metrics.counters.requests.inc();
         let trace = TraceId::generate();
         let root = SpanId::generate();
         let start = self.telemetry.recorder().now_ns();
@@ -404,22 +398,19 @@ impl ClusterClassProvider {
             let mut attempted = 0u32;
             for (i, &shard) in order.iter().enumerate() {
                 if !self.health.allow(shard) {
-                    self.stats.quarantine_skips += 1;
-                    self.metrics.quarantine_skips.inc();
+                    self.metrics.counters.quarantine_skips.inc();
                     continue;
                 }
                 attempted += 1;
                 match self.attempt(shard, url, ctx) {
                     Ok(ok) => {
                         if i > 0 {
-                            self.stats.non_home_serves += 1;
-                            self.metrics.non_home_serves.inc();
+                            self.metrics.counters.non_home_serves.inc();
                         }
                         return Ok(ok);
                     }
                     Err(e) if e.is_retryable() => {
-                        self.stats.failovers += 1;
-                        self.metrics.failovers.inc();
+                        self.metrics.counters.failovers.inc();
                         last = Some(e);
                     }
                     Err(e) => return Err(ClusterError::Fatal(e)),
@@ -430,15 +421,13 @@ impl ClusterClassProvider {
                 // turn a transient full-cluster brownout into a
                 // permanent client failure, so force one probe of the
                 // home shard; its outcome re-arms or closes the breaker.
-                self.stats.desperation_probes += 1;
-                self.metrics.desperation_probes.inc();
+                self.metrics.counters.desperation_probes.inc();
                 let home = order[0];
                 self.health.force_probe(home);
                 match self.attempt(home, url, ctx) {
                     Ok(ok) => return Ok(ok),
                     Err(e) if e.is_retryable() => {
-                        self.stats.failovers += 1;
-                        self.metrics.failovers.inc();
+                        self.metrics.counters.failovers.inc();
                         last = Some(e);
                     }
                     Err(e) => return Err(ClusterError::Fatal(e)),
@@ -467,36 +456,23 @@ impl ClusterClassProvider {
     }
 }
 
-/// One `RING_UPDATE` exchange over a throwaway connection: Hello,
-/// Welcome, ask with our epoch, read the answer. `None` on any
-/// transport or protocol trouble — the caller tries the next shard.
+/// One `RING_UPDATE` exchange over a throwaway connection, asking with
+/// our epoch. `None` on any transport or protocol trouble — the caller
+/// tries the next shard.
 fn pull_ring(
     addr: SocketAddr,
     hello: &Hello,
     net: NetConfig,
     my_epoch: u64,
 ) -> Option<(u64, Vec<u8>)> {
-    let mut stream = TcpStream::connect_timeout(&addr, net.connect_timeout).ok()?;
-    stream.set_read_timeout(Some(net.read_timeout)).ok()?;
-    stream.set_write_timeout(Some(net.write_timeout)).ok()?;
-    let _ = stream.set_nodelay(true);
-    Frame::Hello(hello.clone()).write_to(&mut stream).ok()?;
-    match Frame::read_from(&mut stream) {
-        Ok(Frame::Welcome { .. }) => {}
-        _ => return None,
-    }
-    Frame::RingUpdate {
+    let ask = Frame::RingUpdate {
         epoch: my_epoch,
         ring: Vec::new(),
-    }
-    .write_to(&mut stream)
-    .ok()?;
-    let answer = match Frame::read_from(&mut stream) {
+    };
+    match request_once(addr, hello.clone(), &net, ask) {
         Ok(Frame::RingUpdate { epoch, ring }) => Some((epoch, ring)),
         _ => None,
-    };
-    let _ = Frame::Bye.write_to(&mut stream);
-    answer
+    }
 }
 
 impl ClassProvider for ClusterClassProvider {

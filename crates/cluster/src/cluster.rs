@@ -562,7 +562,9 @@ impl ProxyCluster {
         &self.proxies[i]
     }
 
-    /// Shard `i`'s live server statistics (`None` once killed).
+    /// Shard `i`'s server statistics (`None` while killed). They are
+    /// read from the shard's telemetry plane, which a restart keeps, so
+    /// they count every life of the shard.
     pub fn shard_stats(&self, i: usize) -> Option<ServerStats> {
         self.servers
             .get(i)

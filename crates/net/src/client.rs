@@ -610,6 +610,35 @@ pub fn fetch_stats(
     config: NetConfig,
     include_spans: bool,
 ) -> Result<StatsReport, NetError> {
+    let request = Frame::StatsRequest {
+        request_id: 1,
+        include_spans,
+    };
+    match request_once(addr, hello, &config, request)? {
+        Frame::StatsResponse {
+            request_id: 1,
+            report,
+        } => StatsReport::decode(&report)
+            .map_err(|e| NetError::Protocol(format!("undecodable stats report: {e}"))),
+        Frame::StatsResponse { request_id, .. } => Err(NetError::Protocol(format!(
+            "stats response id {request_id}, expected 1"
+        ))),
+        other => Err(NetError::Protocol(format!(
+            "expected STATS_RESPONSE, got {other:?}"
+        ))),
+    }
+}
+
+/// One request over a throwaway connection — how the observability
+/// planes and ring pulls talk to a server: handshake, send `request`,
+/// read one response, `BYE`. A typed `ERROR` answer to the handshake or
+/// the request is [`NetError::Remote`].
+pub fn request_once(
+    addr: impl ToSocketAddrs,
+    hello: Hello,
+    config: &NetConfig,
+    request: Frame,
+) -> Result<Frame, NetError> {
     let addr = addr
         .to_socket_addrs()
         .map_err(NetError::from)?
@@ -634,61 +663,13 @@ pub fn fetch_stats(
             )))
         }
     }
-    Frame::StatsRequest {
-        request_id: 1,
-        include_spans,
-    }
-    .write_to(&mut stream)?;
-    let report = match Frame::read_from(&mut stream)? {
-        Frame::StatsResponse { request_id, report } => {
-            if request_id != 1 {
-                return Err(NetError::Protocol(format!(
-                    "stats response id {request_id}, expected 1"
-                )));
-            }
-            StatsReport::decode(&report)
-                .map_err(|e| NetError::Protocol(format!("undecodable stats report: {e}")))?
-        }
-        Frame::Error { code, message, .. } => return Err(NetError::Remote { code, message }),
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected STATS_RESPONSE, got {other:?}"
-            )))
-        }
-    };
+    request.write_to(&mut stream)?;
+    let reply = Frame::read_from(&mut stream)?;
     let _ = Frame::Bye.write_to(&mut stream);
     let _ = stream.shutdown(std::net::Shutdown::Both);
-    Ok(report)
-}
-
-/// One-frame helper connections for the continuous-observability
-/// planes: handshake, send one request, decode one response, `BYE`.
-fn observe_connect(
-    addr: impl ToSocketAddrs,
-    hello: Hello,
-    config: &NetConfig,
-) -> Result<TcpStream, NetError> {
-    let addr = addr
-        .to_socket_addrs()
-        .map_err(NetError::from)?
-        .next()
-        .ok_or_else(|| {
-            NetError::Io(
-                std::io::ErrorKind::AddrNotAvailable,
-                "no address resolved".into(),
-            )
-        })?;
-    let mut stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    stream.set_write_timeout(Some(config.write_timeout))?;
-    let _ = stream.set_nodelay(true);
-    Frame::Hello(hello).write_to(&mut stream)?;
-    match Frame::read_from(&mut stream)? {
-        Frame::Welcome { .. } => Ok(stream),
+    match reply {
         Frame::Error { code, message, .. } => Err(NetError::Remote { code, message }),
-        other => Err(NetError::Protocol(format!(
-            "expected WELCOME, got {other:?}"
-        ))),
+        reply => Ok(reply),
     }
 }
 
@@ -699,28 +680,19 @@ pub fn fetch_metrics_text(
     hello: Hello,
     config: NetConfig,
 ) -> Result<String, NetError> {
-    let mut stream = observe_connect(addr, hello, &config)?;
-    Frame::MetricsScrape { request_id: 1 }.write_to(&mut stream)?;
-    let text = match Frame::read_from(&mut stream)? {
-        Frame::MetricsText { request_id, text } => {
-            if request_id != 1 {
-                return Err(NetError::Protocol(format!(
-                    "metrics response id {request_id}, expected 1"
-                )));
-            }
-            String::from_utf8(text)
-                .map_err(|_| NetError::Protocol("exposition is not UTF-8".into()))?
-        }
-        Frame::Error { code, message, .. } => return Err(NetError::Remote { code, message }),
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected METRICS_TEXT, got {other:?}"
-            )))
-        }
-    };
-    let _ = Frame::Bye.write_to(&mut stream);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    Ok(text)
+    match request_once(addr, hello, &config, Frame::MetricsScrape { request_id: 1 })? {
+        Frame::MetricsText {
+            request_id: 1,
+            text,
+        } => String::from_utf8(text)
+            .map_err(|_| NetError::Protocol("exposition is not UTF-8".into())),
+        Frame::MetricsText { request_id, .. } => Err(NetError::Protocol(format!(
+            "metrics response id {request_id}, expected 1"
+        ))),
+        other => Err(NetError::Protocol(format!(
+            "expected METRICS_TEXT, got {other:?}"
+        ))),
+    }
 }
 
 /// Tails a server's event journal: events with `seq > after_seq` (at
@@ -733,38 +705,26 @@ pub fn fetch_events(
     after_seq: u64,
     max: u32,
 ) -> Result<(Vec<JournalEvent>, u64), NetError> {
-    let mut stream = observe_connect(addr, hello, &config)?;
-    Frame::EventsRequest {
+    let request = Frame::EventsRequest {
         request_id: 1,
         after_seq,
         max,
-    }
-    .write_to(&mut stream)?;
-    let page = match Frame::read_from(&mut stream)? {
+    };
+    match request_once(addr, hello, &config, request)? {
         Frame::EventsResponse {
-            request_id,
+            request_id: 1,
             next_seq,
             events,
-        } => {
-            if request_id != 1 {
-                return Err(NetError::Protocol(format!(
-                    "events response id {request_id}, expected 1"
-                )));
-            }
-            let events = decode_events(&events)
-                .map_err(|e| NetError::Protocol(format!("undecodable event batch: {e}")))?;
-            (events, next_seq)
-        }
-        Frame::Error { code, message, .. } => return Err(NetError::Remote { code, message }),
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected EVENTS_RESPONSE, got {other:?}"
-            )))
-        }
-    };
-    let _ = Frame::Bye.write_to(&mut stream);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    Ok(page)
+        } => decode_events(&events)
+            .map(|events| (events, next_seq))
+            .map_err(|e| NetError::Protocol(format!("undecodable event batch: {e}"))),
+        Frame::EventsResponse { request_id, .. } => Err(NetError::Protocol(format!(
+            "events response id {request_id}, expected 1"
+        ))),
+        other => Err(NetError::Protocol(format!(
+            "expected EVENTS_RESPONSE, got {other:?}"
+        ))),
+    }
 }
 
 impl Drop for NetClassProvider {

@@ -62,7 +62,8 @@ pub(crate) fn handle_frame(
     frame: Frame,
     replies: &mut Vec<Frame>,
 ) -> Flow {
-    inner.metrics.frames_in.inc();
+    let counters = &inner.metrics.counters;
+    counters.frames_in.inc();
     match frame {
         Frame::Hello(h) => {
             let session = match &inner.console {
@@ -89,11 +90,11 @@ pub(crate) fn handle_frame(
             trace,
             ..
         } => {
-            inner.stats.lock().requests += 1;
+            counters.requests.inc();
             if let Some(plan) = &inner.config.fault {
                 let seq = inner.request_counter.fetch_add(1, Ordering::SeqCst) + 1;
                 if plan.drops(seq) {
-                    inner.stats.lock().faults_injected += 1;
+                    counters.faults_injected.inc();
                     return Flow::Kill;
                 }
             }
@@ -124,8 +125,7 @@ pub(crate) fn handle_frame(
                 console
                     .lock()
                     .record(SessionId(session), SiteId(site), kind);
-                inner.stats.lock().audit_events += 1;
-                inner.metrics.audit_events.inc();
+                counters.audit_events.inc();
             }
             Flow::Continue
         }
@@ -133,10 +133,10 @@ pub(crate) fn handle_frame(
             // Cache-fill probe from a peer shard: answer from the local
             // cache only — a peer probe must never trigger a rewrite
             // here (the asking shard owns that fallback).
-            inner.stats.lock().peer_gets += 1;
+            counters.peer_gets.inc();
             let reply = match inner.proxy.cache_peek(&url) {
                 Some((bytes, tier)) => {
-                    inner.stats.lock().peer_hits += 1;
+                    counters.peer_hits.inc();
                     Frame::CodeResponse {
                         request_id,
                         served_from: match tier {
@@ -160,7 +160,7 @@ pub(crate) fn handle_frame(
             // Unsolicited offer from the shard that just rewrote the url
             // we own: land it on the disk tier so it cannot evict our
             // hot set, and send nothing back.
-            inner.stats.lock().peer_puts += 1;
+            counters.peer_puts.inc();
             inner.proxy.cache_fill(&url, bytes, CacheTier::Disk);
             Flow::Continue
         }
@@ -171,7 +171,7 @@ pub(crate) fn handle_frame(
             // The stats plane: serialize this node's live telemetry and
             // hand it back. Reading the plane is itself counted, so
             // pollers are visible in what they poll.
-            inner.metrics.stats_requests.inc();
+            counters.stats_requests.inc();
             let report = if include_spans {
                 inner.telemetry.report()
             } else {
@@ -187,8 +187,7 @@ pub(crate) fn handle_frame(
             // Epoch exchange: an asker behind the published epoch gets
             // the full snapshot; an up-to-date one gets just our epoch
             // back (cheap enough to poll).
-            inner.stats.lock().ring_updates += 1;
-            inner.metrics.ring_updates.inc();
+            counters.ring_updates.inc();
             let view = inner.membership.lock().clone();
             let (our_epoch, ring) = match view {
                 Some(v) => {
@@ -226,7 +225,7 @@ pub(crate) fn handle_frame(
             };
             match batch {
                 Ok(batch) => {
-                    inner.stats.lock().migrate_streams += 1;
+                    counters.migrate_streams.inc();
                     let total = batch.entries.len() as u32;
                     for (seq, (url, bytes)) in batch.entries.into_iter().enumerate() {
                         replies.push(Frame::MigrateChunk {
@@ -235,8 +234,7 @@ pub(crate) fn handle_frame(
                             url,
                             bytes,
                         });
-                        inner.stats.lock().migrate_chunks_out += 1;
-                        inner.metrics.migrate_chunks_out.inc();
+                        counters.migrate_chunks_out.inc();
                     }
                     replies.push(Frame::MigrateEnd {
                         request_id,
@@ -245,7 +243,7 @@ pub(crate) fn handle_frame(
                     });
                 }
                 Err(msg) => {
-                    inner.stats.lock().migrate_rejects += 1;
+                    counters.migrate_rejects.inc();
                     replies.push(Frame::Error {
                         request_id,
                         code: ErrorCode::Internal,
@@ -260,7 +258,7 @@ pub(crate) fn handle_frame(
             // through the installed source. Scraping is itself counted,
             // so pollers are visible in what they poll (same discipline
             // as STATS_REQUEST).
-            inner.metrics.scrape_requests.inc();
+            counters.scrape_requests.inc();
             let source = inner.scrape.lock().clone();
             let reply = match source {
                 Some(s) => Frame::MetricsText {
@@ -284,7 +282,7 @@ pub(crate) fn handle_frame(
             // Journal tailing: serve the cursor page straight from the
             // telemetry plane's event journal (and its durable spool,
             // when one is installed).
-            inner.metrics.events_requests.inc();
+            counters.events_requests.inc();
             let page = inner
                 .telemetry
                 .journal()
@@ -307,8 +305,7 @@ pub(crate) fn handle_frame(
         | Frame::MetricsText { .. }
         | Frame::EventsResponse { .. } => {
             // Server-to-client frames arriving at the server.
-            inner.stats.lock().malformed += 1;
-            inner.metrics.malformed.inc();
+            counters.malformed.inc();
             replies.push(Frame::Error {
                 request_id: 0,
                 code: ErrorCode::Malformed,
@@ -385,7 +382,7 @@ impl ServeScope {
     ) -> Frame {
         let reply = match result {
             Ok(response) => {
-                inner.stats.lock().responses += 1;
+                inner.metrics.counters.responses.inc();
                 Frame::CodeResponse {
                     request_id,
                     served_from: response.served_from,
@@ -394,7 +391,7 @@ impl ServeScope {
                 }
             }
             Err(e) => {
-                inner.stats.lock().errors += 1;
+                inner.metrics.counters.errors.inc();
                 let code = match &e {
                     ProxyError::NotFound(_) => ErrorCode::NotFound,
                     ProxyError::Parse(_) => ErrorCode::Parse,

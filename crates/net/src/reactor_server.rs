@@ -18,7 +18,6 @@
 use std::sync::Arc;
 
 use dvm_reactor::{Boundary, CloseReason, Io, JobOutput, ReactorObserver};
-use dvm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::assembler::peek_frame;
 use crate::frame::{ErrorCode, Frame};
@@ -54,15 +53,12 @@ impl dvm_reactor::Handler for NetHandler {
     type Conn = RConn;
 
     fn on_open(&self, _token: u64, overloaded: bool) -> RConn {
+        let metrics = &self.inner.metrics;
         if overloaded {
-            self.inner.stats.lock().overload_rejects += 1;
-            self.inner.metrics.overload_rejects.inc();
+            metrics.counters.overload_rejects.inc();
         } else {
-            self.inner.stats.lock().connections += 1;
-            self.inner
-                .live
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.inner.metrics.live_connections.add(1);
+            metrics.counters.connections.inc();
+            metrics.live_connections.add(1);
         }
         RConn {
             proto: ConnProto::default(),
@@ -80,7 +76,7 @@ impl dvm_reactor::Handler for NetHandler {
     }
 
     fn on_data(&self, n: usize) {
-        self.inner.metrics.bytes_in.add(n as u64);
+        self.inner.metrics.counters.bytes_in.add(n as u64);
     }
 
     fn on_frame(&self, io: &mut Io<'_>, conn: &mut RConn, frame: &[u8]) {
@@ -107,8 +103,7 @@ impl dvm_reactor::Handler for NetHandler {
         let decoded = match Frame::decode_body(&frame[4..]) {
             Ok(f) => f,
             Err(e) => {
-                self.inner.stats.lock().malformed += 1;
-                self.inner.metrics.malformed.inc();
+                self.inner.metrics.counters.malformed.inc();
                 self.send_frame(
                     io,
                     &Frame::Error {
@@ -151,8 +146,7 @@ impl dvm_reactor::Handler for NetHandler {
     fn on_violation(&self, io: &mut Io<'_>, _conn: &mut RConn, detail: &str) {
         // Framing violation (bad length prefix): the same typed answer
         // an undecodable frame body gets.
-        self.inner.stats.lock().malformed += 1;
-        self.inner.metrics.malformed.inc();
+        self.inner.metrics.counters.malformed.inc();
         self.send_frame(
             io,
             &Frame::Error {
@@ -165,14 +159,10 @@ impl dvm_reactor::Handler for NetHandler {
 
     fn on_close(&self, _token: u64, conn: RConn, reason: CloseReason) {
         if !conn.overloaded {
-            self.inner
-                .live
-                .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
             self.inner.metrics.live_connections.add(-1);
         }
         if reason == CloseReason::IdleExpired {
-            self.inner.stats.lock().idle_reaped += 1;
-            self.inner.metrics.idle_reaped.inc();
+            self.inner.metrics.counters.idle_reaped.inc();
         }
     }
 }
@@ -180,45 +170,21 @@ impl dvm_reactor::Handler for NetHandler {
 /// Loop instrumentation wired into the node's telemetry plane — the
 /// reactor's health is scrapeable and journaled like every other
 /// subsystem.
-pub(crate) struct ReactorTelemetry {
-    inner: Arc<Inner>,
-    loop_iterations: Arc<Counter>,
-    events_total: Arc<Counter>,
-    conns_open: Arc<Gauge>,
-    backpressure_stalls: Arc<Counter>,
-    wakeup_ns: Arc<Histogram>,
-}
-
-impl ReactorTelemetry {
-    pub(crate) fn register(telemetry: &Telemetry, inner: Arc<Inner>) -> ReactorTelemetry {
-        let r = telemetry.registry();
-        ReactorTelemetry {
-            inner,
-            loop_iterations: r.counter("reactor.loop_iterations"),
-            events_total: r.counter("reactor.events_total"),
-            conns_open: r.gauge("reactor.conns_open"),
-            backpressure_stalls: r.counter("reactor.backpressure_stalls_total"),
-            wakeup_ns: r.histogram("reactor.wakeup_ns"),
-        }
-    }
-}
-
-impl ReactorObserver for ReactorTelemetry {
+impl ReactorObserver for Inner {
     fn loop_iteration(&self, events: usize) {
-        self.loop_iterations.inc();
-        self.events_total.add(events as u64);
+        self.metrics.counters.loop_iterations.inc();
+        self.metrics.counters.loop_events.add(events as u64);
     }
 
     fn conn_delta(&self, delta: i64) {
-        self.conns_open.add(delta);
+        self.metrics.conns_open.add(delta);
     }
 
     fn backpressure_stall(&self) {
-        self.backpressure_stalls.inc();
-        self.inner.stats.lock().backpressure_stalls += 1;
+        self.metrics.counters.backpressure_stalls.inc();
     }
 
     fn wakeup_ns(&self, ns: u64) {
-        self.wakeup_ns.record(ns);
+        self.metrics.wakeup_ns.record(ns);
     }
 }

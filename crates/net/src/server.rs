@@ -15,7 +15,7 @@
 //! leaked connections.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,10 +24,10 @@ use parking_lot::Mutex;
 use dvm_monitor::AdminConsole;
 use dvm_proxy::Proxy;
 use dvm_reactor::{Reactor, ReactorConfig};
-use dvm_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use dvm_telemetry::{Gauge, Histogram, Telemetry};
 
 use crate::frame::Frame;
-use crate::reactor_server::{NetHandler, ReactorTelemetry};
+use crate::reactor_server::NetHandler;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -171,87 +171,90 @@ pub trait MetricsSource: Send + Sync {
     fn render_metrics(&self) -> String;
 }
 
-/// Aggregate server statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Code requests received.
-    pub requests: u64,
-    /// Successful code responses sent.
-    pub responses: u64,
-    /// Typed error frames sent.
-    pub errors: u64,
-    /// Audit events ingested into the console.
-    pub audit_events: u64,
-    /// Malformed or unparseable frames received.
-    pub malformed: u64,
-    /// Connections dropped by fault injection.
-    pub faults_injected: u64,
-    /// Connections rejected with `Overloaded` at the admission gate.
-    pub overload_rejects: u64,
-    /// `PEER_GET` probes received from peer shards.
-    pub peer_gets: u64,
-    /// `PEER_GET` probes answered from the local cache.
-    pub peer_hits: u64,
-    /// `PEER_PUT` offers ingested into the local cache.
-    pub peer_puts: u64,
-    /// `RING_UPDATE` requests answered.
-    pub ring_updates: u64,
-    /// `MIGRATE_BEGIN` streams served (including resumed ones).
-    pub migrate_streams: u64,
-    /// `MIGRATE_CHUNK` frames sent to joining shards.
-    pub migrate_chunks_out: u64,
-    /// `MIGRATE_BEGIN` requests refused by the exporter (epoch mismatch
-    /// or no exporter installed).
-    pub migrate_rejects: u64,
-    /// Connections closed for exceeding the idle deadline (slowloris
-    /// reaping).
-    pub idle_reaped: u64,
-    /// Times a connection crossed its write-buffer limit and had its
-    /// reads paused until the peer drained.
-    pub backpressure_stalls: u64,
+dvm_telemetry::counters! {
+    /// Registered handles behind [`ServerStats`].
+    pub(crate) struct ServerCounters;
+    /// The server's counts, read from the telemetry plane it shares with
+    /// its proxy.
+    pub struct ServerStats {
+        /// Connections accepted.
+        connections = "net.server.connections",
+        /// Code requests received.
+        requests = "net.server.requests",
+        /// Successful code responses sent.
+        responses = "net.server.responses",
+        /// Typed error frames sent in answer to code requests.
+        errors = "net.server.errors",
+        /// Frames received.
+        frames_in = "net.server.frames_in",
+        /// Frames sent.
+        frames_out = "net.server.frames_out",
+        /// Bytes read from connections.
+        bytes_in = "net.server.bytes_in",
+        /// Bytes of encoded frames sent.
+        bytes_out = "net.server.bytes_out",
+        /// Audit events ingested into the console.
+        audit_events = "net.server.audit_events",
+        /// Malformed or unparseable frames received.
+        malformed = "net.server.malformed",
+        /// Connections dropped by fault injection.
+        faults_injected = "net.server.faults_injected",
+        /// Connections rejected with `Overloaded` at the admission gate.
+        overload_rejects = "net.server.overload_rejects",
+        /// `PEER_GET` probes received from peer shards.
+        peer_gets = "net.server.peer_gets",
+        /// `PEER_GET` probes answered from the local cache.
+        peer_hits = "net.server.peer_hits",
+        /// `PEER_PUT` offers ingested into the local cache.
+        peer_puts = "net.server.peer_puts",
+        /// `STATS_REQUEST` frames answered.
+        stats_requests = "net.server.stats_requests",
+        /// `METRICS_SCRAPE` frames answered.
+        scrape_requests = "net.server.scrape_requests",
+        /// `EVENTS_REQUEST` frames answered.
+        events_requests = "net.server.events_requests",
+        /// `RING_UPDATE` requests answered.
+        ring_updates = "net.server.ring_updates",
+        /// `MIGRATE_BEGIN` streams served (including resumed ones).
+        migrate_streams = "net.server.migrate_streams",
+        /// `MIGRATE_CHUNK` frames sent to joining shards.
+        migrate_chunks_out = "net.server.migrate_chunks_out",
+        /// `MIGRATE_BEGIN` requests refused by the exporter (epoch
+        /// mismatch or no exporter installed).
+        migrate_rejects = "net.server.migrate_rejects",
+        /// Connections closed for exceeding the idle deadline (slowloris
+        /// reaping).
+        idle_reaped = "net.server.idle_reaped",
+        /// Times a connection crossed its write-buffer limit and had its
+        /// reads paused until the peer drained.
+        backpressure_stalls = "reactor.backpressure_stalls_total",
+        /// Event-loop iterations (`epoll_wait` returns).
+        loop_iterations = "reactor.loop_iterations",
+        /// Ready events the event loop handled.
+        loop_events = "reactor.events_total",
+    }
 }
 
 /// Pre-registered wire-layer telemetry handles (the proxy's plane is
 /// shared: server and proxy report as one node).
 pub(crate) struct ServerMetrics {
-    pub(crate) frames_in: Arc<Counter>,
-    pub(crate) frames_out: Arc<Counter>,
-    pub(crate) bytes_in: Arc<Counter>,
-    pub(crate) bytes_out: Arc<Counter>,
+    pub(crate) counters: ServerCounters,
     pub(crate) live_connections: Arc<Gauge>,
-    pub(crate) overload_rejects: Arc<Counter>,
-    pub(crate) malformed: Arc<Counter>,
-    pub(crate) audit_events: Arc<Counter>,
-    pub(crate) stats_requests: Arc<Counter>,
-    pub(crate) scrape_requests: Arc<Counter>,
-    pub(crate) events_requests: Arc<Counter>,
     pub(crate) serve_ns: Arc<Histogram>,
-    pub(crate) ring_updates: Arc<Counter>,
-    pub(crate) migrate_chunks_out: Arc<Counter>,
-    pub(crate) idle_reaped: Arc<Counter>,
+    /// Every open connection, overloaded ones included.
+    pub(crate) conns_open: Arc<Gauge>,
+    pub(crate) wakeup_ns: Arc<Histogram>,
 }
 
 impl ServerMetrics {
     fn register(telemetry: &Telemetry) -> ServerMetrics {
         let r = telemetry.registry();
         ServerMetrics {
-            frames_in: r.counter("net.server.frames_in"),
-            frames_out: r.counter("net.server.frames_out"),
-            bytes_in: r.counter("net.server.bytes_in"),
-            bytes_out: r.counter("net.server.bytes_out"),
+            counters: ServerCounters::register(r),
             live_connections: r.gauge("net.server.live_connections"),
-            overload_rejects: r.counter("net.server.overload_rejects"),
-            malformed: r.counter("net.server.malformed"),
-            audit_events: r.counter("net.server.audit_events"),
-            stats_requests: r.counter("net.server.stats_requests"),
-            scrape_requests: r.counter("net.server.scrape_requests"),
-            events_requests: r.counter("net.server.events_requests"),
             serve_ns: r.histogram("net.server.serve_ns"),
-            ring_updates: r.counter("net.server.ring_updates"),
-            migrate_chunks_out: r.counter("net.server.migrate_chunks_out"),
-            idle_reaped: r.counter("net.server.idle_reaped"),
+            conns_open: r.gauge("reactor.conns_open"),
+            wakeup_ns: r.histogram("reactor.wakeup_ns"),
         }
     }
 }
@@ -262,10 +265,8 @@ pub(crate) struct Inner {
     pub(crate) proxy: Arc<Proxy>,
     pub(crate) console: Option<Arc<Mutex<AdminConsole>>>,
     pub(crate) config: ServerConfig,
-    pub(crate) stats: Mutex<ServerStats>,
     pub(crate) request_counter: AtomicU64,
     pub(crate) anon_sessions: AtomicU64,
-    pub(crate) live: AtomicUsize,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) metrics: ServerMetrics,
     pub(crate) membership: Mutex<Option<Arc<MembershipView>>>,
@@ -278,8 +279,8 @@ impl Inner {
     /// out-metrics (the single choke point every reply goes through).
     pub(crate) fn encode_counted(&self, frame: &Frame) -> Vec<u8> {
         let encoded = frame.encode();
-        self.metrics.frames_out.inc();
-        self.metrics.bytes_out.add(encoded.len() as u64);
+        self.metrics.counters.frames_out.inc();
+        self.metrics.counters.bytes_out.add(encoded.len() as u64);
         encoded
     }
 }
@@ -296,7 +297,7 @@ impl std::fmt::Debug for ProxyServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProxyServer")
             .field("addr", &self.addr)
-            .field("live", &self.inner.live.load(Ordering::Relaxed))
+            .field("live", &self.live_connections())
             .finish()
     }
 }
@@ -327,10 +328,8 @@ impl ProxyServer {
             proxy,
             console,
             config,
-            stats: Mutex::new(ServerStats::default()),
             request_counter: AtomicU64::new(0),
             anon_sessions: AtomicU64::new(1),
-            live: AtomicUsize::new(0),
             telemetry,
             metrics,
             membership: Mutex::new(None),
@@ -340,8 +339,7 @@ impl ProxyServer {
         let handler = Arc::new(NetHandler {
             inner: inner.clone(),
         });
-        let observer = Arc::new(ReactorTelemetry::register(&inner.telemetry, inner.clone()));
-        let reactor = Reactor::start(listener, handler, rconfig, observer)?;
+        let reactor = Reactor::start(listener, handler, rconfig, inner.clone())?;
         Ok(ProxyServer {
             inner,
             addr,
@@ -354,9 +352,13 @@ impl ProxyServer {
         self.addr
     }
 
-    /// Snapshot of the aggregate statistics.
+    /// This server's counts, read from its proxy's telemetry plane.
+    /// The plane outlives the server: a server bound again over the same
+    /// proxy (a restarted cluster shard) reports into it too, so these
+    /// counts span every life of that proxy's servers, the same scope
+    /// as `net.server.frames_in`.
     pub fn stats(&self) -> ServerStats {
-        *self.inner.stats.lock()
+        self.inner.metrics.counters.view()
     }
 
     /// The telemetry plane this server reports into (shared with its
@@ -365,9 +367,10 @@ impl ProxyServer {
         self.inner.telemetry.clone()
     }
 
-    /// Connections currently being served.
+    /// Connections currently being served (the
+    /// `net.server.live_connections` gauge).
     pub fn live_connections(&self) -> usize {
-        self.inner.live.load(Ordering::SeqCst)
+        self.inner.metrics.live_connections.get() as usize
     }
 
     /// Installs the membership view answering `RING_UPDATE` requests.
@@ -392,8 +395,8 @@ impl ProxyServer {
     }
 
     /// Stops accepting, closes every connection, joins the loop and its
-    /// workers, and returns the final statistics. Idempotent via
-    /// [`Drop`].
+    /// workers, and returns the final [`ProxyServer::stats`]. Idempotent
+    /// via [`Drop`].
     pub fn shutdown(mut self) -> ServerStats {
         self.shutdown_in_place();
         self.stats()
@@ -402,7 +405,9 @@ impl ProxyServer {
     fn shutdown_in_place(&mut self) {
         if let Some(r) = self.reactor.take() {
             r.shutdown();
-            debug_assert_eq!(self.inner.live.load(Ordering::SeqCst), 0);
+            // The loop thread is joined, so its last gauge update is
+            // visible; a proxy is served by one server at a time.
+            debug_assert_eq!(self.live_connections(), 0);
         }
     }
 }

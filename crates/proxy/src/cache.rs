@@ -3,8 +3,9 @@
 //! "The proxy uses a cache to avoid rewriting code shared between clients"
 //! (§3). Rewritten classes live in a bounded in-memory tier backed by an
 //! unbounded on-disk tier; §4.1.2 measures a cached fetch at 338 ms, which
-//! is the disk tier's access profile. Tier hit/miss accounting feeds the
-//! cache ablation bench.
+//! is the disk tier's access profile. The proxy counts which tier
+//! answered; the cache counts what only it sees — evictions, rejected
+//! disk loads, failed store writes — on the proxy's telemetry plane.
 //!
 //! Values are `Arc<[u8]>` end to end, so a memory-tier hit is a refcount
 //! bump, not an allocation — the same representation `MapOrigin` uses.
@@ -22,6 +23,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use dvm_store::{Store, StoreStats};
+use dvm_telemetry::Registry;
 
 use crate::md5::md5;
 
@@ -38,23 +40,22 @@ pub enum CacheTier {
     Disk,
 }
 
-/// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Memory-tier hits.
-    pub memory_hits: u64,
-    /// Disk-tier hits (promoted back to memory).
-    pub disk_hits: u64,
-    /// Misses.
-    pub misses: u64,
-    /// Evictions from memory to disk.
-    pub evictions: u64,
-    /// Disk-tier loads rejected because the stored MD5 did not match
-    /// the payload (treated as misses; the entry is purged).
-    pub disk_load_rejects: u64,
-    /// Persistent-store writes that failed (the entry stays
-    /// memory-only; the cache fails open).
-    pub store_errors: u64,
+dvm_telemetry::counters! {
+    /// Registered handles behind [`CacheStats`].
+    pub(crate) struct CacheCounters;
+    /// The counts only the cache can see, read from the owning proxy's
+    /// telemetry plane. Tier hits and misses are the proxy's
+    /// (`ProxyStats`); a peek, a fill or an export counts neither.
+    pub struct CacheStats {
+        /// Evictions from memory to disk.
+        evictions = "proxy.cache.evictions",
+        /// Disk-tier loads rejected because the stored MD5 did not match
+        /// the payload (treated as misses; the entry is purged).
+        disk_load_rejects = "proxy.cache.disk_load_rejects",
+        /// Persistent-store writes that failed (the entry stays
+        /// memory-only; the cache fails open).
+        store_errors = "proxy.cache.store_errors",
+    }
 }
 
 /// The unbounded tier: in-process (lost on kill) or store-backed
@@ -97,21 +98,20 @@ pub struct RewriteCache {
     disk: DiskTier,
     memory_capacity_bytes: usize,
     memory_bytes: usize,
-    /// Statistics.
-    pub stats: CacheStats,
+    pub(crate) counters: CacheCounters,
 }
 
 impl RewriteCache {
     /// Creates a cache with the given memory-tier capacity in bytes and
-    /// an ephemeral (in-process) disk tier.
-    pub fn new(memory_capacity_bytes: usize) -> RewriteCache {
+    /// an ephemeral (in-process) disk tier, counting on `registry`.
+    pub fn new(memory_capacity_bytes: usize, registry: &Registry) -> RewriteCache {
         RewriteCache {
             memory: HashMap::new(),
             order: VecDeque::new(),
             disk: DiskTier::Ephemeral(HashMap::new()),
             memory_capacity_bytes,
             memory_bytes: 0,
-            stats: CacheStats::default(),
+            counters: CacheCounters::register(registry),
         }
     }
 
@@ -125,11 +125,16 @@ impl RewriteCache {
             entries.sort_by(|a, b| a.0.cmp(b.0));
             for (key, value) in entries {
                 if store.put(key, &seal(value)).is_err() {
-                    self.stats.store_errors += 1;
+                    self.counters.store_errors.inc();
                 }
             }
         }
         self.disk = DiskTier::Persistent(Box::new(store));
+    }
+
+    /// This cache's evictions, rejected disk loads and store errors.
+    pub fn stats(&self) -> CacheStats {
+        self.counters.view()
     }
 
     /// Whether the disk tier survives a process kill.
@@ -164,7 +169,7 @@ impl RewriteCache {
                 let payload = unseal(&sealed);
                 if payload.is_none() {
                     let _ = store.delete(key);
-                    self.stats.disk_load_rejects += 1;
+                    self.counters.disk_load_rejects.inc();
                 }
                 payload
             }
@@ -178,7 +183,7 @@ impl RewriteCache {
             }
             DiskTier::Persistent(store) => {
                 if store.put(key, &seal(value)).is_err() {
-                    self.stats.store_errors += 1;
+                    self.counters.store_errors.inc();
                 }
             }
         }
@@ -198,23 +203,18 @@ impl RewriteCache {
             return Some((v, CacheTier::Memory));
         }
         if let Some(v) = self.disk_get(key) {
-            self.stats.disk_hits += 1;
             self.insert_memory(key.to_owned(), Arc::clone(&v));
             return Some((v, CacheTier::Disk));
         }
-        self.stats.misses += 1;
         None
     }
 
-    /// Looks up `key` in the memory tier only: a hit counts a
-    /// `memory_hits`, a miss counts nothing and never touches the disk
+    /// Looks up `key` in the memory tier only, never touching the disk
     /// tier (the caller falls back to [`get`] for that).
     ///
     /// [`get`]: RewriteCache::get
-    pub fn get_memory(&mut self, key: &str) -> Option<Arc<[u8]>> {
-        let v = Arc::clone(self.memory.get(key)?);
-        self.stats.memory_hits += 1;
-        Some(v)
+    pub fn get_memory(&self, key: &str) -> Option<Arc<[u8]>> {
+        self.memory.get(key).cloned()
     }
 
     /// Inserts a rewritten class.
@@ -288,11 +288,11 @@ impl RewriteCache {
                         (out, complete)
                     }
                     Err(_) => {
-                        self.stats.store_errors += 1;
+                        self.counters.store_errors.inc();
                         (Vec::new(), true)
                     }
                 };
-                self.stats.disk_load_rejects += rejects;
+                self.counters.disk_load_rejects.add(rejects);
                 result
             }
         }
@@ -317,7 +317,7 @@ impl RewriteCache {
             };
             if let Some(v) = self.memory.remove(&victim) {
                 self.memory_bytes -= v.len();
-                self.stats.evictions += 1;
+                self.counters.evictions.inc();
             }
         }
     }
@@ -355,6 +355,10 @@ mod tests {
 
     use dvm_store::StoreConfig;
 
+    fn cache(memory_capacity_bytes: usize) -> RewriteCache {
+        RewriteCache::new(memory_capacity_bytes, &Registry::new())
+    }
+
     fn bytes(v: Vec<u8>) -> Arc<[u8]> {
         v.into()
     }
@@ -381,28 +385,27 @@ mod tests {
 
     #[test]
     fn memory_then_disk_tiering() {
-        let mut c = RewriteCache::new(10);
+        let mut c = cache(10);
         c.put("a".into(), bytes(vec![0; 8]));
         assert_eq!(c.get("a").unwrap().1, CacheTier::Memory);
         // Inserting b (8 bytes) evicts a from memory (capacity 10).
         c.put("b".into(), bytes(vec![0; 8]));
-        assert_eq!(c.stats.evictions, 1);
+        assert_eq!(c.stats().evictions, 1);
         // a now comes from disk and is promoted.
         assert_eq!(c.get("a").unwrap().1, CacheTier::Disk);
         assert_eq!(c.get("a").unwrap().1, CacheTier::Memory);
     }
 
     #[test]
-    fn misses_are_counted() {
-        let mut c = RewriteCache::new(100);
+    fn a_miss_reads_as_none() {
+        let mut c = cache(100);
         assert!(c.get("nope").is_none());
-        assert_eq!(c.stats.misses, 1);
         assert!(c.is_empty());
     }
 
     #[test]
     fn memory_hits_share_the_allocation() {
-        let mut c = RewriteCache::new(100);
+        let mut c = cache(100);
         let v = bytes(vec![7; 32]);
         c.put("a".into(), Arc::clone(&v));
         let (hit, tier) = c.get("a").unwrap();
@@ -413,31 +416,31 @@ mod tests {
 
     #[test]
     fn put_tier_disk_keeps_memory_working_set() {
-        let mut c = RewriteCache::new(100);
+        let mut c = cache(100);
         c.put("hot".into(), bytes(vec![0; 90]));
         c.put_tier("offer".into(), bytes(vec![0; 90]), CacheTier::Disk);
         // The unsolicited offer must not evict the hot entry.
         assert_eq!(c.get("hot").unwrap().1, CacheTier::Memory);
-        assert_eq!(c.stats.evictions, 0);
+        assert_eq!(c.stats().evictions, 0);
         // The offer is present, on disk (a later get may promote it).
         assert_eq!(c.peek("offer").unwrap().1, CacheTier::Disk);
     }
 
     #[test]
     fn peek_counts_nothing_and_promotes_nothing() {
-        let mut c = RewriteCache::new(4);
+        let mut c = cache(4);
         c.put("a".into(), bytes(vec![0; 8])); // oversized: disk-only
-        let before = c.stats;
+        let before = c.stats();
         assert_eq!(c.peek("a").unwrap().1, CacheTier::Disk);
         assert!(c.peek("nope").is_none());
-        assert_eq!(c.stats, before);
+        assert_eq!(c.stats(), before);
         // Still on disk only: peek did not promote.
         assert_eq!(c.peek("a").unwrap().1, CacheTier::Disk);
     }
 
     #[test]
     fn disk_tier_is_unbounded() {
-        let mut c = RewriteCache::new(4);
+        let mut c = cache(4);
         for i in 0..50 {
             c.put(format!("k{i}"), bytes(vec![0; 8]));
         }
@@ -449,19 +452,19 @@ mod tests {
 
     #[test]
     fn fifo_eviction_order_is_exact_insertion_order() {
-        let mut c = RewriteCache::new(30);
+        let mut c = cache(30);
         c.put("first".into(), bytes(vec![0; 10]));
         c.put("second".into(), bytes(vec![0; 10]));
         c.put("third".into(), bytes(vec![0; 10]));
-        assert_eq!(c.stats.evictions, 0);
+        assert_eq!(c.stats().evictions, 0);
         // 10 more bytes: exactly one eviction, and it must be "first".
         c.put("fourth".into(), bytes(vec![0; 10]));
-        assert_eq!(c.stats.evictions, 1);
+        assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.peek("first").map(|(_, t)| t), Some(CacheTier::Disk));
         assert_eq!(c.peek("second").map(|(_, t)| t), Some(CacheTier::Memory));
         // Another: "second" goes next, never "third".
         c.put("fifth".into(), bytes(vec![0; 10]));
-        assert_eq!(c.stats.evictions, 2);
+        assert_eq!(c.stats().evictions, 2);
         assert_eq!(c.peek("second").map(|(_, t)| t), Some(CacheTier::Disk));
         assert_eq!(c.peek("third").map(|(_, t)| t), Some(CacheTier::Memory));
         assert_eq!(c.peek("fourth").map(|(_, t)| t), Some(CacheTier::Memory));
@@ -470,25 +473,29 @@ mod tests {
 
     #[test]
     fn value_exactly_at_capacity_is_admitted_alone() {
-        let mut c = RewriteCache::new(16);
+        let mut c = cache(16);
         c.put("small".into(), bytes(vec![0; 4]));
         // len == capacity: admitted, evicting the rest of the set.
         c.put("exact".into(), bytes(vec![0; 16]));
         assert_eq!(c.peek("exact").map(|(_, t)| t), Some(CacheTier::Memory));
         assert_eq!(c.peek("small").map(|(_, t)| t), Some(CacheTier::Disk));
-        assert_eq!(c.stats.evictions, 1);
+        assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.memory_resident_bytes(), 16);
     }
 
     #[test]
     fn oversized_value_goes_disk_only_without_flushing_the_working_set() {
-        let mut c = RewriteCache::new(20);
+        let mut c = cache(20);
         c.put("hot1".into(), bytes(vec![0; 8]));
         c.put("hot2".into(), bytes(vec![0; 8]));
         // 21 bytes > capacity 20: before the fix this evicted hot1 and
         // hot2 *and then itself*, leaving memory empty.
         c.put("huge".into(), bytes(vec![0; 21]));
-        assert_eq!(c.stats.evictions, 0, "oversized insert must evict nothing");
+        assert_eq!(
+            c.stats().evictions,
+            0,
+            "oversized insert must evict nothing"
+        );
         assert_eq!(c.peek("hot1").map(|(_, t)| t), Some(CacheTier::Memory));
         assert_eq!(c.peek("hot2").map(|(_, t)| t), Some(CacheTier::Memory));
         assert_eq!(c.peek("huge").map(|(_, t)| t), Some(CacheTier::Disk));
@@ -498,16 +505,17 @@ mod tests {
         assert_eq!(c.get("huge").unwrap().1, CacheTier::Disk);
         assert_eq!(c.get("huge").unwrap().1, CacheTier::Disk);
         assert_eq!(c.peek("hot1").map(|(_, t)| t), Some(CacheTier::Memory));
-        assert_eq!(c.stats.evictions, 0);
+        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn export_after_walks_both_tier_backends_in_key_order() {
         // Ephemeral backend.
-        let mut c = RewriteCache::new(8);
+        let mut c = cache(8);
         for i in 0..6 {
             c.put(format!("k{i}"), bytes(vec![i as u8; 16])); // oversized: disk-only
         }
+        let before = c.stats();
         let (page, complete) = c.export_after("", 4);
         assert!(!complete);
         let keys: Vec<&str> = page.iter().map(|(k, _)| k.as_str()).collect();
@@ -516,13 +524,12 @@ mod tests {
         assert!(complete);
         assert_eq!(page.len(), 2);
         assert_eq!(&page[1].1[..], &[5u8; 16][..]);
-        let before = c.stats;
-        assert_eq!(c.stats, before, "export touches no hit/miss accounting");
+        assert_eq!(c.stats(), before, "export counts nothing");
 
         // Persistent backend, including a corrupt entry that must be
         // skipped and purged rather than exported.
         let tmp = TempDir::new("export");
-        let mut c = RewriteCache::new(100);
+        let mut c = cache(100);
         let mut store = store_at(&tmp.0);
         let mut sealed = seal(b"rotten");
         let n = sealed.len();
@@ -535,7 +542,7 @@ mod tests {
         assert!(complete);
         let keys: Vec<&str> = page.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["a", "z"], "corrupt entry must not migrate");
-        assert_eq!(c.stats.disk_load_rejects, 1);
+        assert_eq!(c.stats().disk_load_rejects, 1);
         assert!(!c.contains("bad"), "corrupt entry purged");
     }
 
@@ -548,7 +555,7 @@ mod tests {
     #[test]
     fn attach_store_migrates_and_survives_reattach() {
         let tmp = TempDir::new("migrate");
-        let mut c = RewriteCache::new(100);
+        let mut c = cache(100);
         c.put("early".into(), bytes(b"cached before attach".to_vec()));
         c.attach_store(store_at(&tmp.0));
         assert!(c.is_persistent());
@@ -557,7 +564,7 @@ mod tests {
 
         // "Kill" the cache; a fresh one over the same dir starts warm.
         drop(c);
-        let mut c = RewriteCache::new(100);
+        let mut c = cache(100);
         c.attach_store(store_at(&tmp.0));
         assert_eq!(c.len(), 2);
         let (v, tier) = c.get("early").unwrap();
@@ -570,7 +577,7 @@ mod tests {
     #[test]
     fn corrupt_persistent_entry_is_rejected_not_served() {
         let tmp = TempDir::new("reject");
-        let mut c = RewriteCache::new(100);
+        let mut c = cache(100);
         let mut store = store_at(&tmp.0);
         // Plant an entry whose digest does not match its payload, as a
         // stale or tampered origin would.
@@ -580,8 +587,7 @@ mod tests {
         store.put("url", &sealed).unwrap();
         c.attach_store(store);
         assert!(c.get("url").is_none(), "corrupt entry must read as a miss");
-        assert_eq!(c.stats.disk_load_rejects, 1);
-        assert_eq!(c.stats.misses, 1);
+        assert_eq!(c.stats().disk_load_rejects, 1);
         // And the poisoned entry was purged, not left to fail again.
         assert_eq!(c.len(), 0);
     }

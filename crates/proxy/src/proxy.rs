@@ -15,9 +15,9 @@ use parking_lot::Mutex;
 use dvm_classfile::ClassFile;
 use dvm_netsim::CycleModel;
 use dvm_store::{Store, StoreStats};
-use dvm_telemetry::{Counter, Histogram, SpanId, Telemetry, TraceContext};
+use dvm_telemetry::{Histogram, SpanId, Telemetry, TraceContext};
 
-use crate::cache::{CacheExportPage, CacheStats, CacheTier, RewriteCache};
+use crate::cache::{CacheCounters, CacheExportPage, CacheStats, CacheTier, RewriteCache};
 use crate::filter::{FilterError, Pipeline, RequestContext};
 use crate::sign::Signer;
 
@@ -203,50 +203,50 @@ pub struct ServedResponse {
     pub processing_ns: u64,
 }
 
-/// Aggregate proxy statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProxyStats {
-    /// Requests handled.
-    pub requests: u64,
-    /// Bytes fetched from origins.
-    pub bytes_fetched: u64,
-    /// Bytes served to clients.
-    pub bytes_served: u64,
-    /// Classes rewritten (parse + pipeline + generate executed).
-    pub rewrites: u64,
-    /// Total simulated rewrite time in nanoseconds.
-    pub rewrite_ns: u64,
-    /// Requests satisfied by a peer shard's cache instead of a rewrite.
-    pub peer_fills: u64,
-    /// Rewrites offered to their home shard after completing locally.
-    pub peer_offers: u64,
-    /// IR packages compiled by the attached [`IrProducer`].
-    pub ir_compiles: u64,
-    /// `ir://` requests served from the cache.
-    pub ir_served: u64,
-    /// Cache entries ingested from a migration stream (shard join).
-    pub migrate_ingests: u64,
+dvm_telemetry::counters! {
+    /// Registered handles behind [`ProxyStats`].
+    struct ProxyCounters;
+    /// The proxy's counts, read from its telemetry plane — the only
+    /// place they live.
+    pub struct ProxyStats {
+        /// Requests handled.
+        requests = "proxy.requests",
+        /// Requests that failed.
+        errors = "proxy.errors",
+        /// Requests served from the memory tier.
+        memory_hits = "proxy.cache.hit.memory",
+        /// Requests served from the disk tier (promoted back to memory).
+        disk_hits = "proxy.cache.hit.disk",
+        /// Requests neither tier could serve.
+        misses = "proxy.cache.miss",
+        /// Requests satisfied by a peer shard's cache instead of a rewrite.
+        peer_fills = "proxy.peer.fills",
+        /// Rewrites offered to their home shard after completing locally.
+        peer_offers = "proxy.peer.offers",
+        /// Classes rewritten (parse + pipeline + generate executed).
+        rewrites = "proxy.rewrites",
+        /// Bytes fetched from origins.
+        bytes_fetched = "proxy.rewrite.bytes_in",
+        /// Bytes the rewrites produced, signature included.
+        bytes_rewritten = "proxy.rewrite.bytes_out",
+        /// IR packages compiled by the attached [`IrProducer`].
+        ir_compiles = "exec.ir.compiles",
+        /// `ir://` requests served from the cache.
+        ir_served = "exec.ir.served",
+        /// Bytes of compiled IR packages, before signing.
+        ir_bytes = "exec.ir.bytes",
+        /// Simulated cycles the IR compilations cost.
+        ir_compile_cycles = "exec.ir.compile_cycles",
+        /// Cache entries ingested from a migration stream (shard join).
+        migrate_ingests = "proxy.migrate.ingests",
+    }
 }
 
 /// Pre-registered telemetry handles for the request hot path: resolved
 /// once at wiring so recording is a relaxed atomic op, never a registry
 /// lookup.
 struct ProxyMetrics {
-    requests: Arc<Counter>,
-    errors: Arc<Counter>,
-    cache_hit_memory: Arc<Counter>,
-    cache_hit_disk: Arc<Counter>,
-    cache_miss: Arc<Counter>,
-    peer_fills: Arc<Counter>,
-    peer_offers: Arc<Counter>,
-    rewrites: Arc<Counter>,
-    rewrite_bytes_in: Arc<Counter>,
-    rewrite_bytes_out: Arc<Counter>,
-    ir_compiles: Arc<Counter>,
-    ir_served: Arc<Counter>,
-    ir_bytes: Arc<Counter>,
-    ir_compile_cycles: Arc<Counter>,
-    migrate_ingests: Arc<Counter>,
+    counters: ProxyCounters,
     request_ns: Arc<Histogram>,
     origin_fetch_ns: Arc<Histogram>,
     ir_lower_ns: Arc<Histogram>,
@@ -259,21 +259,7 @@ impl ProxyMetrics {
     fn register(telemetry: &Telemetry, pipeline: &Pipeline) -> ProxyMetrics {
         let r = telemetry.registry();
         ProxyMetrics {
-            requests: r.counter("proxy.requests"),
-            errors: r.counter("proxy.errors"),
-            cache_hit_memory: r.counter("proxy.cache.hit.memory"),
-            cache_hit_disk: r.counter("proxy.cache.hit.disk"),
-            cache_miss: r.counter("proxy.cache.miss"),
-            peer_fills: r.counter("proxy.peer.fills"),
-            peer_offers: r.counter("proxy.peer.offers"),
-            rewrites: r.counter("proxy.rewrites"),
-            rewrite_bytes_in: r.counter("proxy.rewrite.bytes_in"),
-            rewrite_bytes_out: r.counter("proxy.rewrite.bytes_out"),
-            ir_compiles: r.counter("exec.ir.compiles"),
-            ir_served: r.counter("exec.ir.served"),
-            ir_bytes: r.counter("exec.ir.bytes"),
-            ir_compile_cycles: r.counter("exec.ir.compile_cycles"),
-            migrate_ingests: r.counter("proxy.migrate.ingests"),
+            counters: ProxyCounters::register(r),
             request_ns: r.histogram("proxy.request_ns"),
             origin_fetch_ns: r.histogram("proxy.origin.fetch_ns"),
             ir_lower_ns: r.histogram("exec.lower_ns"),
@@ -308,7 +294,6 @@ pub struct Proxy {
     rewrite_cost: RewriteCost,
     peer: parking_lot::RwLock<Option<Arc<dyn PeerCache>>>,
     ir_producer: parking_lot::RwLock<Option<Arc<dyn IrProducer>>>,
-    stats: Mutex<ProxyStats>,
     telemetry: Arc<Telemetry>,
     metrics: ProxyMetrics,
 }
@@ -341,13 +326,12 @@ impl Proxy {
         Proxy {
             origin,
             pipeline,
-            cache: Mutex::new(RewriteCache::new(cache_memory_bytes)),
+            cache: Mutex::new(RewriteCache::new(cache_memory_bytes, telemetry.registry())),
             caching,
             signer,
             rewrite_cost: RewriteCost::default(),
             peer: parking_lot::RwLock::new(None),
             ir_producer: parking_lot::RwLock::new(None),
-            stats: Mutex::new(ProxyStats::default()),
             telemetry,
             metrics,
         }
@@ -387,10 +371,12 @@ impl Proxy {
 
     /// Replaces the telemetry plane (builder style). Used to rename a
     /// shard's plane (`"shard0"`, `"shard1"`, …) or to share one plane
-    /// between components that should report as one node.
+    /// between components that should report as one node. Counts taken
+    /// before the swap stay on the old plane.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Proxy {
         telemetry.recorder().set_node(telemetry.node());
         self.metrics = ProxyMetrics::register(&telemetry, &self.pipeline);
+        self.cache.get_mut().counters = CacheCounters::register(telemetry.registry());
         self.telemetry = telemetry;
         self
     }
@@ -462,8 +448,8 @@ impl Proxy {
     }
 
     /// Closes one request's bookkeeping, the same for every serve path:
-    /// `requests` and `errors`, `bytes_served` and `ir_served` (an
-    /// `ir://` url only ever succeeds from a cache or a peer), the
+    /// `requests`, `errors` and `ir_served` (an `ir://` url only ever
+    /// succeeds from a cache or a peer), the
     /// `proxy.request_ns` record and the `proxy.handle` span.
     fn finish_request(
         &self,
@@ -471,20 +457,12 @@ impl Proxy {
         url: &str,
         result: Result<ServedResponse, ProxyError>,
     ) -> Result<ServedResponse, ProxyError> {
-        let ir = url.starts_with(IR_SCHEME);
-        {
-            let mut s = self.stats.lock();
-            s.requests += 1;
-            if let Ok(r) = &result {
-                s.bytes_served += r.bytes.len() as u64;
-                s.ir_served += u64::from(ir);
-            }
-        }
-        self.metrics.requests.inc();
+        let counters = &self.metrics.counters;
+        counters.requests.inc();
         match &result {
-            Ok(_) if ir => self.metrics.ir_served.inc(),
+            Ok(_) if url.starts_with(IR_SCHEME) => counters.ir_served.inc(),
             Ok(_) => {}
-            Err(_) => self.metrics.errors.inc(),
+            Err(_) => counters.errors.inc(),
         }
         self.metrics
             .request_ns
@@ -501,11 +479,11 @@ impl Proxy {
     fn cache_hit(&self, bytes: Arc<[u8]>, tier: CacheTier) -> ServedResponse {
         let served_from = match tier {
             CacheTier::Memory => {
-                self.metrics.cache_hit_memory.inc();
+                self.metrics.counters.memory_hits.inc();
                 ServedFrom::MemoryCache
             }
             CacheTier::Disk => {
-                self.metrics.cache_hit_disk.inc();
+                self.metrics.counters.disk_hits.inc();
                 ServedFrom::DiskCache
             }
         };
@@ -528,7 +506,7 @@ impl Proxy {
             if let Some((bytes, tier)) = self.cache.lock().get(url) {
                 return Ok(self.cache_hit(bytes, tier));
             }
-            self.metrics.cache_miss.inc();
+            self.metrics.counters.misses.inc();
         }
 
         // Local miss: before paying the rewrite cost, ask the url's home
@@ -538,8 +516,7 @@ impl Proxy {
             if let Some(peer) = peer {
                 if let Some(bytes) = peer.fetch_from_home(url) {
                     let bytes: Arc<[u8]> = bytes.into();
-                    self.stats.lock().peer_fills += 1;
-                    self.metrics.peer_fills.inc();
+                    self.metrics.counters.peer_fills.inc();
                     // Hot here (a client just asked), so fill the memory
                     // tier — unlike unsolicited offers, which land on disk.
                     self.cache.lock().put_tier(
@@ -581,8 +558,10 @@ impl Proxy {
                 fetch_ns,
             );
         }
-        self.stats.lock().bytes_fetched += original.len() as u64;
-        self.metrics.rewrite_bytes_in.add(original.len() as u64);
+        self.metrics
+            .counters
+            .bytes_fetched
+            .add(original.len() as u64);
 
         // Parse once for all static services.
         let class = ClassFile::parse(&original).map_err(|e| ProxyError::Parse(e.to_string()))?;
@@ -630,13 +609,11 @@ impl Proxy {
         }
         // Charge deterministic, machine-independent processing time.
         let elapsed = self.rewrite_cost.charge_ns(original.len() as u64);
-        {
-            let mut s = self.stats.lock();
-            s.rewrites += 1;
-            s.rewrite_ns += elapsed;
-        }
-        self.metrics.rewrites.inc();
-        self.metrics.rewrite_bytes_out.add(bytes.len() as u64);
+        self.metrics.counters.rewrites.inc();
+        self.metrics
+            .counters
+            .bytes_rewritten
+            .add(bytes.len() as u64);
         let bytes: Arc<[u8]> = bytes.into();
         if self.caching {
             self.cache.lock().put(url.to_owned(), Arc::clone(&bytes));
@@ -645,8 +622,7 @@ impl Proxy {
                 // One organization-wide rewrite should populate the fleet:
                 // push the result to the url's home shard.
                 if peer.offer_to_home(url, &bytes) {
-                    self.stats.lock().peer_offers += 1;
-                    self.metrics.peer_offers.inc();
+                    self.metrics.counters.peer_offers.inc();
                 }
             }
         }
@@ -672,10 +648,10 @@ impl Proxy {
         span: Option<(dvm_telemetry::TraceId, SpanId)>,
     ) {
         let key = ir_key(served_bytes);
-        self.stats.lock().ir_compiles += 1;
-        self.metrics.ir_compiles.inc();
-        self.metrics.ir_bytes.add(product.bytes.len() as u64);
-        self.metrics.ir_compile_cycles.add(product.compile_cycles);
+        let counters = &self.metrics.counters;
+        counters.ir_compiles.inc();
+        counters.ir_bytes.add(product.bytes.len() as u64);
+        counters.ir_compile_cycles.add(product.compile_cycles);
         self.metrics.ir_lower_ns.record(lower_ns);
         if let Some((trace, parent)) = span {
             let recorder = self.telemetry.recorder();
@@ -710,21 +686,24 @@ impl Proxy {
             let peer = self.peer.read().clone();
             if let Some(peer) = peer {
                 if peer.offer_to_home(&key, &bytes) {
-                    self.stats.lock().peer_offers += 1;
-                    self.metrics.peer_offers.inc();
+                    self.metrics.counters.peer_offers.inc();
                 }
             }
         }
     }
 
-    /// Snapshot of the aggregate statistics.
+    /// This proxy's counts, read from its telemetry plane: the same
+    /// numbers `STATS_REQUEST` and `/metrics` report under their
+    /// registry names.
     pub fn stats(&self) -> ProxyStats {
-        *self.stats.lock()
+        self.metrics.counters.view()
     }
 
-    /// Snapshot of the cache statistics.
+    /// The rewrite cache's own counts (evictions, rejected disk loads,
+    /// store errors), read from this proxy's telemetry plane. Tier hits
+    /// and misses are in [`Proxy::stats`].
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().stats
+        self.cache.lock().stats()
     }
 
     /// Probes the rewrite cache without touching hit/miss accounting or
@@ -777,8 +756,7 @@ impl Proxy {
         self.cache
             .lock()
             .put_tier(url.to_owned(), bytes.into(), CacheTier::Disk);
-        self.stats.lock().migrate_ingests += 1;
-        self.metrics.migrate_ingests.inc();
+        self.metrics.counters.migrate_ingests.inc();
     }
 
     /// Backs this proxy's disk cache tier with a persistent store: what
@@ -884,24 +862,12 @@ mod tests {
         assert_eq!(hit.served_from, ServedFrom::MemoryCache);
         assert_eq!(hit.bytes, expected.bytes);
         let books = |p: &Proxy| {
-            let s = p.stats();
             let m = p.telemetry().registry().snapshot();
-            let counters = [
-                "proxy.requests",
-                "proxy.errors",
-                "proxy.cache.hit.memory",
-                "proxy.cache.hit.disk",
-                "proxy.cache.miss",
-            ]
-            .map(|c| m.counter(c));
             let handled = m.histograms.get("proxy.request_ns").map(|h| h.count);
-            (s.requests, s.bytes_served, s.ir_served, counters, handled)
+            (p.stats(), handled)
         };
         assert_eq!(books(&probed), books(&full));
-        assert_eq!(
-            probed.cache_stats().memory_hits,
-            full.cache_stats().memory_hits
-        );
+        assert_eq!(probed.stats().memory_hits, 1);
 
         let uncached = make(false);
         uncached.handle_request("u", &ctx).unwrap();
@@ -1078,13 +1044,14 @@ mod tests {
             true,
             None,
         );
+        let before = (proxy.stats(), proxy.cache_stats());
         assert!(proxy.cache_peek("u").is_none());
         proxy.cache_fill("u", vec![1, 2, 3], crate::cache::CacheTier::Disk);
         let (bytes, tier) = proxy.cache_peek("u").unwrap();
         assert_eq!(&bytes[..], &[1, 2, 3][..]);
         assert_eq!(tier, crate::cache::CacheTier::Disk);
         // Peer traffic leaves the local hit/miss accounting untouched.
-        assert_eq!(proxy.cache_stats(), crate::cache::CacheStats::default());
+        assert_eq!((proxy.stats(), proxy.cache_stats()), before);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!   [`Gauge`]s, and log-linear-bucket latency [`Histogram`]s. The hot
 //!   path touches only relaxed atomics on pre-registered handles;
 //!   snapshots quantize into p50/p90/p99 and merge across processes so a
-//!   fleet of shards reports as one service.
+//!   fleet of shards reports as one service. The [`counters!`] macro
+//!   declares a component's counters once — field and registry name
+//!   side by side — and yields both the handles it bumps and the typed
+//!   `*Stats` view its callers read, so the registry is the only place
+//!   a count lives.
 //! - [`trace`] — distributed request tracing: a [`TraceId`]/[`SpanId`]
 //!   context born at the client rides the wire protocol's frames, and
 //!   every layer records [`Span`]s (client fetch → shard route →

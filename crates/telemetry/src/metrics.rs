@@ -374,6 +374,66 @@ impl Registry {
     }
 }
 
+/// Declares a set of registry counters once and yields two structs: a
+/// handle struct of `Arc<Counter>`s with `register(&Registry)` and
+/// `view()`, and a `Copy` view of plain `u64` fields read from those
+/// handles. Each entry names its field and its registry name together,
+/// so a view cannot read the wrong counter and no counter can be left
+/// out of its view.
+///
+/// ```
+/// dvm_telemetry::counters! {
+///     /// Handles behind [`DemoStats`].
+///     pub struct DemoCounters;
+///     /// What the demo did.
+///     pub struct DemoStats {
+///         /// Requests handled.
+///         requests = "demo.requests",
+///     }
+/// }
+/// let registry = dvm_telemetry::Registry::new();
+/// let counters = DemoCounters::register(&registry);
+/// counters.requests.inc();
+/// assert_eq!(counters.view(), DemoStats { requests: 1 });
+/// assert_eq!(registry.snapshot().counter("demo.requests"), 1);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$handles_meta:meta])*
+        $handles_vis:vis struct $handles:ident;
+        $(#[$view_meta:meta])*
+        $view_vis:vis struct $view:ident {
+            $( $(#[$field_meta:meta])* $field:ident = $name:literal, )*
+        }
+    ) => {
+        $(#[$handles_meta])*
+        #[derive(Debug, Clone)]
+        $handles_vis struct $handles {
+            $( $(#[$field_meta])* $handles_vis $field: ::std::sync::Arc<$crate::Counter>, )*
+        }
+
+        impl $handles {
+            /// Resolves every handle on `registry`, creating the
+            /// counters that do not exist yet.
+            $handles_vis fn register(registry: &$crate::Registry) -> $handles {
+                $handles { $( $field: registry.counter($name), )* }
+            }
+
+            /// Reads every counter into the typed view.
+            $handles_vis fn view(&self) -> $view {
+                $view { $( $field: self.$field.get(), )* }
+            }
+        }
+
+        $(#[$view_meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $view_vis struct $view {
+            $( $(#[$field_meta])* pub $field: u64, )*
+        }
+    };
+}
+
 /// A point-in-time view of a whole [`Registry`], mergeable across nodes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {

@@ -304,6 +304,6 @@ mod tests {
         watch.tick_at(SEC);
         assert!((watch.rate("reqs", SEC) - 50.0).abs() < 1e-9);
         let p99 = watch.quantile("lat", 0.99, SEC);
-        assert!(p99 >= 9_000 && p99 <= 11_000, "p99 {p99}");
+        assert!((9_000..=11_000).contains(&p99), "p99 {p99}");
     }
 }

@@ -112,7 +112,7 @@ fn killing_one_of_three_shards_mid_run_loses_no_client() {
         })
         .collect();
 
-    std::thread::scope(|scope| {
+    let dead = std::thread::scope(|scope| {
         let handles: Vec<_> = clients
             .drain(..)
             .enumerate()
@@ -151,6 +151,7 @@ fn killing_one_of_three_shards_mid_run_loses_no_client() {
                 );
             }
         }
+        dead
     });
 
     // Signing was on and every load verified (a bad signature fails the
@@ -172,6 +173,24 @@ fn killing_one_of_three_shards_mid_run_loses_no_client() {
             dvm_repro::jvm::Completion::Normal(_)
         ));
     }
+
+    // A restarted shard's server reports into the plane its first life
+    // used, so its stats count both lives.
+    cluster.restart_shard(1).unwrap();
+    let url = format!("class://{}", applets[0].classes[0].name().unwrap());
+    let mut direct = NetClassProvider::new(
+        cluster.addrs()[1],
+        hello("after-restart"),
+        org_signer(),
+        NetConfig::default(),
+    )
+    .unwrap();
+    direct.fetch(&url).unwrap();
+    direct.close();
+    let both_lives = cluster.shard_stats(1).unwrap();
+    assert!(both_lives.requests > dead.requests);
+    let plane = cluster.shard_telemetry(1).unwrap().registry().snapshot();
+    assert_eq!(both_lives.requests, plane.counter("net.server.requests"));
     cluster.shutdown();
 }
 

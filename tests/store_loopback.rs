@@ -4,15 +4,17 @@
 //! along in memory — and must serve the previously rewritten classes
 //! from the disk tier, byte-identical, with **zero** re-rewrites.
 
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dvm_repro::cluster::ClusterOptions;
 use dvm_repro::core::{CostModel, Organization, ServiceConfig};
-use dvm_repro::net::{Hello, NetClassProvider, NetConfig};
+use dvm_repro::net::{fetch_stats, Hello, NetClassProvider, NetConfig};
 use dvm_repro::proxy::md5::md5;
 use dvm_repro::proxy::{ServedFrom, Signer};
 use dvm_repro::security::Policy;
+use dvm_repro::store::{Store, StoreConfig};
 use dvm_repro::workload::{corpus, Applet};
 
 struct TempDir(PathBuf);
@@ -76,6 +78,17 @@ fn hello(user: &str) -> Hello {
     }
 }
 
+/// A signed-fetch client of the shard at `addr`.
+fn client_of(addr: SocketAddr, user: &str) -> NetClassProvider {
+    NetClassProvider::new(
+        addr,
+        hello(user),
+        Some(Signer::new(b"dvm-org-key")),
+        NetConfig::default(),
+    )
+    .unwrap()
+}
+
 fn class_urls(applets: &[Applet]) -> Vec<String> {
     applets
         .iter()
@@ -102,13 +115,7 @@ fn restarted_shard_serves_rewrites_from_disk_with_zero_rewrites() {
         let cluster = org
             .serve_cluster_persistent(1, ClusterOptions::default(), &dir.0)
             .unwrap();
-        let mut provider = NetClassProvider::new(
-            cluster.addrs()[0],
-            hello("life1"),
-            Some(Signer::new(b"dvm-org-key")),
-            NetConfig::default(),
-        )
-        .unwrap();
+        let mut provider = client_of(cluster.addrs()[0], "life1");
         for url in &urls {
             let (bytes, transfer) = provider.fetch(url).unwrap();
             assert_eq!(transfer.served_from, ServedFrom::Rewritten);
@@ -134,13 +141,7 @@ fn restarted_shard_serves_rewrites_from_disk_with_zero_rewrites() {
         urls.len()
     );
 
-    let mut provider = NetClassProvider::new(
-        cluster.addrs()[0],
-        hello("life2"),
-        Some(Signer::new(b"dvm-org-key")),
-        NetConfig::default(),
-    )
-    .unwrap();
+    let mut provider = client_of(cluster.addrs()[0], "life2");
     for (url, first) in urls.iter().zip(&first_payloads) {
         let (bytes, transfer) = provider.fetch(url).unwrap();
         assert_eq!(
@@ -162,6 +163,37 @@ fn restarted_shard_serves_rewrites_from_disk_with_zero_rewrites() {
     );
     assert_eq!(cluster.proxy(0).cache_stats().disk_load_rejects, 0);
     provider.close();
+    cluster.shutdown();
+}
+
+/// A persistent entry whose bytes no longer match their digest is
+/// rejected and re-rewritten, and the rejection is visible to anyone
+/// who pulls the shard's stats over the wire.
+#[test]
+fn a_corrupt_disk_entry_is_rejected_and_counted_on_the_stats_plane() {
+    let dir = TempDir::new();
+    let applets = small_applets(19, 1);
+    let url = class_urls(&applets).remove(0);
+    // The store's own checksum covers what was written, so only the
+    // cache's digest check can tell this entry is wrong.
+    let mut store = Store::open(dir.0.join("shard0"), StoreConfig::default()).unwrap();
+    store
+        .put(&url, &[[0; 16].as_slice(), b"stale"].concat())
+        .unwrap();
+    store.flush().unwrap();
+    drop(store);
+
+    let org = org_over(&applets);
+    let cluster = org
+        .serve_cluster_persistent(1, ClusterOptions::default(), &dir.0)
+        .unwrap();
+    let (_, transfer) = client_of(cluster.addrs()[0], "corrupt")
+        .fetch(&url)
+        .unwrap();
+    assert_eq!(transfer.served_from, ServedFrom::Rewritten);
+    let console = hello("console");
+    let report = fetch_stats(cluster.addrs()[0], console, NetConfig::default(), false).unwrap();
+    assert_eq!(report.metrics.counter("proxy.cache.disk_load_rejects"), 1);
     cluster.shutdown();
 }
 
@@ -189,13 +221,7 @@ fn peer_offers_survive_a_cluster_restart_on_the_home_shard() {
             .find(|u| cluster.ring().home(u) == Some(0))
             .expect("some URL homes at shard 0")
             .clone();
-        let mut provider = NetClassProvider::new(
-            cluster.addrs()[1],
-            hello("via-peer"),
-            Some(Signer::new(b"dvm-org-key")),
-            NetConfig::default(),
-        )
-        .unwrap();
+        let mut provider = client_of(cluster.addrs()[1], "via-peer");
         let (bytes, _) = provider.fetch(&url).unwrap();
         provider.close();
         assert_eq!(
@@ -221,13 +247,7 @@ fn peer_offers_survive_a_cluster_restart_on_the_home_shard() {
     // from its recovered store.
     let org = org_over(&applets);
     let cluster = org.serve_cluster_persistent(2, opts(), &dir.0).unwrap();
-    let mut provider = NetClassProvider::new(
-        cluster.addrs()[0],
-        hello("home-direct"),
-        Some(Signer::new(b"dvm-org-key")),
-        NetConfig::default(),
-    )
-    .unwrap();
+    let mut provider = client_of(cluster.addrs()[0], "home-direct");
     let (bytes, transfer) = provider.fetch(&url).unwrap();
     assert_eq!(
         transfer.served_from,
