@@ -1,12 +1,11 @@
 //! Substrate micro-benchmarks: the building blocks every service rides
 //! on — class-file parse/serialize, bytecode decode/encode, interpreter
-//! throughput, MD5, and the network compiler.
+//! throughput, and MD5.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use dvm_bytecode::Code;
 use dvm_classfile::ClassFile;
-use dvm_compiler::{NetworkCompiler, Target};
 use dvm_jvm::{MapProvider, Vm};
 use dvm_proxy::md5::md5;
 use dvm_workload::{figure5_apps, generate};
@@ -90,25 +89,11 @@ fn bench_md5(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_compiler(c: &mut Criterion) {
-    let (classes, _) = sample();
-    let mut group = c.benchmark_group("compiler");
-    group.sample_size(20);
-    group.bench_function("compile_class_x86", |b| {
-        b.iter(|| {
-            let mut nc = NetworkCompiler::new();
-            std::hint::black_box(nc.compile(&classes[1], Target::X86).unwrap());
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_classfile,
     bench_bytecode,
     bench_interpreter,
-    bench_md5,
-    bench_compiler
+    bench_md5
 );
 criterion_main!(benches);

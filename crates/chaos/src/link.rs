@@ -1,5 +1,5 @@
 //! `ChaosLink`: a byte-level TCP man-in-the-middle that injects a seeded
-//! [`ChaosSchedule`](crate::ChaosSchedule) into a live connection.
+//! [`ChaosSchedule`] into a live connection.
 //!
 //! The link binds its own loopback socket; clients connect to it instead
 //! of the real server, and every accepted connection is paired with an
@@ -55,7 +55,7 @@ pub struct LinkStats {
     pub bytes_forwarded: u64,
     /// Faults injected, by fault name.
     pub faults: BTreeMap<&'static str, u64>,
-    /// The first [`MAX_EVENTS`] injected faults, in injection order per
+    /// The first `MAX_EVENTS` injected faults, in injection order per
     /// stream (cross-stream order is scheduling-dependent; compare as a
     /// set when asserting determinism).
     pub events: Vec<FaultEvent>,

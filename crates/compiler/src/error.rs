@@ -2,36 +2,22 @@
 
 use std::fmt;
 
-use dvm_bytecode::BytecodeError;
 use dvm_classfile::ClassFileError;
 
-/// Errors raised by translation or lowering.
+/// Errors raised by [`crate::ExecCompiler::compile`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
-    /// Operand-stack inconsistency (code should have been verified first).
-    BadStack {
-        /// Bytecode instruction index.
-        at: usize,
-        /// Explanation.
-        reason: String,
-    },
-    /// A construct the compiler does not translate.
+    /// A class the IR tier could not lower.
     Unsupported(String),
     /// Underlying class-file error.
     ClassFile(ClassFileError),
-    /// Underlying bytecode error.
-    Bytecode(BytecodeError),
 }
 
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompileError::BadStack { at, reason } => {
-                write!(f, "stack inconsistency at instruction {at}: {reason}")
-            }
             CompileError::Unsupported(what) => write!(f, "unsupported construct: {what}"),
             CompileError::ClassFile(e) => write!(f, "{e}"),
-            CompileError::Bytecode(e) => write!(f, "{e}"),
         }
     }
 }
@@ -41,12 +27,6 @@ impl std::error::Error for CompileError {}
 impl From<ClassFileError> for CompileError {
     fn from(e: ClassFileError) -> Self {
         CompileError::ClassFile(e)
-    }
-}
-
-impl From<BytecodeError> for CompileError {
-    fn from(e: BytecodeError) -> Self {
-        CompileError::Bytecode(e)
     }
 }
 

@@ -1,13 +1,12 @@
-//! Proxy-side compilation service for the optimizing execution tier.
+//! The network compiler service: the optimizing execution tier's
+//! proxy side.
 //!
-//! Where [`crate::service::NetworkCompiler`] models the paper's §3.4
-//! per-platform native compiler, this service feeds the *portable*
-//! register-IR tier (`dvm-exec`): it parses a served class, lowers and
-//! optimizes every method, and returns the wire-encoded IR package the
-//! client VM installs next to the class. Results are cached per rewrite
-//! signature — the MD5 the proxy already computes over the signed served
-//! payload — so one compilation is amortized across every client in the
-//! organization that fetches the same rewrite.
+//! It parses a served class, lowers and optimizes every method onto the
+//! portable register-IR tier (`dvm-exec`), and returns the wire-encoded
+//! IR package the client VM installs next to the class. Results are
+//! cached per rewrite signature — the MD5 the proxy already computes over
+//! the signed served payload — so one compilation is amortized across
+//! every client in the organization that fetches the same rewrite.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,10 +16,9 @@ use dvm_exec::{compile_class, encode, PassStats};
 
 use crate::error::{CompileError, Result};
 
-/// Simulated cycles charged per emitted IR instruction. The pass
-/// pipeline is cheaper than full native lowering (no register allocation
-/// or scheduling), so this sits well below
-/// [`crate::service::COMPILE_CYCLES_PER_INSN`].
+/// Simulated cycles charged per emitted IR instruction: lowering plus
+/// the pass pipeline, with no register allocation or instruction
+/// scheduling, since the client executes the IR rather than native code.
 pub const IR_COMPILE_CYCLES_PER_INSN: u64 = 600;
 
 /// A compiled IR package, ready to serve alongside its class.
@@ -99,11 +97,6 @@ impl ExecCompiler {
         self.stats.methods_skipped += cs.skipped as u64;
         self.cache.insert(signature.to_owned(), pkg.clone());
         Ok(pkg)
-    }
-
-    /// Looks up a package without compiling.
-    pub fn get(&self, signature: &str) -> Option<Arc<IrPackage>> {
-        self.cache.get(signature).cloned()
     }
 
     /// Seeds the cache with a package recovered from the persistent tier

@@ -2,26 +2,19 @@
 //!
 //! Client-side JIT compilers work under time and memory pressure and
 //! "typically do not perform aggressive optimizations"; the DVM moves
-//! compilation into the network, where it is performed ahead of time per
-//! client native format (learned from the monitoring handshake) and
-//! amortized across the organization via an image cache.
+//! compilation into the network, where it is performed once per served
+//! class and amortized across the organization via a cache.
 //!
-//! Pipeline: decode bytecode → [`translate`] to a register IR →
-//! [`opt::optimize`] (constant folding, copy propagation, dead-code
-//! elimination) → [`target::lower`] to a simulated x86 or Alpha image.
+//! The compiler is the IR tier: `dvm-exec` lowers each method of a
+//! rewritten class to a register IR and runs its pass pipeline (service
+//! inlining, constant folding, copy propagation, dead-code elimination);
+//! [`ExecCompiler`] wraps that in a per-signature cache and serves the
+//! wire-encoded result as the class's `ir://` package. The client's
+//! native format, learned from the monitoring handshake, is recorded by
+//! the console but not consumed: every client runs the same portable IR.
 
 pub mod error;
 pub mod exec_service;
-pub mod ir;
-pub mod opt;
-pub mod service;
-pub mod target;
-pub mod translate;
 
 pub use error::{CompileError, Result};
 pub use exec_service::{ExecCompiler, ExecCompilerStats, IrPackage, IR_COMPILE_CYCLES_PER_INSN};
-pub use ir::{BinOp, Cond, IrBody, IrConst, IrInsn, Reg};
-pub use opt::{optimize, OptStats};
-pub use service::{ClassImage, CompilerStats, NetworkCompiler};
-pub use target::{lower, NativeMethod, Target};
-pub use translate::translate as translate_method;

@@ -265,7 +265,7 @@ impl DvmClient {
     }
 
     /// Builds a client whose classes arrive over a live socket: the same
-    /// wiring as [`DvmClient::wire`], but the provider is a
+    /// wiring as `DvmClient::wire`, but the provider is a
     /// [`NetClassProvider`] talking to a `ProxyServer`. The provider has
     /// already verified signatures; a transfer hook feeds the same
     /// [`TransferRecord`] accounting the in-process path uses.

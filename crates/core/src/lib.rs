@@ -4,10 +4,11 @@
 //! [`Organization`] hosts the centralized static services (verification,
 //! security, auditing, profiling) as a filter pipeline on a transparent
 //! code proxy, plus the security server, administration console, and
-//! network compiler; [`DvmClient`]s fetch all code through the proxy and
-//! run the small dynamic service components locally; the
-//! [`MonolithicClient`] baseline performs every service on the client, as
-//! the systems the paper compares against did.
+//! network compiler (the IR tier: `dvm_compiler::ExecCompiler` compiles
+//! each rewritten class once into an `ir://` package); [`DvmClient`]s
+//! fetch all code through the proxy and run the small dynamic service
+//! components locally; the [`MonolithicClient`] baseline performs every
+//! service on the client, as the systems the paper compares against did.
 //!
 //! # Examples
 //!

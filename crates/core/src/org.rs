@@ -6,7 +6,7 @@ use parking_lot::Mutex;
 
 use dvm_classfile::ClassFile;
 use dvm_cluster::{ClusterClassProvider, ClusterClientConfig, ClusterOptions, ProxyCluster};
-use dvm_compiler::{ExecCompiler, ExecCompilerStats, NetworkCompiler};
+use dvm_compiler::{ExecCompiler, ExecCompilerStats};
 use dvm_membership::{MembershipOptions, MembershipPlane};
 use dvm_monitor::{
     AdminConsole, AuditSink, ClientDescription, ConsoleSink, ProfileMode, SiteTable,
@@ -29,7 +29,8 @@ use crate::filters::{
 
 /// An organization running a distributed virtual machine: centralized
 /// static services on a proxy, a security server, an administration
-/// console, a network compiler, and any number of clients.
+/// console, the network compiler (the IR tier's shared
+/// [`ExecCompiler`], when enabled), and any number of clients.
 pub struct Organization {
     /// The code proxy hosting the static service pipeline.
     pub proxy: Arc<Proxy>,
@@ -39,8 +40,6 @@ pub struct Organization {
     pub console: Arc<Mutex<AdminConsole>>,
     /// Instrumentation site table shared by rewriters and clients.
     pub sites: Arc<Mutex<SiteTable>>,
-    /// The centralized network compiler.
-    pub compiler: Mutex<NetworkCompiler>,
     /// Aggregated static-service statistics.
     pub service_stats: Arc<Mutex<StaticServiceStats>>,
     policy: Arc<Mutex<Policy>>,
@@ -202,7 +201,6 @@ impl Organization {
             security,
             console: Arc::new(Mutex::new(AdminConsole::new())),
             sites,
-            compiler: Mutex::new(NetworkCompiler::new()),
             service_stats,
             policy,
             signer,
@@ -295,27 +293,6 @@ impl Organization {
     /// Read access to the policy.
     pub fn policy(&self) -> Arc<Mutex<Policy>> {
         self.policy.clone()
-    }
-
-    /// §3.4 ahead-of-time compilation: translates `classes` for every
-    /// native format that clients have declared in their handshakes,
-    /// returning the number of images now cached. Repeat calls (and
-    /// additional clients with the same format) are served from the image
-    /// cache — the amortization the paper's network compiler exists for.
-    pub fn compile_for_known_formats(&self, classes: &[ClassFile]) -> dvm_compiler::Result<u64> {
-        let formats = self.console.lock().native_formats();
-        let mut compiler = self.compiler.lock();
-        let mut images = 0;
-        for f in formats {
-            let Some(target) = dvm_compiler::Target::from_format(&f) else {
-                continue;
-            };
-            for cf in classes {
-                compiler.compile(cf, target)?;
-                images += 1;
-            }
-        }
-        Ok(images)
     }
 
     /// Creates a new DVM client for `user` running code as `principal`.

@@ -273,39 +273,6 @@ fn profiling_service_collects_first_use_graph() {
 }
 
 #[test]
-fn network_compiler_serves_handshake_formats_ahead_of_time() {
-    let app = generate(&small_spec());
-    let orgn = Organization::new(
-        &app.classes,
-        Policy::parse(example_policy()).unwrap(),
-        ServiceConfig::dvm(),
-        CostModel::default(),
-    )
-    .unwrap();
-    // Two clients handshake (both declare the x86 native format).
-    let _c1 = orgn.client("alice", "applets").unwrap();
-    let _c2 = orgn.client("bob", "applets").unwrap();
-    let images = orgn.compile_for_known_formats(&app.classes).unwrap();
-    assert_eq!(
-        images as usize,
-        app.classes.len(),
-        "one image per class per format"
-    );
-    let stats = orgn.compiler.lock().stats;
-    assert_eq!(stats.compilations as usize, app.classes.len());
-    // A later client with the same format costs nothing: all cache hits.
-    let again = orgn.compile_for_known_formats(&app.classes).unwrap();
-    assert_eq!(again, images);
-    let stats = orgn.compiler.lock().stats;
-    assert_eq!(
-        stats.compilations as usize,
-        app.classes.len(),
-        "no recompilation"
-    );
-    assert!(stats.cache_hits as usize >= app.classes.len());
-}
-
-#[test]
 fn null_proxy_configuration_leaves_code_unserviced() {
     // The monolithic measurement configuration: the proxy forwards code
     // without transformation and no central services run.

@@ -4,7 +4,7 @@
 //! rewrite signature, so the format must round-trip exactly and decode
 //! defensively: the bytes cross the network and the disk tier, and a
 //! corrupt or hostile package must yield a typed
-//! [`ExecError::BadPackage`](crate::ExecError::BadPackage), never a
+//! [`ExecError::BadPackage`], never a
 //! panic. Decoding validates every register index against `num_regs` and
 //! every branch target against the instruction count, so a decoded
 //! function is safe to execute without re-validation.

@@ -7,12 +7,10 @@
 //! and write registers directly — there is no operand stack at run
 //! time — and branch targets are IR instruction indices.
 //!
-//! Unlike `dvm-compiler`'s symbolic IR (whose memory and call operands
-//! are display strings for the simulated native backends), this IR is
-//! executable: member accesses carry constant-pool indices that the
-//! execution tier resolves through the same runtime caches as the
-//! interpreter, and the injected dynamic-service stubs are first-class
-//! [`RInsn::Service`] intrinsics after inlining.
+//! The IR is executable: member accesses carry constant-pool indices
+//! that the execution tier resolves through the same runtime caches as
+//! the interpreter, and the injected dynamic-service stubs are
+//! first-class [`RInsn::Service`] intrinsics after inlining.
 
 use dvm_bytecode::insn::{AKind, ArithOp, ICond, LogicOp, NumKind, NumType, ShiftOp};
 
@@ -879,6 +877,19 @@ mod tests {
         assert_eq!(targets(&i), vec![9, 1, 2]);
         i.map_targets(|t| t + 5);
         assert_eq!(targets(&i), vec![14, 6, 7]);
+    }
+
+    #[test]
+    fn conditional_branches_fall_through_and_exits_do_not() {
+        let branch = RInsn::If {
+            cond: ICond::Lt,
+            a: VReg(0),
+            b: None,
+            target: 9,
+        };
+        assert!(branch.can_fall_through());
+        assert!(!RInsn::Goto { target: 9 }.can_fall_through());
+        assert!(!RInsn::Return { src: None }.can_fall_through());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! bytecode into a register IR ([`ir`]), optimizes it with a real pass
 //! pipeline ([`passes`] — service-stub inlining, constant folding, copy
 //! propagation, liveness dead-code elimination), and serializes the
-//! result into cacheable packages ([`encode`]) that the proxy keys by
-//! rewrite signature and ships to clients alongside the rewritten class.
+//! result into cacheable packages ([`encode`](mod@encode)) that the
+//! proxy keys by rewrite signature and ships to clients alongside the
+//! rewritten class.
 //!
 //! The executor itself lives in `dvm-jvm` (it needs the heap, the class
 //! registry, and the dynamic services); this crate is deliberately

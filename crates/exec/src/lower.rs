@@ -1,13 +1,12 @@
 //! Abstract-stack → register lowering.
 //!
 //! Verified bytecode reaches every instruction with one fixed
-//! operand-stack *shape*, so lowering runs the same two-pass dataflow as
-//! the network compiler's translator: pass 1 computes the shape (which
-//! slots hold wide values) at every reachable instruction, erroring on
-//! merge disagreement; pass 2 emits register instructions, with stack
-//! slot `d` living in register `max_locals + d`. Exception handlers
-//! enter with the thrown reference at stack depth 0 — register
-//! `max_locals`.
+//! operand-stack *shape*, so lowering is a two-pass dataflow: pass 1
+//! computes the shape (which slots hold wide values) at every reachable
+//! instruction, erroring on merge disagreement; pass 2 emits register
+//! instructions, with stack slot `d` living in register
+//! `max_locals + d`. Exception handlers enter with the thrown reference
+//! at stack depth 0 — register `max_locals`.
 //!
 //! Lowering allocates per method, never per instruction: the entry
 //! shapes of all instructions share one buffer, both passes transfer
@@ -884,6 +883,35 @@ mod tests {
                 imm: 5
             }
         );
+    }
+
+    #[test]
+    fn calls_collect_arguments() {
+        let mut pool = ConstPool::new();
+        let m = pool.methodref("F", "f", "(IJ)D").unwrap();
+        let mut a = Asm::new(4);
+        a.iload(0).lload(1);
+        a.invokestatic(m);
+        a.raw(Insn::Pop2);
+        a.ret();
+        let code = a.finish().unwrap();
+        let f = lower(&code, &pool, "c", "()V").unwrap();
+        let call = f
+            .insns
+            .iter()
+            .find_map(|op| match op {
+                RInsn::Invoke {
+                    kind,
+                    idx,
+                    args,
+                    dst,
+                } => Some((*kind, *idx, args.len(), dst.is_some())),
+                _ => None,
+            })
+            .unwrap();
+        // The wide `long` argument takes one register, and the `double`
+        // result gets one.
+        assert_eq!(call, (InvokeKind::Static, m, 2, true));
     }
 
     #[test]

@@ -916,6 +916,56 @@ mod tests {
     }
 
     #[test]
+    fn folding_stops_at_block_boundaries() {
+        // 0: r1 = 2; 1: if r0 == 0 goto 3; 2: r1 = 9; 3: r2 = 1;
+        // 4: r3 = r1 + r2. Index 3 is reached from 1 and 2, so r1 is not
+        // a known constant there: only r2 folds, into an immediate.
+        let mut f = func(
+            vec![
+                RInsn::Const {
+                    dst: VReg(1),
+                    v: RConst::Int(2),
+                },
+                RInsn::If {
+                    cond: dvm_bytecode::insn::ICond::Eq,
+                    a: VReg(0),
+                    b: None,
+                    target: 3,
+                },
+                RInsn::Const {
+                    dst: VReg(1),
+                    v: RConst::Int(9),
+                },
+                RInsn::Const {
+                    dst: VReg(2),
+                    v: RConst::Int(1),
+                },
+                RInsn::Arith {
+                    kind: NumKind::Int,
+                    op: ArithOp::Add,
+                    dst: VReg(3),
+                    a: VReg(1),
+                    b: VReg(2),
+                },
+                RInsn::Return { src: Some(VReg(3)) },
+            ],
+            1,
+            4,
+        );
+        let lead = leaders(&f.insns);
+        assert_eq!(fold_constants(&mut f, &lead), 1);
+        assert_eq!(
+            f.insns[4],
+            RInsn::ArithImm {
+                op: ArithOp::Add,
+                dst: VReg(3),
+                src: VReg(1),
+                imm: 1
+            }
+        );
+    }
+
+    #[test]
     fn dce_repairs_branch_targets() {
         // 0: dead const; 1: goto 3; 2: dead const (unreachable but kept
         // shape-wise); 3: return.

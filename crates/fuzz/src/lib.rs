@@ -10,10 +10,10 @@
 //! the starting population of a mutation-based search guided by
 //! hand-planted edge-coverage probes:
 //!
-//! * [`cov`] — the probe side: a [`cov!`] macro that target crates
-//!   plant at decode branches, recording edges (probe-pair transitions)
-//!   into a fixed global map. Feature-gated: without the `probes`
-//!   feature every probe compiles to an empty inlined function.
+//! * [`cov`](mod@cov) — the probe side: a [`cov!`] macro that target
+//!   crates plant at decode branches, recording edges (probe-pair
+//!   transitions) into a fixed global map. Feature-gated: without the
+//!   `probes` feature every probe compiles to an empty inlined function.
 //! * [`rng`] — a tiny deterministic SplitMix64 generator; every run is
 //!   a pure function of its seed.
 //! * [`mutate`] — the seeded mutation engine: bit/byte flips, chunk

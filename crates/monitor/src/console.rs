@@ -41,7 +41,8 @@ pub struct ClientDescription {
     pub user: String,
     /// Hardware description, e.g. `"x86/200MHz/64MB"`.
     pub hardware: String,
-    /// The client's native code format (consumed by the network compiler).
+    /// The client's native code format. Recorded, not consumed: the
+    /// network compiler ships one portable IR to every client.
     pub native_format: String,
     /// JVM implementation version string.
     pub jvm_version: String,
@@ -186,8 +187,8 @@ impl AdminConsole {
         &self.usage_enter
     }
 
-    /// Distinct native formats across sessions (drives ahead-of-time
-    /// compilation targets, §3.4).
+    /// Distinct native formats across sessions: the targets a §3.4
+    /// per-format compiler would serve.
     pub fn native_formats(&self) -> Vec<String> {
         let mut v: Vec<String> = self
             .sessions

@@ -133,7 +133,8 @@ pub struct Hello {
     pub principal: String,
     /// Hardware description, e.g. `"x86/200MHz/64MB"`.
     pub hardware: String,
-    /// Native code format for the network compiler.
+    /// Native code format, recorded by the console; the network
+    /// compiler ships one portable IR regardless.
     pub native_format: String,
     /// JVM implementation version string.
     pub jvm_version: String,

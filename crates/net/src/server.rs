@@ -6,7 +6,7 @@
 //! loop thread owns every connection and answers memory-tier hits
 //! itself, and a bounded worker pool executes the requests that may
 //! block (`crate::reactor_server`), with the protocol itself in
-//! [`crate::protocol`].
+//! `crate::protocol`.
 //!
 //! `AUDIT_EVENT` frames from clients are ingested straight into the
 //! shared `AdminConsole`, so the paper's remote administration console

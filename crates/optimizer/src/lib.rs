@@ -10,14 +10,12 @@
 //! times over arbitrary links (Figures 11 and 12).
 
 pub mod error;
-pub mod ir_pipeline;
 pub mod profile_model;
 pub mod service;
 pub mod splitter;
 pub mod startup;
 
 pub use error::{OptimizerError, Result};
-pub use ir_pipeline::{optimize_class_ir, MethodOptReport, PipelineReport};
 pub use profile_model::{AppProfile, ClassProfile, MethodProfile};
 pub use service::{repartition_app, ColdPolicy, RepartitionStats};
 pub use splitter::{remap_code, split_class, SplitClass};

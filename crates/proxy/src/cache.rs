@@ -10,7 +10,7 @@
 //! Values are `Arc<[u8]>` end to end, so a memory-tier hit is a refcount
 //! bump, not an allocation — the same representation `MapOrigin` uses.
 //!
-//! The disk tier has two implementations behind [`DiskTier`]: the
+//! The disk tier has two implementations behind `DiskTier`: the
 //! original in-process `HashMap` (dies with the process), and a
 //! [`dvm_store::Store`]-backed persistent tier that survives a kill and
 //! lets the shard restart warm. Persistent entries are stored as

@@ -1,4 +1,5 @@
-//! Time-series rings sampled from a live metrics [`Registry`] snapshot.
+//! Time-series rings sampled from a live metrics
+//! [`Registry`](dvm_telemetry::Registry) snapshot.
 //!
 //! The registry's counters and histograms are cumulative since process
 //! start; a console wants *rates over the last minute*. The [`Sampler`]

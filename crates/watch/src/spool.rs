@@ -1,13 +1,14 @@
 //! Durable journal spooling through `dvm-store`.
 //!
-//! The in-memory [`EventJournal`] ring forgets: eviction and restarts
-//! both lose history. [`StoreSpool`] implements the journal's
-//! [`JournalSpool`] trait over a crash-safe log-structured [`Store`]:
-//! every event is appended under a zero-padded sequence key
-//! (`evt/00000000000000000042`), so lexicographic key order *is*
-//! sequence order, `events_after` is a sorted-key scan, and a restarted
-//! node recovers its largest persisted sequence to keep numbering — and
-//! tailing cursors — gap-free across the restart.
+//! The in-memory [`EventJournal`](dvm_telemetry::EventJournal) ring
+//! forgets: eviction and restarts both lose history. [`StoreSpool`]
+//! implements the journal's [`JournalSpool`] trait over a crash-safe
+//! log-structured [`Store`]: every event is appended under a
+//! zero-padded sequence key (`evt/00000000000000000042`), so
+//! lexicographic key order *is* sequence order, `events_after` is a
+//! sorted-key scan, and a restarted node recovers its largest persisted
+//! sequence to keep numbering — and tailing cursors — gap-free across
+//! the restart.
 
 use std::path::Path;
 

@@ -1,11 +1,12 @@
 //! Cross-crate integration: scenarios that span the whole workspace —
-//! generator → proxy pipeline → client engine → compiler → optimizer.
+//! generator → proxy pipeline → client engine → IR compiler → optimizer.
 
-use dvm_repro::compiler::{NetworkCompiler, Target};
+use dvm_repro::compiler::ExecCompiler;
 use dvm_repro::core::{CostModel, Organization, ServiceConfig};
 use dvm_repro::jvm::{Completion, MapProvider, Vm};
 use dvm_repro::monitor::{ProfileMode, SiteTable};
 use dvm_repro::optimizer::{repartition_app, ColdPolicy};
+use dvm_repro::proxy::md5::{hex, md5};
 use dvm_repro::security::Policy;
 use dvm_repro::workload::{figure5_apps, generate};
 
@@ -13,39 +14,57 @@ fn small_app() -> dvm_repro::workload::GeneratedApp {
     generate(&figure5_apps().remove(1).scaled(1, 20000)) // javacup
 }
 
+/// Each class keyed by the MD5 of its bytes, as the proxy keys the signed
+/// payload it serves.
+fn keyed_classes(app: &dvm_repro::workload::GeneratedApp) -> Vec<(String, Vec<u8>)> {
+    app.classes
+        .iter()
+        .map(|cf| {
+            let bytes = cf.clone().to_bytes().unwrap();
+            (hex(&md5(&bytes)), bytes)
+        })
+        .collect()
+}
+
 #[test]
 fn network_compiler_translates_every_generated_method() {
     let app = small_app();
-    let mut nc = NetworkCompiler::new();
-    let mut methods = 0;
-    for cf in &app.classes {
-        let x86 = nc.compile(cf, Target::X86).unwrap();
-        let alpha = nc.compile(cf, Target::Alpha).unwrap();
-        assert_eq!(x86.methods.len(), alpha.methods.len());
-        methods += x86.methods.len();
-        // Alpha's fixed 4-byte encoding is never smaller per instruction.
-        for (mx, ma) in x86.methods.iter().zip(&alpha.methods) {
-            assert_eq!(mx.name, ma.name);
-            assert!(mx.native_insns >= ma.native_insns);
-        }
+    let classes = keyed_classes(&app);
+    let with_code = app
+        .classes
+        .iter()
+        .flat_map(|cf| &cf.methods)
+        .filter(|m| m.code().is_some())
+        .count();
+    assert!(with_code > 100, "generated {with_code} methods with code");
+
+    let mut ec = ExecCompiler::new();
+    for (sig, bytes) in &classes {
+        ec.compile(sig, bytes).unwrap();
     }
-    assert!(methods > 100, "compiled {methods} methods");
+    assert_eq!(ec.stats.compilations as usize, classes.len());
+    assert_eq!(ec.stats.methods_compiled as usize, with_code);
+    assert_eq!(ec.stats.methods_skipped, 0);
 }
 
 #[test]
 fn compiler_amortizes_across_clients_per_figure_of_merit() {
     let app = small_app();
-    let mut nc = NetworkCompiler::new();
-    for cf in &app.classes {
-        nc.compile(cf, Target::X86).unwrap();
+    let classes = keyed_classes(&app);
+    let mut ec = ExecCompiler::new();
+    for (sig, bytes) in &classes {
+        ec.compile(sig, bytes).unwrap();
     }
-    let first_cost = nc.stats.cycles_spent;
-    // A second client with the same native format costs nothing extra.
-    for cf in &app.classes {
-        nc.compile(cf, Target::X86).unwrap();
+    let first = ec.stats;
+    assert!(first.cycles_spent > 0);
+
+    // A second client fetching the same rewrites costs nothing extra.
+    for (sig, bytes) in &classes {
+        ec.compile(sig, bytes).unwrap();
     }
-    assert_eq!(nc.stats.cycles_spent, first_cost);
-    assert_eq!(nc.stats.cache_hits as usize, app.classes.len());
+    assert_eq!(ec.stats.cache_hits as usize, classes.len());
+    assert_eq!(ec.stats.compilations, first.compilations);
+    assert_eq!(ec.stats.cycles_spent, first.cycles_spent);
 }
 
 #[test]

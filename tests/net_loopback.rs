@@ -117,17 +117,18 @@ fn eight_concurrent_remote_clients_run_corpus_applets() {
     while org.console.lock().total_events() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let events = org.console.lock().total_events();
     assert!(
-        events > 0,
+        org.console.lock().total_events() > 0,
         "no audit events reached the console over the wire"
     );
 
+    // More events may land until the server stops; compare the console
+    // with the server's count only once nothing can arrive.
     let stats = server.shutdown();
     assert_eq!(stats.connections, 16);
     assert!(stats.requests > 0);
     assert_eq!(stats.errors, 0);
-    assert_eq!(stats.audit_events, events);
+    assert_eq!(stats.audit_events, org.console.lock().total_events());
 }
 
 /// Tier reporting over the wire: the first fetch is rewritten, repeats
