@@ -12,7 +12,7 @@
 //!    rate) plus one SLO objective per shard; the acceptance bar is
 //!    ≤ 2% on the fetch hot path;
 //! 2. **scrape latency** — `GET /metrics` over HTTP and
-//!    `METRICS_SCRAPE` over the wire, p50/p99 per scrape, each body
+//!    a `metrics://` read over the wire, p50/p99 per scrape, each body
 //!    parsed back through `expo::parse` so a malformed exposition
 //!    fails the bench rather than the consumer.
 //!
@@ -191,12 +191,7 @@ fn main() {
     let mut wire = String::new();
     for _ in 0..scrapes {
         let t = Instant::now();
-        wire = fetch_metrics_text(
-            watched.addrs()[0],
-            hello("watch-bench"),
-            NetConfig::default(),
-        )
-        .expect("wire scrape");
+        wire = fetch_metrics_text(watched.addrs()[0], NetConfig::default()).expect("wire scrape");
         wire_ns.push(t.elapsed().as_nanos() as u64);
     }
     expo::parse(&wire).expect("wire exposition parses");
@@ -224,7 +219,7 @@ fn main() {
         format!("{:.1}", percentile(&http_ns, 0.99) as f64 / 1e3),
     ]);
     t.row(&[
-        "METRICS_SCRAPE".into(),
+        "metrics:// (wire)".into(),
         wire_ns.len().to_string(),
         format!("{:.1}", percentile(&wire_ns, 0.50) as f64 / 1e3),
         format!("{:.1}", percentile(&wire_ns, 0.99) as f64 / 1e3),

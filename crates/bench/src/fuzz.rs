@@ -210,7 +210,7 @@ fn assembler_target() -> FuzzTarget {
 /// One valid frame per variant, so the seed corpus covers the whole
 /// accept grammar (the hostile corpus pins the reject paths).
 fn sample_frames() -> Vec<Frame> {
-    vec![
+    let mut frames = vec![
         Frame::Hello(Hello {
             user: "alice".into(),
             principal: "applet".into(),
@@ -250,14 +250,6 @@ fn sample_frames() -> Vec<Frame> {
             url: "http://origin/App.class".into(),
             bytes: vec![1, 2, 3],
         },
-        Frame::StatsRequest {
-            request_id: 3,
-            include_spans: true,
-        },
-        Frame::StatsResponse {
-            request_id: 3,
-            report: vec![0; 8],
-        },
         Frame::RingUpdate {
             epoch: 4,
             ring: vec![],
@@ -279,23 +271,24 @@ fn sample_frames() -> Vec<Frame> {
             total: 1,
             complete: true,
         },
-        Frame::MetricsScrape { request_id: 6 },
-        Frame::MetricsText {
-            request_id: 6,
-            text: b"dvm_up 1\n".to_vec(),
-        },
-        Frame::EventsRequest {
-            request_id: 7,
-            after_seq: 0,
-            max: 16,
-        },
-        Frame::EventsResponse {
-            request_id: 7,
-            next_seq: 0,
-            events: vec![],
-        },
         Frame::Bye,
-    ]
+    ];
+    // The node's planes are read as URLs on CODE_REQUEST.
+    for (request_id, url) in (3..).zip([
+        "stats://",
+        "stats://?spans=1",
+        "metrics://",
+        "events://?after=0&max=16",
+    ]) {
+        frames.push(Frame::CodeRequest {
+            request_id,
+            session: 0,
+            url: url.into(),
+            native_format: String::new(),
+            trace: None,
+        });
+    }
+    frames
 }
 
 /// Dictionary shared by the classfile and verifier targets: the magic,

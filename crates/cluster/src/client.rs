@@ -266,8 +266,7 @@ impl ClusterClassProvider {
         order.sort_by_key(|&(s, _)| s);
         let my_epoch = self.ring.epoch();
         for (_, addr) in order {
-            let Some((epoch, ring_bytes)) = pull_ring(addr, &self.hello, self.config.net, my_epoch)
-            else {
+            let Some((epoch, ring_bytes)) = pull_ring(addr, self.config.net, my_epoch) else {
                 continue;
             };
             if epoch <= my_epoch || ring_bytes.is_empty() {
@@ -456,20 +455,15 @@ impl ClusterClassProvider {
     }
 }
 
-/// One `RING_UPDATE` exchange over a throwaway connection, asking with
-/// our epoch. `None` on any transport or protocol trouble — the caller
-/// tries the next shard.
-fn pull_ring(
-    addr: SocketAddr,
-    hello: &Hello,
-    net: NetConfig,
-    my_epoch: u64,
-) -> Option<(u64, Vec<u8>)> {
+/// One `RING_UPDATE` exchange over a throwaway, session-less
+/// connection, asking with our epoch. `None` on any transport or
+/// protocol trouble — the caller tries the next shard.
+fn pull_ring(addr: SocketAddr, net: NetConfig, my_epoch: u64) -> Option<(u64, Vec<u8>)> {
     let ask = Frame::RingUpdate {
         epoch: my_epoch,
         ring: Vec::new(),
     };
-    match request_once(addr, hello.clone(), &net, ask) {
+    match request_once(addr, &net, ask) {
         Ok(Frame::RingUpdate { epoch, ring }) => Some((epoch, ring)),
         _ => None,
     }

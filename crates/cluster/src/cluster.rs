@@ -17,8 +17,8 @@ use parking_lot::Mutex;
 
 use dvm_monitor::AdminConsole;
 use dvm_net::{
-    Hello, MembershipView, MetricsSource, MigrateBatch, MigrateExporter, NetConfig, ProxyServer,
-    ServerConfig, ServerStats,
+    Hello, MembershipView, MigrateBatch, MigrateExporter, NetConfig, ProxyServer, ServerConfig,
+    ServerStats,
 };
 use dvm_proxy::Proxy;
 use dvm_store::{Store, StoreConfig};
@@ -51,7 +51,7 @@ pub struct ClusterOptions {
     pub store: StoreConfig,
     /// When set, every shard runs a background [`Watch`] over its
     /// telemetry: time-series rings, SLO burn-rate alerts, and the
-    /// `METRICS_SCRAPE` exposition. Persistent clusters (`data_dir`
+    /// `metrics://` exposition. Persistent clusters (`data_dir`
     /// set) additionally spool each shard's event journal through a
     /// `dvm-store` log at `<data_dir>/journal<i>`, so cursor tails
     /// survive restarts.
@@ -75,17 +75,6 @@ impl Default for ClusterOptions {
             watch: None,
             metrics_http: false,
         }
-    }
-}
-
-/// Adapts a shard's [`Watch`] to the net layer's [`MetricsSource`]
-/// hook, so the shard's server can answer `METRICS_SCRAPE` frames with
-/// the watch's Prometheus-text exposition.
-pub struct WatchScrape(pub Arc<Watch>);
-
-impl MetricsSource for WatchScrape {
-    fn render_metrics(&self) -> String {
-        self.0.render()
     }
 }
 
@@ -276,7 +265,7 @@ impl ProxyCluster {
 
     /// Starts shard `i`'s observability plane per the cluster options:
     /// a [`Watch`] ticking on the shard's telemetry, installed as the
-    /// server's `METRICS_SCRAPE` source, plus (for persistent clusters)
+    /// server's `metrics://` source, plus (for persistent clusters)
     /// a durable journal spool and (when asked) an HTTP listener.
     /// Returns `None` when watching is not configured.
     fn attach_watch(&self, i: usize) -> Option<ShardWatch> {
@@ -292,7 +281,7 @@ impl ProxyCluster {
         }
         let interval_ns = config.interval_ns;
         let watch = Watch::new(telemetry, config);
-        server.set_metrics_source(Arc::new(WatchScrape(watch.clone())));
+        server.set_metrics_source(watch.clone());
         let http = if self.opts.metrics_http {
             MetricsHttp::bind("127.0.0.1:0", watch.clone()).ok()
         } else {
@@ -532,8 +521,8 @@ impl ProxyCluster {
     /// the wire and merges them: joined shards appear as soon as they
     /// serve, and retired shards stop being polled (and reported
     /// unreachable) forever.
-    pub fn fleet_stats(&self, hello: &Hello, net: NetConfig, include_spans: bool) -> FleetStats {
-        collect_fleet_stats_live(&self.live_addrs(), hello, net, include_spans)
+    pub fn fleet_stats(&self, net: NetConfig, include_spans: bool) -> FleetStats {
+        collect_fleet_stats_live(&self.live_addrs(), net, include_spans)
     }
 
     /// Number of shards (including killed ones — slots keep their ids).

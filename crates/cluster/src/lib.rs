@@ -18,9 +18,9 @@
 //!   persistently failing shards are quarantined behind the circuit
 //!   breaker in [`health`] (closed → open → half-open probe).
 //! - [`stats`] — the pull side of the stats plane:
-//!   [`collect_fleet_stats`] asks every shard for its
-//!   `STATS_RESPONSE` over the wire and merges the answers into one
-//!   fleet-wide metrics snapshot, tolerating dead shards.
+//!   [`collect_fleet_stats`] reads every shard's `stats://` over the
+//!   wire (session-less, like ring pulls) and merges the answers into
+//!   one fleet-wide metrics snapshot, tolerating dead shards.
 //! - [`peer`] — peer cache-fill over the wire protocol's
 //!   `PEER_GET`/`PEER_PUT` frames: on a local rewrite-cache miss a
 //!   shard asks the URL's home shard for its cached copy before paying
@@ -43,7 +43,7 @@ pub mod stats;
 pub use client::{
     ClusterClassProvider, ClusterClientConfig, ClusterClientStats, ClusterError, TransferHook,
 };
-pub use cluster::{ClusterOptions, ProxyCluster, WatchScrape};
+pub use cluster::{ClusterOptions, ProxyCluster};
 pub use health::{HealthConfig, HealthTracker};
 pub use peer::{ClusterPeer, PeerLink, PeerStats};
 pub use ring::{HashRing, RemapPlan, SegmentMove};

@@ -2,7 +2,7 @@
 //!
 //! [`collect_fleet_stats_live`] is the pull side of the stats plane: it
 //! walks the cluster's *live membership* (shard id → address pairs),
-//! asks each live server for its `STATS_RESPONSE`, and merges the
+//! reads each live server's `stats://`, and merges the
 //! per-shard metrics into one fleet-wide snapshot. Unreachable shards
 //! are reported as such rather than failing the whole collection — an
 //! operator asking "how is the cluster doing" most needs an answer when
@@ -15,7 +15,7 @@
 
 use std::net::SocketAddr;
 
-use dvm_net::{fetch_stats, Hello, NetConfig};
+use dvm_net::{fetch_stats, NetConfig};
 use dvm_telemetry::{MetricsSnapshot, StatsReport};
 
 /// One shard's answer to a stats pull.
@@ -64,13 +64,12 @@ impl FleetStats {
 /// instead of the boot-time roster.
 pub fn collect_fleet_stats_live(
     pairs: &[(u32, SocketAddr)],
-    hello: &Hello,
     config: NetConfig,
     include_spans: bool,
 ) -> FleetStats {
     let mut shards = Vec::with_capacity(pairs.len());
     for &(shard, addr) in pairs {
-        match fetch_stats(addr, hello.clone(), config, include_spans) {
+        match fetch_stats(addr, config, include_spans) {
             Ok(report) => shards.push(ShardReport {
                 shard,
                 addr,
@@ -93,7 +92,6 @@ pub fn collect_fleet_stats_live(
 /// list index doubles as the shard id.
 pub fn collect_fleet_stats(
     addrs: &[SocketAddr],
-    hello: &Hello,
     config: NetConfig,
     include_spans: bool,
 ) -> FleetStats {
@@ -102,5 +100,5 @@ pub fn collect_fleet_stats(
         .enumerate()
         .map(|(i, &addr)| (i as u32, addr))
         .collect();
-    collect_fleet_stats_live(&pairs, hello, config, include_spans)
+    collect_fleet_stats_live(&pairs, config, include_spans)
 }

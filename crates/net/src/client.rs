@@ -598,44 +598,35 @@ impl ClassProvider for NetClassProvider {
     }
 }
 
-/// Pulls a live server's telemetry over the stats plane: connect,
-/// handshake, send one `STATS_REQUEST`, decode the `STATS_RESPONSE`.
+/// Pulls a live server's telemetry over the stats plane: a `stats://`
+/// read (`stats://?spans=1` with `include_spans`), decoded as a
+/// `StatsReport`.
 ///
 /// Any client of the wire protocol can do this against any
 /// `ProxyServer` — it is how the fleet console and the cluster's
 /// aggregation observe shards they did not start.
 pub fn fetch_stats(
     addr: impl ToSocketAddrs,
-    hello: Hello,
     config: NetConfig,
     include_spans: bool,
 ) -> Result<StatsReport, NetError> {
-    let request = Frame::StatsRequest {
-        request_id: 1,
-        include_spans,
+    let url = if include_spans {
+        "stats://?spans=1"
+    } else {
+        "stats://"
     };
-    match request_once(addr, hello, &config, request)? {
-        Frame::StatsResponse {
-            request_id: 1,
-            report,
-        } => StatsReport::decode(&report)
-            .map_err(|e| NetError::Protocol(format!("undecodable stats report: {e}"))),
-        Frame::StatsResponse { request_id, .. } => Err(NetError::Protocol(format!(
-            "stats response id {request_id}, expected 1"
-        ))),
-        other => Err(NetError::Protocol(format!(
-            "expected STATS_RESPONSE, got {other:?}"
-        ))),
-    }
+    let report = read_plane(addr, &config, url.into())?;
+    StatsReport::decode(&report)
+        .map_err(|e| NetError::Protocol(format!("undecodable stats report: {e}")))
 }
 
 /// One request over a throwaway connection — how the observability
-/// planes and ring pulls talk to a server: handshake, send `request`,
-/// read one response, `BYE`. A typed `ERROR` answer to the handshake or
-/// the request is [`NetError::Remote`].
+/// planes and ring pulls talk to a server: send `request`, read one
+/// response, `BYE`. No `HELLO`: the server answers a `CODE_REQUEST` and
+/// a `RING_UPDATE` without one, so a poller opens no console session. A
+/// typed `ERROR` answer is [`NetError::Remote`].
 pub fn request_once(
     addr: impl ToSocketAddrs,
-    hello: Hello,
     config: &NetConfig,
     request: Frame,
 ) -> Result<Frame, NetError> {
@@ -653,16 +644,6 @@ pub fn request_once(
     stream.set_read_timeout(Some(config.read_timeout))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
     let _ = stream.set_nodelay(true);
-    Frame::Hello(hello).write_to(&mut stream)?;
-    match Frame::read_from(&mut stream)? {
-        Frame::Welcome { .. } => {}
-        Frame::Error { code, message, .. } => return Err(NetError::Remote { code, message }),
-        other => {
-            return Err(NetError::Protocol(format!(
-                "expected WELCOME, got {other:?}"
-            )))
-        }
-    }
     request.write_to(&mut stream)?;
     let reply = Frame::read_from(&mut stream)?;
     let _ = Frame::Bye.write_to(&mut stream);
@@ -673,58 +654,55 @@ pub fn request_once(
     }
 }
 
-/// Scrapes a server's Prometheus-text metrics exposition over the wire
-/// protocol (`METRICS_SCRAPE`/`METRICS_TEXT`).
-pub fn fetch_metrics_text(
+/// Reads one of a server's planes: a `CODE_REQUEST` for a plane `url`
+/// over [`request_once`], returning the `CODE_RESPONSE` bytes.
+fn read_plane(
     addr: impl ToSocketAddrs,
-    hello: Hello,
-    config: NetConfig,
-) -> Result<String, NetError> {
-    match request_once(addr, hello, &config, Frame::MetricsScrape { request_id: 1 })? {
-        Frame::MetricsText {
+    config: &NetConfig,
+    url: String,
+) -> Result<Vec<u8>, NetError> {
+    let request = Frame::CodeRequest {
+        request_id: 1,
+        session: 0,
+        url,
+        native_format: String::new(),
+        trace: None,
+    };
+    match request_once(addr, config, request)? {
+        Frame::CodeResponse {
             request_id: 1,
-            text,
-        } => String::from_utf8(text)
-            .map_err(|_| NetError::Protocol("exposition is not UTF-8".into())),
-        Frame::MetricsText { request_id, .. } => Err(NetError::Protocol(format!(
-            "metrics response id {request_id}, expected 1"
-        ))),
+            bytes,
+            ..
+        } => Ok(bytes),
         other => Err(NetError::Protocol(format!(
-            "expected METRICS_TEXT, got {other:?}"
+            "expected CODE_RESPONSE 1, got {other:?}"
         ))),
     }
 }
 
-/// Tails a server's event journal: events with `seq > after_seq` (at
-/// most `max`), plus the cursor to pass next time. An unchanged cursor
-/// with no events means the tail is caught up.
+/// Scrapes a server's Prometheus-text metrics exposition over the wire
+/// protocol (a `metrics://` read).
+pub fn fetch_metrics_text(addr: impl ToSocketAddrs, config: NetConfig) -> Result<String, NetError> {
+    String::from_utf8(read_plane(addr, &config, "metrics://".into())?)
+        .map_err(|_| NetError::Protocol("exposition is not UTF-8".into()))
+}
+
+/// Tails a server's event journal with an `events://?after=N&max=M`
+/// read: events with `seq > after_seq` (at most `max`, and at most
+/// 1 024), plus the cursor to pass next time — the last event's `seq`,
+/// or `after_seq` for an empty page. An unchanged cursor with no events
+/// means the tail is caught up.
 pub fn fetch_events(
     addr: impl ToSocketAddrs,
-    hello: Hello,
     config: NetConfig,
     after_seq: u64,
     max: u32,
 ) -> Result<(Vec<JournalEvent>, u64), NetError> {
-    let request = Frame::EventsRequest {
-        request_id: 1,
-        after_seq,
-        max,
-    };
-    match request_once(addr, hello, &config, request)? {
-        Frame::EventsResponse {
-            request_id: 1,
-            next_seq,
-            events,
-        } => decode_events(&events)
-            .map(|events| (events, next_seq))
-            .map_err(|e| NetError::Protocol(format!("undecodable event batch: {e}"))),
-        Frame::EventsResponse { request_id, .. } => Err(NetError::Protocol(format!(
-            "events response id {request_id}, expected 1"
-        ))),
-        other => Err(NetError::Protocol(format!(
-            "expected EVENTS_RESPONSE, got {other:?}"
-        ))),
-    }
+    let url = format!("events://?after={after_seq}&max={max}");
+    let events = decode_events(&read_plane(addr, &config, url)?)
+        .map_err(|e| NetError::Protocol(format!("undecodable event batch: {e}")))?;
+    let next_seq = events.last().map_or(after_seq, |e| e.seq);
+    Ok((events, next_seq))
 }
 
 impl Drop for NetClassProvider {

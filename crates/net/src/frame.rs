@@ -29,7 +29,11 @@ use dvm_telemetry::{SpanId, TraceContext, TraceId};
 /// largest signed applet while rejecting nonsense lengths early.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
-/// Frame tags (the `u8` after the length prefix).
+/// Frame tags (the `u8` after the length prefix). Tags `0x0A`, `0x0B`
+/// and `0x10`–`0x13` are retired (the old stats, scrape and journal
+/// frames, now `stats://`, `metrics://` and `events://` URLs on
+/// `CODE_REQUEST`): they decode to [`FrameError::UnknownTag`] and are
+/// never reused with another grammar.
 mod tag {
     pub const HELLO: u8 = 0x01;
     pub const WELCOME: u8 = 0x02;
@@ -40,16 +44,10 @@ mod tag {
     pub const BYE: u8 = 0x07;
     pub const PEER_GET: u8 = 0x08;
     pub const PEER_PUT: u8 = 0x09;
-    pub const STATS_REQUEST: u8 = 0x0A;
-    pub const STATS_RESPONSE: u8 = 0x0B;
     pub const RING_UPDATE: u8 = 0x0C;
     pub const MIGRATE_BEGIN: u8 = 0x0D;
     pub const MIGRATE_CHUNK: u8 = 0x0E;
     pub const MIGRATE_END: u8 = 0x0F;
-    pub const METRICS_SCRAPE: u8 = 0x10;
-    pub const METRICS_TEXT: u8 = 0x11;
-    pub const EVENTS_REQUEST: u8 = 0x12;
-    pub const EVENTS_RESPONSE: u8 = 0x13;
 }
 
 /// Typed error codes carried by [`Frame::Error`].
@@ -150,7 +148,9 @@ pub enum Frame {
         /// Monitoring session id assigned by the console.
         session: u64,
     },
-    /// Client → server: fetch (and rewrite) the code at `url`.
+    /// Client → server: fetch (and rewrite) the code at `url`, or read
+    /// one of the server's planes (`stats://`, `metrics://`,
+    /// `events://`).
     CodeRequest {
         /// Client-chosen id echoed in the response.
         request_id: u32,
@@ -165,7 +165,8 @@ pub enum Frame {
         /// (a flag byte), so untraced requests cost two extra bytes.
         trace: Option<TraceContext>,
     },
-    /// Server → client: the rewritten (and possibly signed) bytes.
+    /// Server → client: the rewritten (and possibly signed) bytes, or a
+    /// plane's rendered bytes.
     CodeResponse {
         /// Echo of the request id.
         request_id: u32,
@@ -211,24 +212,6 @@ pub enum Frame {
         url: String,
         /// The signed rewrite output.
         bytes: Vec<u8>,
-    },
-    /// Any client → server: pull the server's live telemetry (the stats
-    /// plane). Answered with `STATS_RESPONSE`.
-    StatsRequest {
-        /// Sender-chosen id echoed in the response.
-        request_id: u32,
-        /// When false, the server omits the span dump (metrics only) —
-        /// cheap enough to poll.
-        include_spans: bool,
-    },
-    /// Server → client: the serialized `dvm_telemetry::StatsReport` for
-    /// this server's node. Opaque bytes at the frame layer so the wire
-    /// protocol does not re-state the report grammar.
-    StatsResponse {
-        /// Echo of the request id.
-        request_id: u32,
-        /// `StatsReport::encode()` output.
-        report: Vec<u8>,
     },
     /// Either direction: membership epoch exchange. A client (or peer
     /// shard) sends the epoch it is routing with and an empty `ring`;
@@ -285,43 +268,6 @@ pub enum Frame {
         /// sent; false when the source truncated the batch (the target
         /// re-issues `MIGRATE_BEGIN` with the last key it saw).
         complete: bool,
-    },
-    /// Client → server: ask for the Prometheus-text metrics exposition
-    /// (the same body the HTTP `GET /metrics` listener serves), so wire
-    /// tooling can scrape a shard without a second port.
-    MetricsScrape {
-        /// Sender-chosen id echoed in the response.
-        request_id: u32,
-    },
-    /// Server → client: the exposition text. Opaque bytes at the frame
-    /// layer — the frame grammar does not re-state the text format.
-    MetricsText {
-        /// Echo of the request id.
-        request_id: u32,
-        /// UTF-8 Prometheus-text exposition.
-        text: Vec<u8>,
-    },
-    /// Client → server: tail the server's event journal with a cursor.
-    EventsRequest {
-        /// Sender-chosen id echoed in the response.
-        request_id: u32,
-        /// Return only events with sequence numbers beyond this (0 for
-        /// everything retained).
-        after_seq: u64,
-        /// Upper bound on events returned.
-        max: u32,
-    },
-    /// Server → client: one page of journal events. The payload is the
-    /// `dvm_telemetry::events` batch encoding, opaque at this layer
-    /// (the same pattern as [`Frame::StatsResponse`]).
-    EventsResponse {
-        /// Echo of the request id.
-        request_id: u32,
-        /// Cursor to pass as `after_seq` next time (the last sequence
-        /// in this page, or the echoed cursor when the page is empty).
-        next_seq: u64,
-        /// `dvm_telemetry::events::encode_events()` output.
-        events: Vec<u8>,
     },
     /// Either direction: orderly shutdown of the connection.
     Bye,
@@ -599,19 +545,6 @@ impl Frame {
                 put_str(body, url);
                 put_bytes(body, bytes);
             }
-            Frame::StatsRequest {
-                request_id,
-                include_spans,
-            } => {
-                body.push(tag::STATS_REQUEST);
-                put_u32(body, *request_id);
-                body.push(u8::from(*include_spans));
-            }
-            Frame::StatsResponse { request_id, report } => {
-                body.push(tag::STATS_RESPONSE);
-                put_u32(body, *request_id);
-                put_bytes(body, report);
-            }
             Frame::RingUpdate { epoch, ring } => {
                 body.push(tag::RING_UPDATE);
                 put_u64(body, *epoch);
@@ -651,35 +584,6 @@ impl Frame {
                 put_u32(body, *request_id);
                 put_u32(body, *total);
                 body.push(u8::from(*complete));
-            }
-            Frame::MetricsScrape { request_id } => {
-                body.push(tag::METRICS_SCRAPE);
-                put_u32(body, *request_id);
-            }
-            Frame::MetricsText { request_id, text } => {
-                body.push(tag::METRICS_TEXT);
-                put_u32(body, *request_id);
-                put_bytes(body, text);
-            }
-            Frame::EventsRequest {
-                request_id,
-                after_seq,
-                max,
-            } => {
-                body.push(tag::EVENTS_REQUEST);
-                put_u32(body, *request_id);
-                put_u64(body, *after_seq);
-                put_u32(body, *max);
-            }
-            Frame::EventsResponse {
-                request_id,
-                next_seq,
-                events,
-            } => {
-                body.push(tag::EVENTS_RESPONSE);
-                put_u32(body, *request_id);
-                put_u64(body, *next_seq);
-                put_bytes(body, events);
             }
             Frame::Bye => body.push(tag::BYE),
         }
@@ -781,29 +685,6 @@ impl Frame {
                     bytes: c.bytes()?,
                 }
             }
-            tag::STATS_REQUEST => {
-                dvm_fuzz::cov!("frame.tag.stats_request");
-                let request_id = c.u32()?;
-                let include_spans = match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        dvm_fuzz::cov!("frame.stats.bad_flag");
-                        return Err(FrameError::malformed(format!("stats flag {other}")));
-                    }
-                };
-                Frame::StatsRequest {
-                    request_id,
-                    include_spans,
-                }
-            }
-            tag::STATS_RESPONSE => {
-                dvm_fuzz::cov!("frame.tag.stats_response");
-                Frame::StatsResponse {
-                    request_id: c.u32()?,
-                    report: c.bytes()?,
-                }
-            }
             tag::RING_UPDATE => {
                 dvm_fuzz::cov!("frame.tag.ring_update");
                 Frame::RingUpdate {
@@ -857,35 +738,6 @@ impl Frame {
                     request_id,
                     total,
                     complete,
-                }
-            }
-            tag::METRICS_SCRAPE => {
-                dvm_fuzz::cov!("frame.tag.metrics_scrape");
-                Frame::MetricsScrape {
-                    request_id: c.u32()?,
-                }
-            }
-            tag::METRICS_TEXT => {
-                dvm_fuzz::cov!("frame.tag.metrics_text");
-                Frame::MetricsText {
-                    request_id: c.u32()?,
-                    text: c.bytes()?,
-                }
-            }
-            tag::EVENTS_REQUEST => {
-                dvm_fuzz::cov!("frame.tag.events_request");
-                Frame::EventsRequest {
-                    request_id: c.u32()?,
-                    after_seq: c.u64()?,
-                    max: c.u32()?,
-                }
-            }
-            tag::EVENTS_RESPONSE => {
-                dvm_fuzz::cov!("frame.tag.events_response");
-                Frame::EventsResponse {
-                    request_id: c.u32()?,
-                    next_seq: c.u64()?,
-                    events: c.bytes()?,
                 }
             }
             tag::BYE => {
@@ -1071,18 +923,6 @@ mod tests {
                 processing_ns: 0,
                 bytes: vec![1],
             },
-            Frame::StatsRequest {
-                request_id: 11,
-                include_spans: true,
-            },
-            Frame::StatsRequest {
-                request_id: 12,
-                include_spans: false,
-            },
-            Frame::StatsResponse {
-                request_id: 11,
-                report: vec![1, 0, 0, 0, 0, 0],
-            },
             Frame::RingUpdate {
                 epoch: 3,
                 ring: vec![0x44, 0x56, 0x4D, 0x52, 1],
@@ -1118,35 +958,6 @@ mod tests {
                 request_id: 22,
                 total: 0,
                 complete: false,
-            },
-            Frame::MetricsScrape { request_id: 31 },
-            Frame::MetricsText {
-                request_id: 31,
-                text: b"# TYPE dvm_proxy_requests counter\ndvm_proxy_requests 7\n".to_vec(),
-            },
-            Frame::MetricsText {
-                request_id: 32,
-                text: Vec::new(),
-            },
-            Frame::EventsRequest {
-                request_id: 33,
-                after_seq: 0,
-                max: 64,
-            },
-            Frame::EventsRequest {
-                request_id: 34,
-                after_seq: u64::MAX,
-                max: 0,
-            },
-            Frame::EventsResponse {
-                request_id: 33,
-                next_seq: 12,
-                events: vec![1, 0, 0, 0, 0],
-            },
-            Frame::EventsResponse {
-                request_id: 34,
-                next_seq: 0,
-                events: Vec::new(),
             },
             Frame::Bye,
         ]
@@ -1255,6 +1066,13 @@ mod tests {
             Frame::decode(&buf),
             Err(FrameError::UnknownTag(0x7F))
         ));
+    }
+
+    #[test]
+    fn retired_tags_are_unknown() {
+        for t in [0x0A, 0x0B, 0x10, 0x11, 0x12, 0x13] {
+            assert_eq!(Frame::decode_body(&[t]), Err(FrameError::UnknownTag(t)));
+        }
     }
 
     #[test]

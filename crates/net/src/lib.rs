@@ -9,7 +9,9 @@
 //! - [`frame`] — a from-scratch length-prefixed binary protocol
 //!   (`CODE_REQUEST`/`CODE_RESPONSE`, typed error frames, and
 //!   `AUDIT_EVENT` frames streaming monitor events to the console),
-//!   encoded in pure std;
+//!   encoded in pure std. A node's stats, metrics and journal are read
+//!   as `stats://`, `metrics://` and `events://` URLs on
+//!   `CODE_REQUEST`, like any other resource;
 //! - [`server`] — [`ProxyServer`], a TCP server on the `dvm-reactor`
 //!   epoll loop (one thread owns every connection and answers cache
 //!   hits, a small worker pool runs the requests that may block,
@@ -39,6 +41,6 @@ pub use client::{
 };
 pub use frame::{kind_from_u8, kind_to_u8, ErrorCode, Frame, FrameError, Hello, MAX_FRAME_LEN};
 pub use server::{
-    FaultPlan, MembershipView, MetricsSource, MigrateBatch, MigrateExporter, ProxyServer,
-    ServerConfig, ServerStats, MIGRATE_BATCH,
+    FaultPlan, MembershipView, MigrateBatch, MigrateExporter, ProxyServer, ServerConfig,
+    ServerStats, MIGRATE_BATCH,
 };

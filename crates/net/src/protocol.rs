@@ -5,10 +5,11 @@
 //! — stats, fault-plan decisions, membership and migration answers —
 //! and stays ignorant of sockets. The one frame that can do real work,
 //! `CODE_REQUEST`, comes back as [`Flow::Execute`]: the reactor first
-//! tries [`serve_inline`], which answers a memory-tier hit on the loop
-//! thread, and otherwise runs [`execute_plan`] on its worker pool. Both
-//! close their bookkeeping through one `ServeScope`, so the two paths
-//! count and trace a request identically.
+//! tries [`serve_inline`], which answers a plane read (`stats://`,
+//! `metrics://`, `events://`) or a memory-tier hit on the loop thread,
+//! and otherwise runs [`execute_plan`] on its worker pool. All of them
+//! close their bookkeeping through one `ServeScope`, so every path
+//! counts and traces a request identically.
 
 use std::sync::atomic::Ordering;
 
@@ -164,25 +165,6 @@ pub(crate) fn handle_frame(
             inner.proxy.cache_fill(&url, bytes, CacheTier::Disk);
             Flow::Continue
         }
-        Frame::StatsRequest {
-            request_id,
-            include_spans,
-        } => {
-            // The stats plane: serialize this node's live telemetry and
-            // hand it back. Reading the plane is itself counted, so
-            // pollers are visible in what they poll.
-            counters.stats_requests.inc();
-            let report = if include_spans {
-                inner.telemetry.report()
-            } else {
-                inner.telemetry.report_metrics_only()
-            };
-            replies.push(Frame::StatsResponse {
-                request_id,
-                report: report.encode(),
-            });
-            Flow::Continue
-        }
         Frame::RingUpdate { epoch, .. } => {
             // Epoch exchange: an asker behind the published epoch gets
             // the full snapshot; an up-to-date one gets just our epoch
@@ -253,57 +235,12 @@ pub(crate) fn handle_frame(
             }
             Flow::Continue
         }
-        Frame::MetricsScrape { request_id } => {
-            // The scrape plane: render the Prometheus-text exposition
-            // through the installed source. Scraping is itself counted,
-            // so pollers are visible in what they poll (same discipline
-            // as STATS_REQUEST).
-            counters.scrape_requests.inc();
-            let source = inner.scrape.lock().clone();
-            let reply = match source {
-                Some(s) => Frame::MetricsText {
-                    request_id,
-                    text: s.render_metrics().into_bytes(),
-                },
-                None => Frame::Error {
-                    request_id,
-                    code: ErrorCode::Internal,
-                    message: "no metrics source installed".into(),
-                },
-            };
-            replies.push(reply);
-            Flow::Continue
-        }
-        Frame::EventsRequest {
-            request_id,
-            after_seq,
-            max,
-        } => {
-            // Journal tailing: serve the cursor page straight from the
-            // telemetry plane's event journal (and its durable spool,
-            // when one is installed).
-            counters.events_requests.inc();
-            let page = inner
-                .telemetry
-                .journal()
-                .events_after(after_seq, (max as usize).min(1024));
-            let next_seq = page.last().map(|e| e.seq).unwrap_or(after_seq);
-            replies.push(Frame::EventsResponse {
-                request_id,
-                next_seq,
-                events: dvm_telemetry::events::encode_events(&page),
-            });
-            Flow::Continue
-        }
         Frame::Bye => Flow::Close,
         Frame::Welcome { .. }
         | Frame::CodeResponse { .. }
         | Frame::Error { .. }
-        | Frame::StatsResponse { .. }
         | Frame::MigrateChunk { .. }
-        | Frame::MigrateEnd { .. }
-        | Frame::MetricsText { .. }
-        | Frame::EventsResponse { .. } => {
+        | Frame::MigrateEnd { .. } => {
             // Server-to-client frames arriving at the server.
             counters.malformed.inc();
             replies.push(Frame::Error {
@@ -329,26 +266,138 @@ pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> Vec<u8> {
         trace: scope.child_trace(),
     };
     let result = inner.proxy.handle_request_detailed(&plan.url, &ctx);
-    let reply = scope.finish(inner, plan.request_id, result);
+    let reply = scope.finish(inner, proxy_reply(plan.request_id, result));
     inner.encode_counted(&reply)
 }
 
-/// Answers a `CODE_REQUEST` that hits the proxy's memory tier without
-/// blocking — on the reactor loop, with no pool hop. `None` (a miss, a
-/// contended cache, a disk-only entry, caching off) means nothing was
-/// counted and the plan goes to [`execute_plan`] as usual.
+/// Answers a `CODE_REQUEST` that needs no blocking work, on the reactor
+/// loop with no pool hop: a plane read (see [`read_plane`]) or a hit in
+/// the proxy's memory tier. `None` (a miss, a contended cache, a
+/// disk-only entry, caching off) means nothing was counted and the plan
+/// goes to [`execute_plan`] as usual.
 pub(crate) fn serve_inline(inner: &Inner, plan: &ExecPlan) -> Option<Frame> {
     let scope = ServeScope::begin(inner, plan.trace);
+    if let Some(reply) = read_plane(inner, plan.request_id, &plan.url) {
+        return Some(scope.finish(inner, reply));
+    }
     let hit = inner
         .proxy
         .try_serve_memory(&plan.url, scope.child_trace())?;
-    Some(scope.finish(inner, plan.request_id, Ok(hit)))
+    Some(scope.finish(inner, proxy_reply(plan.request_id, Ok(hit))))
+}
+
+/// Most journal events one `events://` page returns, whatever `max`
+/// asks for.
+const EVENTS_PAGE_MAX: usize = 1024;
+
+/// Answers a control-plane read: a `CODE_REQUEST` whose URL names one
+/// of this node's planes, never the proxy. Exactly four forms exist —
+/// `stats://` and `stats://?spans=1` (an encoded `StatsReport`, without
+/// or with the span window), `metrics://` (the exposition text) and
+/// `events://?after=N&max=M` (an `encode_events` page) — and each is
+/// a `CODE_RESPONSE` with `served_from: MemoryCache` (rendered from
+/// this node's memory) and `processing_ns: 0` (the proxy did no work).
+/// Anything else under these schemes is `ERROR(Malformed)`;
+/// `metrics://` without a metrics source is `ERROR(Internal)`. Reading
+/// a plane is itself counted, so pollers are visible in what they poll.
+///
+/// `None` for every other URL: the class path pays one `split_once` on
+/// the borrowed URL and a scheme compare, no allocation and no lock.
+fn read_plane(inner: &Inner, request_id: u32, url: &str) -> Option<Frame> {
+    const MALFORMED: (ErrorCode, &str) = (
+        ErrorCode::Malformed,
+        "plane URL is not stats://, stats://?spans=1, metrics:// or events://?after=N&max=M",
+    );
+    let (scheme, rest) = url.split_once("://")?;
+    let counters = &inner.metrics.counters;
+    let bytes = match (scheme, rest) {
+        ("stats", "" | "?spans=1") => {
+            counters.stats_requests.inc();
+            let report = if rest.is_empty() {
+                inner.telemetry.report_metrics_only()
+            } else {
+                inner.telemetry.report()
+            };
+            Ok(report.encode())
+        }
+        ("metrics", "") => {
+            counters.scrape_requests.inc();
+            let source = inner.scrape.lock().clone();
+            source
+                .map(|s| s.render_metrics().into_bytes())
+                .ok_or((ErrorCode::Internal, "no metrics source installed"))
+        }
+        ("events", query) => match events_query(query) {
+            Some((after, max)) => {
+                counters.events_requests.inc();
+                let page = inner
+                    .telemetry
+                    .journal()
+                    .events_after(after, (max as usize).min(EVENTS_PAGE_MAX));
+                Ok(dvm_telemetry::events::encode_events(&page))
+            }
+            None => Err(MALFORMED),
+        },
+        ("stats" | "metrics", _) => Err(MALFORMED),
+        _ => return None,
+    };
+    Some(match bytes {
+        Ok(bytes) => Frame::CodeResponse {
+            request_id,
+            served_from: ServedFrom::MemoryCache,
+            processing_ns: 0,
+            bytes,
+        },
+        Err((code, message)) => Frame::Error {
+            request_id,
+            code,
+            message: message.into(),
+        },
+    })
+}
+
+/// `?after=N&max=M`, both plain decimal that fits its field (`u64`,
+/// `u32`); anything else — a missing, repeated or reordered key, a
+/// sign, an overflow — is `None`.
+fn events_query(query: &str) -> Option<(u64, u32)> {
+    fn decimal<T: std::str::FromStr>(s: &str) -> Option<T> {
+        if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        s.parse().ok()
+    }
+    let (after, max) = query.strip_prefix("?after=")?.split_once("&max=")?;
+    Some((decimal(after)?, decimal(max)?))
+}
+
+/// The proxy's answer as a reply frame.
+fn proxy_reply(request_id: u32, result: Result<ServedResponse, ProxyError>) -> Frame {
+    match result {
+        Ok(response) => Frame::CodeResponse {
+            request_id,
+            served_from: response.served_from,
+            processing_ns: response.processing_ns,
+            bytes: response.bytes.to_vec(),
+        },
+        Err(e) => {
+            let code = match &e {
+                ProxyError::NotFound(_) => ErrorCode::NotFound,
+                ProxyError::Parse(_) => ErrorCode::Parse,
+                ProxyError::Filter(_) => ErrorCode::Filter,
+            };
+            Frame::Error {
+                request_id,
+                code,
+                message: e.to_string(),
+            }
+        }
+    }
 }
 
 /// The server-side bookkeeping of one `CODE_REQUEST`, shared by the
-/// inline and the deferred path: `responses`/`errors`, the
-/// `net.server.serve_ns` record and, for a traced request, a
-/// "shard.serve" span covering the whole handling.
+/// inline and the deferred path and by plane reads:
+/// `responses`/`errors`, the `net.server.serve_ns` record and, for a
+/// traced request, a "shard.serve" span covering the whole handling.
 struct ServeScope {
     start: u64,
     /// `(caller's context, this span's id)`: the id is allocated up
@@ -372,38 +421,13 @@ impl ServeScope {
         })
     }
 
-    /// Turns the proxy's answer into the reply frame and closes the
+    /// Counts the reply (`CODE_RESPONSE` or `ERROR`) and closes the
     /// bookkeeping.
-    fn finish(
-        self,
-        inner: &Inner,
-        request_id: u32,
-        result: Result<ServedResponse, ProxyError>,
-    ) -> Frame {
-        let reply = match result {
-            Ok(response) => {
-                inner.metrics.counters.responses.inc();
-                Frame::CodeResponse {
-                    request_id,
-                    served_from: response.served_from,
-                    processing_ns: response.processing_ns,
-                    bytes: response.bytes.to_vec(),
-                }
-            }
-            Err(e) => {
-                inner.metrics.counters.errors.inc();
-                let code = match &e {
-                    ProxyError::NotFound(_) => ErrorCode::NotFound,
-                    ProxyError::Parse(_) => ErrorCode::Parse,
-                    ProxyError::Filter(_) => ErrorCode::Filter,
-                };
-                Frame::Error {
-                    request_id,
-                    code,
-                    message: e.to_string(),
-                }
-            }
-        };
+    fn finish(self, inner: &Inner, reply: Frame) -> Frame {
+        match reply {
+            Frame::CodeResponse { .. } => inner.metrics.counters.responses.inc(),
+            _ => inner.metrics.counters.errors.inc(),
+        }
         let recorder = inner.telemetry.recorder();
         let duration = recorder.now_ns().saturating_sub(self.start);
         inner.metrics.serve_ns.record(duration);

@@ -10,7 +10,12 @@
 //!
 //! `AUDIT_EVENT` frames from clients are ingested straight into the
 //! shared `AdminConsole`, so the paper's remote administration console
-//! keeps working when the trust boundary becomes a network hop.
+//! keeps working when the trust boundary becomes a network hop. The
+//! node's own planes are resources too: a `CODE_REQUEST` for
+//! `stats://`, `stats://?spans=1`, `metrics://` or
+//! `events://?after=N&max=M` is answered from the telemetry plane and
+//! the installed [`MetricsSource`], never by the proxy, and needs no
+//! `HELLO` — plane reads open no console session.
 //! [`ProxyServer::shutdown`] joins every thread before returning — no
 //! leaked connections.
 
@@ -24,7 +29,7 @@ use parking_lot::Mutex;
 use dvm_monitor::AdminConsole;
 use dvm_proxy::Proxy;
 use dvm_reactor::{Reactor, ReactorConfig};
-use dvm_telemetry::{Gauge, Histogram, Telemetry};
+use dvm_telemetry::{Gauge, Histogram, MetricsSource, Telemetry};
 
 use crate::frame::Frame;
 use crate::reactor_server::NetHandler;
@@ -162,15 +167,6 @@ pub trait MigrateExporter: Send + Sync {
     ) -> Result<MigrateBatch, String>;
 }
 
-/// Renders the Prometheus-text metrics exposition for this node,
-/// answered over `METRICS_SCRAPE`. Installed by the serving layer
-/// (`dvm-watch` provides the implementation); the frame layer stays
-/// ignorant of the text format, same as it is of rings and stores.
-pub trait MetricsSource: Send + Sync {
-    /// The current exposition text.
-    fn render_metrics(&self) -> String;
-}
-
 dvm_telemetry::counters! {
     /// Registered handles behind [`ServerStats`].
     pub(crate) struct ServerCounters;
@@ -207,11 +203,11 @@ dvm_telemetry::counters! {
         peer_hits = "net.server.peer_hits",
         /// `PEER_PUT` offers ingested into the local cache.
         peer_puts = "net.server.peer_puts",
-        /// `STATS_REQUEST` frames answered.
+        /// `stats://` plane reads answered.
         stats_requests = "net.server.stats_requests",
-        /// `METRICS_SCRAPE` frames answered.
+        /// `metrics://` plane reads answered.
         scrape_requests = "net.server.scrape_requests",
-        /// `EVENTS_REQUEST` frames answered.
+        /// `events://` plane reads answered.
         events_requests = "net.server.events_requests",
         /// `RING_UPDATE` requests answered.
         ring_updates = "net.server.ring_updates",
@@ -386,10 +382,10 @@ impl ProxyServer {
         *self.inner.exporter.lock() = Some(exporter);
     }
 
-    /// Installs the exposition renderer answering `METRICS_SCRAPE`
-    /// requests. Without one, scrapers get a typed `Internal` error
-    /// (`EVENTS_REQUEST` works regardless — the journal lives on the
-    /// telemetry plane itself).
+    /// Installs the exposition renderer answering `metrics://` reads.
+    /// Without one, scrapers get a typed `Internal` error (`stats://`
+    /// and `events://` work regardless — the report and the journal
+    /// live on the telemetry plane itself).
     pub fn set_metrics_source(&self, source: Arc<dyn MetricsSource>) {
         *self.inner.scrape.lock() = Some(source);
     }

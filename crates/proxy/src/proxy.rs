@@ -381,8 +381,8 @@ impl Proxy {
         self
     }
 
-    /// This proxy's telemetry plane (servers answer `STATS_REQUEST`
-    /// frames from it).
+    /// This proxy's telemetry plane (servers answer `stats://` reads
+    /// from it).
     pub fn telemetry(&self) -> Arc<Telemetry> {
         self.telemetry.clone()
     }
@@ -693,7 +693,7 @@ impl Proxy {
     }
 
     /// This proxy's counts, read from its telemetry plane: the same
-    /// numbers `STATS_REQUEST` and `/metrics` report under their
+    /// numbers `stats://` and `/metrics` report under their
     /// registry names.
     pub fn stats(&self) -> ProxyStats {
         self.metrics.counters.view()

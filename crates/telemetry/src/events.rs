@@ -253,7 +253,7 @@ impl Default for EventJournal {
 }
 
 // ---------------------------------------------------------------------
-// Wire encoding for event batches (the payload of EVENTS_RESPONSE).
+// Wire encoding for event batches (the bytes of an `events://` read).
 // Same length-prefixed pure-std style as `report.rs`: big-endian
 // integers, u16-length strings, explicit bounds checks everywhere.
 // ---------------------------------------------------------------------
@@ -443,7 +443,7 @@ fn decode_event(c: &mut Cursor<'_>) -> Result<JournalEvent, JournalError> {
     })
 }
 
-/// Serializes a batch of events (the `EVENTS_RESPONSE` payload).
+/// Serializes a batch of events (the answer to an `events://` read).
 pub fn encode_events(events: &[JournalEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + events.len() * 32);
     out.push(BATCH_VERSION);

@@ -21,7 +21,7 @@
 //!   pipeline stages → origin fetch) into a fixed-size
 //!   [`FlightRecorder`] ring buffer, dumpable on demand.
 //! - [`report`] — [`StatsReport`], the serialized form a live server
-//!   hands back over the wire's `STATS_REQUEST`/`STATS_RESPONSE` pair:
+//!   hands back for a `stats://` read on the wire:
 //!   one node's metrics snapshot plus its recent spans, in a pure-std
 //!   binary encoding (the same length-prefixed style as the wire
 //!   protocol, deliberately from scratch).
@@ -48,6 +48,15 @@ pub use report::{ReportError, StatsReport};
 pub use trace::{FlightRecorder, Span, SpanId, TraceContext, TraceId};
 
 use std::sync::Arc;
+
+/// Renders a node's Prometheus-text metrics exposition on demand: the
+/// body of a `metrics://` read on the wire and of HTTP `GET /metrics`.
+/// The renderer lives above this crate (`dvm-watch`); the server and
+/// the HTTP listener only hold one.
+pub trait MetricsSource: Send + Sync {
+    /// The current exposition text.
+    fn render_metrics(&self) -> String;
+}
 
 /// One process's (or component's) telemetry plane: a metrics registry
 /// plus a span flight recorder and an event journal, under a node name
@@ -109,8 +118,8 @@ impl Telemetry {
     }
 
     /// Snapshots this node's full observable state: metrics plus the
-    /// retained span window (oldest first). This is what the stats plane
-    /// serializes into a `STATS_RESPONSE`.
+    /// retained span window (oldest first). This is what a
+    /// `stats://?spans=1` read serializes.
     pub fn report(&self) -> StatsReport {
         StatsReport {
             node: self.node.clone(),

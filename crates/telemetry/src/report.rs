@@ -3,7 +3,7 @@
 //! One node's observable state — its metrics snapshot plus its recent
 //! spans — in a compact binary encoding (big-endian integers, `u16`- or
 //! `u32`-length-prefixed strings and lists, a leading version byte).
-//! This is what a `ProxyServer` stuffs into a `STATS_RESPONSE` frame and
+//! This is what a `ProxyServer` answers a `stats://` read with and
 //! what the fleet console decodes, merges, and renders. The encoding is
 //! deliberately the same from-scratch style as the wire protocol's frame
 //! grammar: no external serialization dependency, every decode

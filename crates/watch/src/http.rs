@@ -12,11 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Renders the scrape body on demand.
-pub trait ScrapeRender: Send + Sync {
-    /// The current exposition text.
-    fn render_metrics(&self) -> String;
-}
+use dvm_telemetry::MetricsSource;
 
 /// The listener handle: dropping it (or calling [`MetricsHttp::shutdown`])
 /// stops the accept loop.
@@ -37,7 +33,7 @@ impl std::fmt::Debug for MetricsHttp {
 impl MetricsHttp {
     /// Binds `addr` (use port 0 for an ephemeral port) and serves
     /// `GET /metrics` from `source` until shutdown.
-    pub fn bind(addr: &str, source: Arc<dyn ScrapeRender>) -> std::io::Result<MetricsHttp> {
+    pub fn bind(addr: &str, source: Arc<dyn MetricsSource>) -> std::io::Result<MetricsHttp> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let running = Arc::new(AtomicBool::new(true));
@@ -76,7 +72,7 @@ impl Drop for MetricsHttp {
     }
 }
 
-fn accept_loop(listener: TcpListener, source: Arc<dyn ScrapeRender>, running: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, source: Arc<dyn MetricsSource>, running: Arc<AtomicBool>) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -95,7 +91,7 @@ fn accept_loop(listener: TcpListener, source: Arc<dyn ScrapeRender>, running: Ar
 }
 
 /// Reads the request head (bounded) and writes one response.
-fn serve_one(mut stream: TcpStream, source: &dyn ScrapeRender) -> std::io::Result<()> {
+fn serve_one(mut stream: TcpStream, source: &dyn MetricsSource) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut head = Vec::with_capacity(512);
@@ -173,7 +169,7 @@ mod tests {
 
     struct Fixed(&'static str);
 
-    impl ScrapeRender for Fixed {
+    impl MetricsSource for Fixed {
         fn render_metrics(&self) -> String {
             self.0.to_owned()
         }

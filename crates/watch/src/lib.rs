@@ -12,7 +12,7 @@
 //!   burn rates through an ok → warning → firing → resolved state
 //!   machine;
 //! - [`expo`] — a from-scratch Prometheus-text exposition of all of
-//!   it, served over the wire protocol's `METRICS_SCRAPE` frame and a
+//!   it, served as a `metrics://` read on the wire protocol and by a
 //!   no-deps HTTP/1.0 `GET /metrics` listener ([`http`]);
 //! - [`spool`] — durable continuation of the telemetry event journal
 //!   through `dvm-store`, so cursor tails survive restarts.
@@ -28,7 +28,7 @@ pub mod series;
 pub mod slo;
 pub mod spool;
 
-pub use http::{http_get, MetricsHttp, ScrapeRender};
+pub use http::{http_get, MetricsHttp};
 pub use series::Sampler;
 pub use slo::{Alert, AlertState, Objective, ObjectiveKind};
 pub use spool::StoreSpool;
@@ -168,7 +168,7 @@ impl Watch {
     }
 }
 
-impl ScrapeRender for Watch {
+impl dvm_telemetry::MetricsSource for Watch {
     fn render_metrics(&self) -> String {
         self.render()
     }

@@ -2,14 +2,15 @@
 //!
 //! Stands up a three-shard `ProxyCluster` with per-shard watches,
 //! drives a fleet of DVM clients through it, then plays operator:
-//! pulls every shard's `STATS_RESPONSE` over the wire, renders a fleet
+//! reads every shard's `stats://` over the wire, renders a fleet
 //! health table (per-shard requests, cache tiers, wire traffic,
 //! latency quantiles), prints one distributed trace as a span tree,
 //! runs a few top-style live refreshes off the time-series plane
 //! (windowed rates, p99, SLO burn, alert state), kills a shard, pulls
 //! again to show the collector marking it unreachable while the merged
 //! view keeps answering, and finally tails the survivors' event
-//! journals — operator annotations included — over `EVENTS_REQUEST`.
+//! journals — operator annotations included — with `events://` reads.
+//! Every read is a session-less `CODE_REQUEST` for a plane URL.
 //!
 //! ```sh
 //! cargo run --release --example stats_console
@@ -19,23 +20,13 @@ use std::time::Duration;
 
 use dvm_cluster::{collect_fleet_stats, ClusterOptions, FleetStats};
 use dvm_core::{CostModel, Organization, ServiceConfig};
-use dvm_net::{fetch_events, Hello, NetConfig};
+use dvm_net::{fetch_events, NetConfig};
 use dvm_security::Policy;
 use dvm_telemetry::{JournalKind, Span, SpanId};
 use dvm_watch::{http_get, Objective, WatchConfig};
 use dvm_workload::corpus;
 
 const SEC: u64 = 1_000_000_000;
-
-fn hello(user: &str) -> Hello {
-    Hello {
-        user: user.to_owned(),
-        principal: "applets".to_owned(),
-        hardware: "x86/200MHz/64MB".to_owned(),
-        native_format: "x86".to_owned(),
-        jvm_version: "dvm-repro-0.1".to_owned(),
-    }
-}
 
 /// One histogram quantile rendered in microseconds.
 fn quantile_us(report: &dvm_telemetry::StatsReport, name: &str, q: f64) -> String {
@@ -177,13 +168,8 @@ fn main() {
             .unwrap();
     }
 
-    println!("-- fleet health (pulled over STATS_REQUEST) --");
-    let fleet = collect_fleet_stats(
-        cluster.addrs(),
-        &hello("operator"),
-        NetConfig::default(),
-        true,
-    );
+    println!("-- fleet health (read from stats://?spans=1) --");
+    let fleet = collect_fleet_stats(cluster.addrs(), NetConfig::default(), true);
     health_table(&fleet);
 
     // One distributed trace: the client's root span plus whatever the
@@ -271,7 +257,6 @@ fn main() {
     println!("-- after killing shard 1 --");
     let fleet = collect_fleet_stats(
         cluster.addrs(),
-        &hello("operator"),
         NetConfig {
             connect_timeout: std::time::Duration::from_millis(300),
             ..NetConfig::default()
@@ -297,16 +282,9 @@ fn main() {
 
     // Tail the survivors' structured event journals over the wire: the
     // operator annotation plus whatever the watch plane recorded.
-    println!("\n-- journal tail (EVENTS_REQUEST, cursor 0) --");
+    println!("\n-- journal tail (events://?after=0&max=32) --");
     for i in [0usize, 2] {
-        let (events, next) = fetch_events(
-            cluster.addrs()[i],
-            hello("operator"),
-            NetConfig::default(),
-            0,
-            32,
-        )
-        .unwrap();
+        let (events, next) = fetch_events(cluster.addrs()[i], NetConfig::default(), 0, 32).unwrap();
         for e in &events {
             println!(
                 "shard {i}  seq {:>3}  {:>9.3}s  {:<13} {:?}",

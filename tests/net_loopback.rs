@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use dvm_repro::core::{CostModel, Organization, ServiceConfig};
 use dvm_repro::net::{
-    FaultPlan, Frame, Hello, NetClassProvider, NetConfig, NetError, ProxyServer, ServerConfig,
+    ErrorCode, FaultPlan, Frame, Hello, NetClassProvider, NetConfig, NetError, ProxyServer,
+    ServerConfig,
 };
 use dvm_repro::proxy::{CacheTier, ServedFrom, Signer};
 use dvm_repro::security::Policy;
@@ -519,6 +520,107 @@ fn traced_inline_hit_records_serve_and_handle_spans() {
     assert_eq!(
         handle.parent, serve.id,
         "proxy.handle parents under shard.serve"
+    );
+    server.shutdown();
+}
+
+/// Sends a `CODE_REQUEST` for `url` on a raw connection and reads the
+/// reply.
+fn request(stream: &mut TcpStream, id: u32, url: &str, trace: Option<TraceContext>) -> Frame {
+    Frame::CodeRequest {
+        request_id: id,
+        session: 0,
+        url: url.into(),
+        native_format: String::new(),
+        trace,
+    }
+    .write_to(stream)
+    .unwrap();
+    Frame::read_from(stream).unwrap()
+}
+
+/// A traced `stats://` read with no handshake is a request like any
+/// other — a "shard.serve" span under the sender's trace, one more
+/// response and stats read on the server's books — and the proxy does
+/// no work for it.
+#[test]
+fn traced_stats_read_is_served_and_traced_without_the_proxy() {
+    let org = org_over(&small_applets(43, 1));
+    let server = org.serve("127.0.0.1:0").unwrap();
+    let registry = server.telemetry();
+    let proxied = registry.registry().counter("proxy.requests").get();
+    let before = server.stats();
+    let trace = TraceContext {
+        trace: TraceId::generate(),
+        parent: SpanId::generate(),
+    };
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let Frame::CodeResponse { bytes, .. } = request(&mut stream, 5, "stats://", Some(trace)) else {
+        panic!("stats:// was not answered with CODE_RESPONSE");
+    };
+    let report = dvm_repro::telemetry::StatsReport::decode(&bytes).unwrap();
+    assert!(report.spans.is_empty(), "stats:// carries no spans");
+
+    let after = server.stats();
+    assert_eq!(after.requests, before.requests + 1);
+    assert_eq!(after.responses, before.responses + 1);
+    assert_eq!(after.stats_requests, before.stats_requests + 1);
+    assert_eq!(registry.registry().counter("proxy.requests").get(), proxied);
+    let spans = registry.recorder().for_trace(trace.trace);
+    let serve = spans.iter().find(|s| s.name == "shard.serve").unwrap();
+    assert_eq!(serve.parent, trace.parent);
+    server.shutdown();
+}
+
+/// A plane URL outside the four forms gets a typed `ERROR` and the
+/// connection goes on serving classes; `metrics://` without a metrics
+/// source keeps its `Internal` code; a retired frame tag is a
+/// `Malformed` error that closes the connection.
+#[test]
+fn hostile_plane_urls_get_typed_errors() {
+    let applets = small_applets(47, 1);
+    let server = org_over(&applets).serve("127.0.0.1:0").unwrap();
+    let class_url = format!("class://{}", applets[0].main_class);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    for (id, (url, want)) in (1..).zip([
+        ("stats://?spans=2", ErrorCode::Malformed),
+        ("stats://x", ErrorCode::Malformed),
+        ("events://?after=x&max=1", ErrorCode::Malformed),
+        ("events://?after=0&max=4294967296", ErrorCode::Malformed),
+        ("events://?after=0&max=1&max=1", ErrorCode::Malformed),
+        ("events://?after=+1&max=1", ErrorCode::Malformed),
+        ("metrics://", ErrorCode::Internal),
+    ]) {
+        match request(&mut stream, id, url, None) {
+            Frame::Error {
+                request_id, code, ..
+            } => assert_eq!((request_id, code), (id, want), "{url}"),
+            other => panic!("{url}: expected ERROR, got {other:?}"),
+        }
+        let reply = request(&mut stream, 100 + id, &class_url, None);
+        assert!(matches!(reply, Frame::CodeResponse { .. }), "after {url}");
+    }
+
+    // The cursor's upper boundary: an empty page, the cursor unchanged.
+    let page = dvm_repro::net::fetch_events(server.addr(), NetConfig::default(), u64::MAX, 0);
+    assert_eq!(page.unwrap(), (Vec::new(), u64::MAX));
+
+    // A retired tag (the old STATS_REQUEST, 0x0A) is an unknown frame.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(&[0, 0, 0, 6, 0x0A, 0, 0, 0, 1, 1])
+        .unwrap();
+    let reply = Frame::read_from(&mut stream).unwrap();
+    assert!(matches!(
+        reply,
+        Frame::Error {
+            code: ErrorCode::Malformed,
+            ..
+        }
+    ));
+    assert!(
+        Frame::read_from(&mut stream).is_err(),
+        "connection stayed open"
     );
     server.shutdown();
 }

@@ -1,13 +1,20 @@
 //! Property-based tests for the dvm-net wire protocol: every frame that
 //! is encoded decodes back identically, and truncated, oversized, or
 //! garbage inputs are rejected without panicking — plus a deterministic
-//! replay of the hostile-bytes corpus in `tests/corpus/`.
+//! replay of the hostile-bytes corpus in `tests/corpus/`, and hostile
+//! plane URLs (`stats://`, `metrics://`, `events://`) sent to a live
+//! server.
 
+use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use dvm_repro::net::{Frame, FrameError, Hello, MAX_FRAME_LEN};
+use dvm_repro::core::{CostModel, Organization, ServiceConfig};
+use dvm_repro::net::{
+    request_once, ErrorCode, Frame, FrameError, Hello, NetConfig, NetError, MAX_FRAME_LEN,
+};
 use dvm_repro::proxy::ServedFrom;
 use dvm_repro::telemetry::{SpanId, TraceContext, TraceId};
 
@@ -24,8 +31,7 @@ fn arb_served_from() -> impl Strategy<Value = ServedFrom> {
     ]
 }
 
-fn arb_error_code() -> impl Strategy<Value = dvm_repro::net::ErrorCode> {
-    use dvm_repro::net::ErrorCode;
+fn arb_error_code() -> impl Strategy<Value = ErrorCode> {
     prop_oneof![
         Just(ErrorCode::NotFound),
         Just(ErrorCode::Parse),
@@ -117,17 +123,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             proptest::collection::vec(any::<u8>(), 0..2048)
         )
             .prop_map(|(url, bytes)| Frame::PeerPut { url, bytes }),
-        (any::<u32>(), any::<bool>()).prop_map(|(request_id, include_spans)| {
-            Frame::StatsRequest {
-                request_id,
-                include_spans,
-            }
-        }),
-        (
-            any::<u32>(),
-            proptest::collection::vec(any::<u8>(), 0..2048)
-        )
-            .prop_map(|(request_id, report)| Frame::StatsResponse { request_id, report }),
         (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..512))
             .prop_map(|(epoch, ring)| Frame::RingUpdate { epoch, ring }),
         (any::<u32>(), any::<u64>(), any::<u32>(), arb_string()).prop_map(
@@ -157,34 +152,63 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 complete,
             }
         }),
-        any::<u32>().prop_map(|request_id| Frame::MetricsScrape { request_id }),
-        (
-            any::<u32>(),
-            proptest::collection::vec(any::<u8>(), 0..2048)
-        )
-            .prop_map(|(request_id, text)| Frame::MetricsText { request_id, text }),
-        (any::<u32>(), any::<u64>(), any::<u32>()).prop_map(|(request_id, after_seq, max)| {
-            Frame::EventsRequest {
-                request_id,
-                after_seq,
-                max,
-            }
-        }),
-        (
-            any::<u32>(),
-            any::<u64>(),
-            proptest::collection::vec(any::<u8>(), 0..2048)
-        )
-            .prop_map(|(request_id, next_seq, events)| Frame::EventsResponse {
-                request_id,
-                next_seq,
-                events,
-            }),
         Just(Frame::Bye),
     ]
 }
 
+/// A server over an empty organization with no metrics source, started
+/// once for every case; it lives as long as the test process.
+fn plane_server() -> SocketAddr {
+    static ADDR: OnceLock<SocketAddr> = OnceLock::new();
+    *ADDR.get_or_init(|| {
+        let org = Organization::new(
+            &[],
+            dvm_repro::security::Policy::parse(dvm_repro::security::policy::example_policy())
+                .unwrap(),
+            ServiceConfig::dvm(),
+            CostModel::default(),
+        )
+        .unwrap();
+        Box::leak(Box::new(org.serve("127.0.0.1:0").unwrap())).addr()
+    })
+}
+
+/// Text after a plane scheme: anything; the events query with numbers
+/// on both sides of their fields' bounds; or something near the query
+/// grammar (known keys, digits, signs, repeats).
+fn arb_plane_suffix() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "\\PC{0,40}",
+        "\\?after=[0-9]{1,21}&max=[0-9]{1,11}",
+        "(\\?(after|max|spans)=[0-9+]{0,12}(&(after|max|spans)=[0-9+]{0,12}){0,2})?",
+    ]
+}
+
 proptest! {
+    /// Whatever follows a plane scheme, the server's URL parser answers
+    /// with a typed reply — plane bytes for the four forms, `Malformed`
+    /// for the rest, `Internal` for `metrics://` without a source — and
+    /// never panics: a panic would take the loop thread, and with it
+    /// every later case.
+    #[test]
+    fn plane_urls_with_any_suffix_get_a_typed_answer(
+        scheme in prop_oneof![Just("stats://"), Just("metrics://"), Just("events://")],
+        suffix in arb_plane_suffix(),
+    ) {
+        let request = Frame::CodeRequest {
+            request_id: 1,
+            session: 0,
+            url: format!("{scheme}{suffix}"),
+            native_format: String::new(),
+            trace: None,
+        };
+        match request_once(plane_server(), &NetConfig::default(), request) {
+            Ok(Frame::CodeResponse { request_id: 1, .. })
+            | Err(NetError::Remote { code: ErrorCode::Malformed | ErrorCode::Internal, .. }) => {}
+            other => prop_assert!(false, "{scheme}{suffix}: {other:?}"),
+        }
+    }
+
     /// Encode → decode is the identity, consuming exactly the encoding.
     #[test]
     fn frame_round_trips(frame in arb_frame()) {
@@ -396,28 +420,6 @@ fn regenerate_net_corpus() {
         ])),
     );
     dump(
-        "events-request-truncated.hex",
-        "EVENTS_REQUEST cut off before the max field: after_seq is complete\n\
-         but the u32 max is missing entirely, and the length prefix agrees —\n\
-         a complete frame whose body ends early. Expect FrameError::Malformed.",
-        "reject",
-        &framed(&cat(&[&[0x12], &u32be(1), &u64be(5)])),
-    );
-    dump(
-        "events-response-events-overrun.hex",
-        "EVENTS_RESPONSE whose event-batch length prefix (0x7FFFFFFF)\n\
-         dwarfs both the frame and MAX_FRAME_LEN; must be rejected before\n\
-         allocation.",
-        "reject",
-        &framed(&cat(&[
-            &[0x13],
-            &u32be(2),
-            &u64be(10),
-            &u32be(0x7FFF_FFFF),
-            &[0x00],
-        ])),
-    );
-    dump(
         "hello-bad-utf8.hex",
         "HELLO whose user field contains invalid UTF-8 (FF FE), remaining\n\
          four string fields empty. Expect FrameError::Malformed\n\
@@ -440,20 +442,6 @@ fn regenerate_net_corpus() {
          Expect FrameError::Malformed (\"payload truncated\").",
         "reject",
         &framed(&cat(&[&[0x01], &u16be(0xFFFF), b"AA"])),
-    );
-    dump(
-        "metrics-scrape-trailing-bytes.hex",
-        "METRICS_SCRAPE with a stray byte after the request id: the decoder\n\
-         must reject payload bytes its grammar did not consume.",
-        "reject",
-        &framed(&cat(&[&[0x10], &u32be(1), &[0xFF]])),
-    );
-    dump(
-        "metrics-text-bytes-overrun.hex",
-        "METRICS_TEXT whose byte-field length prefix (255) promises more\n\
-         exposition text than the frame carries (2 bytes).",
-        "reject",
-        &framed(&cat(&[&[0x11], &u32be(1), &u32be(0xFF), &[0xAB, 0xCD]])),
     );
     dump(
         "migrate-chunk-bytes-overrun.hex",
@@ -530,6 +518,14 @@ fn regenerate_net_corpus() {
          typed error from both decoders, never a stall or a panic.",
         "reject",
         &framed(&[0x0C, 0x00, 0x00, 0x00]),
+    );
+    dump(
+        "retired-tag-stats-request.hex",
+        "A well-formed STATS_REQUEST (tag 0x0A, request id 1, spans flag 1)\n\
+         from before the node's planes became URLs on CODE_REQUEST. The\n\
+         tag is retired and never reused. Expect FrameError::UnknownTag(0x0A).",
+        "reject",
+        &framed(&cat(&[&[0x0A], &u32be(1), &[0x01]])),
     );
     dump(
         "truncated-body.hex",

@@ -206,7 +206,7 @@ fn pipelined_reads_hit_backpressure_and_drain_intact() {
 }
 
 /// C10K soak: one loop thread holds ten thousand live connections and
-/// still answers stats probes. Scaled down only if the file-descriptor
+/// still answers `stats://` probes. Scaled down only if the file-descriptor
 /// limit cannot be raised. Run with `--ignored` (it raises
 /// `RLIMIT_NOFILE` and opens ~10k sockets).
 #[test]
@@ -249,15 +249,18 @@ fn c10k_soak_holds_ten_thousand_connections() {
     // connection completes a stats round-trip.
     for (i, s) in conns.iter_mut().enumerate().step_by(100) {
         s.write_all(
-            &Frame::StatsRequest {
+            &Frame::CodeRequest {
                 request_id: i as u32,
-                include_spans: false,
+                session: 0,
+                url: "stats://".into(),
+                native_format: String::new(),
+                trace: None,
             }
             .encode(),
         )
         .unwrap();
         match read_frame(s) {
-            Frame::StatsResponse { request_id, .. } => assert_eq!(request_id, i as u32),
+            Frame::CodeResponse { request_id, .. } => assert_eq!(request_id, i as u32),
             other => panic!("conn {i}: unexpected frame {other:?}"),
         }
     }

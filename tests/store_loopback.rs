@@ -191,8 +191,7 @@ fn a_corrupt_disk_entry_is_rejected_and_counted_on_the_stats_plane() {
         .fetch(&url)
         .unwrap();
     assert_eq!(transfer.served_from, ServedFrom::Rewritten);
-    let console = hello("console");
-    let report = fetch_stats(cluster.addrs()[0], console, NetConfig::default(), false).unwrap();
+    let report = fetch_stats(cluster.addrs()[0], NetConfig::default(), false).unwrap();
     assert_eq!(report.metrics.counter("proxy.cache.disk_load_rejects"), 1);
     cluster.shutdown();
 }

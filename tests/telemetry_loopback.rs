@@ -1,6 +1,6 @@
 //! End-to-end tests for the dvm-telemetry stats plane: a remote fetch
 //! through a live shard cluster produces one distributed trace whose
-//! spans cover client → shard → pipeline, and `STATS_REQUEST` pulls a
+//! spans cover client → shard → pipeline, and `stats://` reads pull a
 //! mergeable per-shard picture of the whole fleet — including the
 //! client-side circuit breaker opening after a shard is killed.
 
@@ -86,7 +86,7 @@ fn provider_for(cluster: &dvm_repro::cluster::ProxyCluster, user: &str) -> Clust
 
 /// The tentpole acceptance scenario: one remote fetch through a 3-shard
 /// cluster yields one trace whose spans — gathered from the client's own
-/// recorder plus every shard's `STATS_RESPONSE` — cover the client
+/// recorder plus every shard's `stats://?spans=1` read — cover the client
 /// fetch, the serving shard, the proxy, and its pipeline stages.
 #[test]
 fn one_remote_fetch_produces_a_full_cross_process_trace() {
@@ -115,9 +115,7 @@ fn one_remote_fetch_produces_a_full_cross_process_trace() {
         .cloned()
         .collect();
     for &addr in cluster.addrs() {
-        let report =
-            dvm_repro::net::fetch_stats(addr, hello("stats-puller"), NetConfig::default(), true)
-                .unwrap();
+        let report = dvm_repro::net::fetch_stats(addr, NetConfig::default(), true).unwrap();
         assert!(report.node.starts_with("shard"), "node = {}", report.node);
         spans.extend(report.spans.into_iter().filter(|s| s.trace == trace));
     }
@@ -174,12 +172,7 @@ fn fleet_stats_merge_and_survive_a_shard_kill() {
         provider.fetch(url).unwrap();
     }
 
-    let fleet = collect_fleet_stats(
-        cluster.addrs(),
-        &hello("stats-puller"),
-        NetConfig::default(),
-        false,
-    );
+    let fleet = collect_fleet_stats(cluster.addrs(), NetConfig::default(), false);
     assert_eq!(fleet.reachable(), 3);
     // The merged snapshot accounts for the workload: every fetch hit
     // some shard's proxy (peer fills can only add on top).
@@ -238,7 +231,6 @@ fn fleet_stats_merge_and_survive_a_shard_kill() {
     // The collector tolerates the dead shard and says which one it is.
     let fleet = collect_fleet_stats(
         cluster.addrs(),
-        &hello("stats-puller"),
         NetConfig {
             connect_timeout: Duration::from_millis(250),
             ..NetConfig::default()

@@ -1,7 +1,7 @@
 //! Continuous-observability acceptance over real sockets: a live
 //! 3-shard cluster with per-shard watches must serve a parseable
-//! `/metrics` exposition (HTTP and wire) that agrees with
-//! `STATS_REQUEST`, an induced brownout must walk an SLO alert through
+//! `/metrics` exposition (HTTP and wire) that agrees with a
+//! `stats://` read, an induced brownout must walk an SLO alert through
 //! ok → firing → resolved visibly in both the event journal and the
 //! scrape, and a killed-and-restarted shard's journal cursor tail must
 //! resume without gaps.
@@ -105,9 +105,9 @@ fn sample(samples: &[(String, String, f64)], name: &str) -> Option<f64> {
         .map(|(_, _, v)| *v)
 }
 
-/// `GET /metrics` over HTTP and `METRICS_SCRAPE` over the wire both
-/// return parseable exposition whose proxy counters agree with what
-/// `STATS_REQUEST` reports for the same shard.
+/// `GET /metrics` over HTTP and a `metrics://` read over the wire both
+/// return parseable exposition whose proxy counters agree with what a
+/// `stats://` read reports for the same shard.
 #[test]
 fn scrape_agrees_with_stats_request_on_every_shard() {
     let applets = small_applets(17, 3);
@@ -141,32 +141,25 @@ fn scrape_agrees_with_stats_request_on_every_shard() {
         );
 
         // The wire-protocol scrape and the HTTP one render the same plane.
-        let wire =
-            fetch_metrics_text(cluster.addrs()[i], hello("scrape"), NetConfig::default()).unwrap();
+        let wire = fetch_metrics_text(cluster.addrs()[i], NetConfig::default()).unwrap();
         let wire_samples = expo::parse(&wire).unwrap();
 
         // Proxy-level counters only move on class requests, so a scrape
         // taken after the traffic stopped must agree exactly with
-        // STATS_REQUEST pulled right after it.
-        let report = fetch_stats(
-            cluster.addrs()[i],
-            hello("scrape"),
-            NetConfig::default(),
-            false,
-        )
-        .unwrap();
+        // `stats://` read right after it.
+        let report = fetch_stats(cluster.addrs()[i], NetConfig::default(), false).unwrap();
         for counter in ["proxy.requests", "proxy.rewrites", "proxy.cache.miss"] {
             let expected = report.metrics.counters.get(counter).copied().unwrap_or(0) as f64;
             let scraped = sample(&samples, &expo::sanitize(counter))
                 .unwrap_or_else(|| panic!("shard {i} scrape lacks {counter}"));
             assert_eq!(
                 scraped, expected,
-                "shard {i}: scrape of {counter} disagrees with STATS_REQUEST"
+                "shard {i}: scrape of {counter} disagrees with stats://"
             );
             let wired = sample(&wire_samples, &expo::sanitize(counter)).unwrap();
             assert_eq!(
                 wired, expected,
-                "shard {i}: wire scrape of {counter} disagrees with STATS_REQUEST"
+                "shard {i}: wire scrape of {counter} disagrees with stats://"
             );
         }
     }
@@ -299,7 +292,7 @@ fn brownout_lifecycle_is_visible_in_journal_and_scrape() {
     cluster.shutdown();
 }
 
-/// A journal tail (`EVENTS_REQUEST` with a cursor) against a persistent
+/// A journal tail (`events://` reads with a cursor) against a persistent
 /// shard resumes after a kill-and-restart with strictly increasing
 /// sequence numbers and no gaps or duplicates.
 #[test]
@@ -321,14 +314,7 @@ fn journal_cursor_tail_resumes_across_a_restart_without_gaps() {
     }
 
     // First tail page over the wire.
-    let (page1, cursor) = fetch_events(
-        cluster.addrs()[0],
-        hello("tail"),
-        NetConfig::default(),
-        0,
-        1024,
-    )
-    .unwrap();
+    let (page1, cursor) = fetch_events(cluster.addrs()[0], NetConfig::default(), 0, 1024).unwrap();
     assert!(page1.len() >= 5, "expected the five notes, got {page1:?}");
 
     // Kill and restart the shard; its journal is spooled through the
@@ -341,14 +327,8 @@ fn journal_cursor_tail_resumes_across_a_restart_without_gaps() {
         });
     }
 
-    let (page2, cursor2) = fetch_events(
-        cluster.addrs()[0],
-        hello("tail"),
-        NetConfig::default(),
-        cursor,
-        1024,
-    )
-    .unwrap();
+    let (page2, cursor2) =
+        fetch_events(cluster.addrs()[0], NetConfig::default(), cursor, 1024).unwrap();
     assert!(
         !page2.is_empty(),
         "tail from cursor {cursor} saw nothing after the restart"
@@ -377,5 +357,44 @@ fn journal_cursor_tail_resumes_across_a_restart_without_gaps() {
         "post-restart events missing from the tail: {second_life:?}"
     );
 
+    cluster.shutdown();
+}
+
+/// Pollers open no console session: plane reads and ring pulls are
+/// session-less `CODE_REQUEST`s and `RING_UPDATE`s, so polling a fleet
+/// leaves the console's session table exactly where it was.
+#[test]
+fn plane_reads_and_ring_pulls_open_no_console_session() {
+    let applets = small_applets(37, 1);
+    let org = org_over(&applets);
+    let cluster = org.serve_cluster_with(2, watched_options()).unwrap();
+    let mut provider = ClusterClassProvider::new(
+        cluster.addrs().to_vec(),
+        cluster.ring().clone(),
+        hello("poller"),
+        Some(Signer::new(b"dvm-org-key")),
+        ClusterClientConfig::default(),
+    );
+    let ring_updates = || -> u64 {
+        (0..cluster.len())
+            .map(|i| cluster.shard_stats(i).map_or(0, |s| s.ring_updates))
+            .sum()
+    };
+    let (sessions, pulls) = (org.console.lock().session_count(), ring_updates());
+
+    let addr = cluster.addrs()[0];
+    for _ in 0..200 {
+        fetch_stats(addr, NetConfig::default(), false).unwrap();
+    }
+    for _ in 0..50 {
+        fetch_metrics_text(addr, NetConfig::default()).unwrap();
+    }
+    for _ in 0..50 {
+        fetch_events(addr, NetConfig::default(), 0, 16).unwrap();
+    }
+    assert!(!provider.sync_ring(), "the client's ring is current");
+    assert_eq!(ring_updates(), pulls + 1, "sync_ring pulled no ring");
+
+    assert_eq!(org.console.lock().session_count(), sessions);
     cluster.shutdown();
 }
