@@ -781,12 +781,8 @@ fn run_client(
     let mut console = if cfg.audit {
         let mut net = cfg.client_config.net;
         net.jitter_seed = SimRng::derive(cfg.seed, 0x3000 + c as u64).next_u64();
-        dvm_net::RemoteConsole::connect(link_addrs[c % shards], hello, net)
+        dvm_net::RemoteConsole::connect_on(link_addrs[c % shards], hello, net, telemetry.clone())
             .ok()
-            .map(|mut con| {
-                con.set_telemetry(telemetry.clone());
-                con
-            })
     } else {
         None
     };

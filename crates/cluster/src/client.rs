@@ -19,9 +19,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use dvm_jvm::ClassProvider;
-use dvm_net::{
-    request_once, Frame, Hello, NetClassProvider, NetClientStats, NetConfig, NetError, NetTransfer,
-};
+use dvm_net::{request_once, Frame, Hello, NetClassProvider, NetConfig, NetError, NetTransfer};
 use dvm_proxy::Signer;
 use dvm_telemetry::{Histogram, Registry, SpanId, Telemetry, TraceContext, TraceId};
 
@@ -164,6 +162,10 @@ impl ClusterClassProvider {
     ///
     /// Per-shard connections are lazy: a client whose working set homes
     /// onto one shard never touches the others.
+    ///
+    /// The client counts on a plane of its own, `cluster:<user>`;
+    /// [`ClusterClassProvider::new_on`] is the same client on a
+    /// caller's plane.
     pub fn new(
         addrs: Vec<SocketAddr>,
         ring: HashRing,
@@ -171,16 +173,26 @@ impl ClusterClassProvider {
         signer: Option<Signer>,
         config: ClusterClientConfig,
     ) -> ClusterClassProvider {
+        let telemetry = Arc::new(Telemetry::new(&format!("cluster:{}", hello.user)));
+        ClusterClassProvider::new_on(addrs, ring, hello, signer, config, telemetry)
+    }
+
+    /// [`ClusterClassProvider::new`] counting on `telemetry`: its
+    /// `cluster.*` counts, its breaker, and every per-shard connection's
+    /// `net.client.*` counts.
+    pub fn new_on(
+        addrs: Vec<SocketAddr>,
+        ring: HashRing,
+        hello: Hello,
+        signer: Option<Signer>,
+        config: ClusterClientConfig,
+        telemetry: Arc<Telemetry>,
+    ) -> ClusterClassProvider {
         let addrs: HashMap<u32, SocketAddr> = addrs
             .into_iter()
             .enumerate()
             .map(|(i, a)| (i as u32, a))
             .collect();
-        let telemetry = Arc::new(Telemetry::new(&format!("cluster:{}", hello.user)));
-        let metrics = ClusterMetrics::register(telemetry.registry());
-        let mut health = HealthTracker::new(config.health);
-        health.attach_metrics(telemetry.registry());
-        health.attach_journal(telemetry.clone());
         ClusterClassProvider {
             addrs,
             ring,
@@ -188,10 +200,10 @@ impl ClusterClassProvider {
             signer,
             config,
             providers: HashMap::new(),
-            health,
+            health: HealthTracker::new(config.health, telemetry.clone()),
             hook: Arc::new(Mutex::new(None)),
+            metrics: ClusterMetrics::register(telemetry.registry()),
             telemetry,
-            metrics,
         }
     }
 
@@ -200,20 +212,6 @@ impl ClusterClassProvider {
     /// cluster accumulate under one node.
     pub fn telemetry(&self) -> Arc<Telemetry> {
         self.telemetry.clone()
-    }
-
-    /// Shares an externally owned telemetry plane (e.g. the DVM client's
-    /// own node). Re-registers every handle, so call it before the first
-    /// fetch: counts already taken stay on the old plane and drop out of
-    /// [`ClusterClassProvider::stats`].
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics = ClusterMetrics::register(telemetry.registry());
-        self.health.attach_metrics(telemetry.registry());
-        self.health.attach_journal(telemetry.clone());
-        for p in self.providers.values_mut() {
-            p.set_telemetry(telemetry.clone());
-        }
-        self.telemetry = telemetry;
     }
 
     /// Installs an observer called once per successful transfer,
@@ -225,21 +223,6 @@ impl ClusterClassProvider {
     /// This client's counts, read from its telemetry plane.
     pub fn stats(&self) -> ClusterClientStats {
         self.metrics.counters.view()
-    }
-
-    /// Aggregated per-shard connection counters (zeros for shards this
-    /// client never contacted).
-    pub fn net_stats(&self) -> NetClientStats {
-        let mut total = NetClientStats::default();
-        for p in self.providers.values() {
-            let s = p.stats();
-            total.requests += s.requests;
-            total.retries += s.retries;
-            total.reconnects += s.reconnects;
-            total.signature_failures += s.signature_failures;
-            total.bytes_received += s.bytes_received;
-        }
-        total
     }
 
     /// The failover order the ring assigns to `url` (for tests and
@@ -309,14 +292,19 @@ impl ClusterClassProvider {
             // keeping the whole client replayable from one seed.
             let mut net = self.config.net;
             net.jitter_seed ^= (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut p = NetClassProvider::new(addr, self.hello.clone(), self.signer.clone(), net)?;
+            let mut p = NetClassProvider::new_on(
+                addr,
+                self.hello.clone(),
+                self.signer.clone(),
+                net,
+                self.telemetry.clone(),
+            )?;
             let hook = self.hook.clone();
             p.set_transfer_hook(Box::new(move |t| {
                 if let Some(h) = hook.lock().as_mut() {
                     h(t);
                 }
             }));
-            p.set_telemetry(self.telemetry.clone());
             self.providers.insert(shard, p);
         }
         Ok(self.providers.get_mut(&shard).expect("installed above"))

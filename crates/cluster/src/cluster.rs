@@ -21,14 +21,13 @@ use dvm_net::{
     ServerStats,
 };
 use dvm_proxy::Proxy;
-use dvm_store::{Store, StoreConfig};
+use dvm_store::StoreConfig;
 use dvm_telemetry::{MetricsSnapshot, StatsReport, Telemetry};
 use dvm_watch::{MetricsHttp, StoreSpool, Watch, WatchConfig, WatchDriver};
 
-use crate::peer::{ClusterPeer, PeerLink, PeerStats};
+use crate::peer::{ClusterPeer, PeerLink};
 use crate::ring::{HashRing, RemapPlan};
 use crate::snapshot::RingSnapshot;
-use crate::stats::{collect_fleet_stats_live, FleetStats};
 
 /// Cluster construction knobs.
 #[derive(Debug, Clone)]
@@ -146,6 +145,28 @@ impl MigrateExporter for ShardExporter {
     }
 }
 
+/// Binds a server for `proxy` on `127.0.0.1:0`, answering `RING_UPDATE`
+/// from `view` and `MIGRATE_BEGIN` from the shard's cache.
+fn bind_shard(
+    proxy: &Arc<Proxy>,
+    console: &Option<Arc<Mutex<AdminConsole>>>,
+    config: &ServerConfig,
+    view: &Arc<MembershipView>,
+) -> std::io::Result<ProxyServer> {
+    let server = ProxyServer::bind(
+        "127.0.0.1:0",
+        proxy.clone(),
+        console.clone(),
+        config.clone(),
+    )?;
+    server.set_membership_view(view.clone());
+    server.set_migrate_exporter(Arc::new(ShardExporter {
+        proxy: proxy.clone(),
+        view: view.clone(),
+    }));
+    Ok(server)
+}
+
 /// A running cluster of proxy shards on loopback sockets.
 pub struct ProxyCluster {
     servers: Vec<Option<ProxyServer>>,
@@ -190,65 +211,25 @@ impl ProxyCluster {
         // request, so a restarted shard is warm from its first fetch.
         if let Some(data_dir) = &opts.data_dir {
             for (i, proxy) in proxies.iter().enumerate() {
-                let store = Store::open(data_dir.join(format!("shard{i}")), opts.store.clone())
+                proxy
+                    .open_store(data_dir.join(format!("shard{i}")), opts.store.clone())
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
-                proxy.attach_store(store);
             }
         }
         let view = Arc::new(MembershipView::new());
         let mut servers = Vec::with_capacity(proxies.len());
         let mut addrs = Vec::with_capacity(proxies.len());
         for proxy in &proxies {
-            let server = ProxyServer::bind(
-                "127.0.0.1:0",
-                proxy.clone(),
-                console.clone(),
-                opts.server.clone(),
-            )?;
-            server.set_membership_view(view.clone());
-            server.set_migrate_exporter(Arc::new(ShardExporter {
-                proxy: proxy.clone(),
-                view: view.clone(),
-            }));
+            let server = bind_shard(proxy, &console, &opts.server, &view)?;
             addrs.push(server.addr());
             servers.push(Some(server));
         }
         let ring = HashRing::with_shards(proxies.len() as u32, opts.vnodes, opts.seed);
 
-        // Peer links can only be wired once every shard has a bound
-        // address, hence the second pass.
-        let mut peers = Vec::with_capacity(proxies.len());
-        for (i, proxy) in proxies.iter().enumerate() {
-            if !opts.peer_fill || proxies.len() < 2 {
-                peers.push(None);
-                continue;
-            }
-            let peer = Arc::new(ClusterPeer::new(i as u32, ring.clone()));
-            let links: HashMap<u32, Arc<PeerLink>> = addrs
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(j, &addr)| {
-                    let hello = Hello {
-                        user: format!("shard{i}"),
-                        principal: "cluster-peer".into(),
-                        ..Hello::default()
-                    };
-                    (
-                        j as u32,
-                        Arc::new(PeerLink::new(addr, hello, opts.peer_net)),
-                    )
-                })
-                .collect();
-            peer.set_links(links);
-            proxy.set_peer_cache(peer.clone());
-            peers.push(Some(peer));
-        }
-
         let mut cluster = ProxyCluster {
             servers,
+            peers: vec![None; proxies.len()],
             proxies,
-            peers,
             watches: Vec::new(),
             addrs,
             ring,
@@ -256,6 +237,9 @@ impl ProxyCluster {
             opts,
             view,
         };
+        // Peer links can only be wired once every shard has a bound
+        // address.
+        cluster.rewire_peers();
         cluster.watches = (0..cluster.servers.len())
             .map(|i| cluster.attach_watch(i))
             .collect();
@@ -330,8 +314,8 @@ impl ProxyCluster {
 
     /// Rebuilds every live shard's peer table against the current ring
     /// and membership: links go to every *other* live ring member, and
-    /// existing peer tables keep their stats (only the ring and link
-    /// set are swapped). Shards that had no peer table (single-shard
+    /// existing peer tables are kept (only the ring and link set are
+    /// swapped). Shards that had no peer table (single-shard
     /// start) get one as soon as there are two live members.
     fn rewire_peers(&mut self) {
         if !self.opts.peer_fill {
@@ -374,9 +358,10 @@ impl ProxyCluster {
                     peer.set_links(links);
                 }
                 None => {
-                    let peer = Arc::new(ClusterPeer::new(i, self.ring.clone()));
+                    let proxy = &self.proxies[i as usize];
+                    let peer = Arc::new(ClusterPeer::new(i, self.ring.clone(), &proxy.telemetry()));
                     peer.set_links(links);
-                    self.proxies[i as usize].set_peer_cache(peer.clone());
+                    proxy.set_peer_cache(peer.clone());
                     *slot = Some(peer);
                 }
             }
@@ -393,21 +378,11 @@ impl ProxyCluster {
     pub fn spawn_shard(&mut self, proxy: Arc<Proxy>) -> std::io::Result<(u32, RemapPlan)> {
         let id = self.servers.len() as u32;
         if let Some(data_dir) = &self.opts.data_dir {
-            let store = Store::open(data_dir.join(format!("shard{id}")), self.opts.store.clone())
+            proxy
+                .open_store(data_dir.join(format!("shard{id}")), self.opts.store.clone())
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
-            proxy.attach_store(store);
         }
-        let server = ProxyServer::bind(
-            "127.0.0.1:0",
-            proxy.clone(),
-            self.console.clone(),
-            self.opts.server.clone(),
-        )?;
-        server.set_membership_view(self.view.clone());
-        server.set_migrate_exporter(Arc::new(ShardExporter {
-            proxy: proxy.clone(),
-            view: self.view.clone(),
-        }));
+        let server = bind_shard(&proxy, &self.console, &self.opts.server, &self.view)?;
         self.addrs.push(server.addr());
         self.servers.push(Some(server));
         self.proxies.push(proxy);
@@ -478,18 +453,12 @@ impl ProxyCluster {
                 format!("shard {i} is not a cluster member"),
             ));
         }
-        let proxy = self.proxies[i].clone();
-        let server = ProxyServer::bind(
-            "127.0.0.1:0",
-            proxy.clone(),
-            self.console.clone(),
-            self.opts.server.clone(),
+        let server = bind_shard(
+            &self.proxies[i],
+            &self.console,
+            &self.opts.server,
+            &self.view,
         )?;
-        server.set_membership_view(self.view.clone());
-        server.set_migrate_exporter(Arc::new(ShardExporter {
-            proxy,
-            view: self.view.clone(),
-        }));
         let addr = server.addr();
         self.addrs[i] = addr;
         self.servers[i] = Some(server);
@@ -510,19 +479,6 @@ impl ProxyCluster {
             .filter(|&s| self.is_alive(s as usize))
             .map(|s| (s, self.addrs[s as usize]))
             .collect()
-    }
-
-    /// The shared membership view (epoch + published ring snapshot).
-    pub fn membership_view(&self) -> Arc<MembershipView> {
-        self.view.clone()
-    }
-
-    /// Pulls a stats report from every shard in *live membership* over
-    /// the wire and merges them: joined shards appear as soon as they
-    /// serve, and retired shards stop being polled (and reported
-    /// unreachable) forever.
-    pub fn fleet_stats(&self, net: NetConfig, include_spans: bool) -> FleetStats {
-        collect_fleet_stats_live(&self.live_addrs(), net, include_spans)
     }
 
     /// Number of shards (including killed ones — slots keep their ids).
@@ -594,14 +550,6 @@ impl ProxyCluster {
     pub fn merged_metrics(&self) -> MetricsSnapshot {
         let reports = self.stats_reports(false);
         StatsReport::merge_metrics(reports.iter().flatten())
-    }
-
-    /// Shard `i`'s outbound peer-traffic counters, when peer fill is on.
-    pub fn peer_stats(&self, i: usize) -> Option<PeerStats> {
-        self.peers
-            .get(i)
-            .and_then(|p| p.as_ref())
-            .map(|p| p.stats())
     }
 
     /// Abruptly stops shard `i` (its socket closes; in-flight

@@ -77,31 +77,21 @@ impl BreakerMetrics {
 pub struct HealthTracker {
     config: HealthConfig,
     states: HashMap<u32, State>,
-    metrics: Option<BreakerMetrics>,
-    journal: Option<Arc<Telemetry>>,
+    metrics: BreakerMetrics,
+    telemetry: Arc<Telemetry>,
 }
 
 impl HealthTracker {
-    /// Creates a tracker; every shard starts closed (healthy).
-    pub fn new(config: HealthConfig) -> HealthTracker {
+    /// Creates a tracker on `telemetry`; every shard starts closed
+    /// (healthy). Transitions count into `cluster.breaker.*` and are
+    /// journaled as [`JournalKind::BreakerTransition`] events.
+    pub fn new(config: HealthConfig, telemetry: Arc<Telemetry>) -> HealthTracker {
         HealthTracker {
             config,
             states: HashMap::new(),
-            metrics: None,
-            journal: None,
+            metrics: BreakerMetrics::register(telemetry.registry()),
+            telemetry,
         }
-    }
-
-    /// Registers breaker transition counters (`cluster.breaker.*`) into
-    /// `registry`; without this the tracker stays a pure state machine.
-    pub fn attach_metrics(&mut self, registry: &Registry) {
-        self.metrics = Some(BreakerMetrics::register(registry));
-    }
-
-    /// Records every breaker state transition into `telemetry`'s event
-    /// journal (kind [`JournalKind::BreakerTransition`]).
-    pub fn attach_journal(&mut self, telemetry: Arc<Telemetry>) {
-        self.journal = Some(telemetry);
     }
 
     /// Moves `shard` to `next`, counting and journaling the transition.
@@ -117,14 +107,12 @@ impl HealthTracker {
         // Unknown shards start closed, so None→Closed is not a change.
         let prev_kind = kind(prev.unwrap_or(State::Closed { failures: 0 }));
         if prev_kind != kind(next) {
-            if let Some(t) = &self.journal {
-                t.record_event(JournalKind::BreakerTransition {
-                    shard,
-                    state: kind(next),
-                });
-            }
+            self.telemetry.record_event(JournalKind::BreakerTransition {
+                shard,
+                state: kind(next),
+            });
         }
-        let Some(m) = &self.metrics else { return };
+        let m = &self.metrics;
         let was_open = matches!(prev, Some(State::Open { .. }));
         match next {
             State::Open { .. } if !was_open => {
@@ -228,10 +216,15 @@ mod tests {
     use super::*;
 
     fn tracker(threshold: u32, quarantine_ms: u64) -> HealthTracker {
-        HealthTracker::new(HealthConfig {
+        tracker_on(threshold, quarantine_ms, Arc::new(Telemetry::new("client")))
+    }
+
+    fn tracker_on(threshold: u32, quarantine_ms: u64, telemetry: Arc<Telemetry>) -> HealthTracker {
+        let config = HealthConfig {
             failure_threshold: threshold,
             quarantine: Duration::from_millis(quarantine_ms),
-        })
+        };
+        HealthTracker::new(config, telemetry)
     }
 
     #[test]
@@ -278,9 +271,9 @@ mod tests {
 
     #[test]
     fn breaker_transitions_are_counted() {
-        let registry = Registry::new();
-        let mut t = tracker(1, 0); // zero quarantine: expires immediately
-        t.attach_metrics(&registry);
+        let telemetry = Arc::new(Telemetry::new("client"));
+        let registry = telemetry.registry();
+        let mut t = tracker_on(1, 0, telemetry.clone()); // zero quarantine: expires immediately
         t.record_failure(0); // closed -> open
         let snap = registry.snapshot();
         assert_eq!(snap.counters["cluster.breaker.opened"], 1);
@@ -299,8 +292,7 @@ mod tests {
     #[test]
     fn breaker_transitions_are_journaled() {
         let telemetry = Arc::new(Telemetry::new("client"));
-        let mut t = tracker(1, 0);
-        t.attach_journal(telemetry.clone());
+        let mut t = tracker_on(1, 0, telemetry.clone());
         t.record_failure(2); // closed -> open
         assert!(t.allow(2)); // open -> probing
         t.record_success(2); // probing -> closed

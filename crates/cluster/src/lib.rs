@@ -45,7 +45,7 @@ pub use client::{
 };
 pub use cluster::{ClusterOptions, ProxyCluster};
 pub use health::{HealthConfig, HealthTracker};
-pub use peer::{ClusterPeer, PeerLink, PeerStats};
+pub use peer::{ClusterPeer, PeerLink};
 pub use ring::{HashRing, RemapPlan, SegmentMove};
 pub use snapshot::{RingSnapshot, SnapshotError};
-pub use stats::{collect_fleet_stats, collect_fleet_stats_live, FleetStats, ShardReport};
+pub use stats::{collect_fleet_stats, FleetStats, ShardReport};

@@ -19,21 +19,21 @@ use parking_lot::{Mutex, RwLock};
 
 use dvm_net::{ErrorCode, Frame, Hello, NetConfig};
 use dvm_proxy::PeerCache;
+use dvm_telemetry::{Counter, Telemetry};
 
 use crate::ring::HashRing;
 
-/// Counters for one shard's outbound peer traffic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeerStats {
-    /// `PEER_GET` probes sent.
-    pub gets: u64,
-    /// Probes answered with bytes.
-    pub hits: u64,
-    /// `PEER_PUT` offers delivered.
-    pub puts: u64,
+/// One shard's outbound peer-traffic counters, on the shard's plane.
+struct PeerCounters {
+    /// `PEER_GET` probes sent (`cluster.peer.gets`).
+    gets: Arc<Counter>,
+    /// Probes answered with bytes (`cluster.peer.hits`).
+    hits: Arc<Counter>,
+    /// `PEER_PUT` offers delivered (`cluster.peer.puts`).
+    puts: Arc<Counter>,
     /// Probes or offers abandoned to a transport failure, overload
-    /// rejection, or remote miss.
-    pub failures: u64,
+    /// rejection, or remote miss (`cluster.peer.failures`).
+    failures: Arc<Counter>,
 }
 
 struct LinkConn {
@@ -181,7 +181,7 @@ pub struct ClusterPeer {
     /// the old owner or the new one, never a torn table.
     ring: RwLock<HashRing>,
     links: RwLock<HashMap<u32, Arc<PeerLink>>>,
-    stats: Mutex<PeerStats>,
+    counters: PeerCounters,
 }
 
 impl std::fmt::Debug for ClusterPeer {
@@ -194,15 +194,22 @@ impl std::fmt::Debug for ClusterPeer {
 }
 
 impl ClusterPeer {
-    /// Creates a peer table for `shard`; links are installed afterwards
+    /// Creates a peer table for `shard`, counting `cluster.peer.*` on
+    /// `telemetry` (the shard's plane); links are installed afterwards
     /// with [`ClusterPeer::set_links`] once every shard's server has a
     /// bound address.
-    pub fn new(shard: u32, ring: HashRing) -> ClusterPeer {
+    pub fn new(shard: u32, ring: HashRing, telemetry: &Telemetry) -> ClusterPeer {
+        let r = telemetry.registry();
         ClusterPeer {
             shard,
             ring: RwLock::new(ring),
             links: RwLock::new(HashMap::new()),
-            stats: Mutex::new(PeerStats::default()),
+            counters: PeerCounters {
+                gets: r.counter("cluster.peer.gets"),
+                hits: r.counter("cluster.peer.hits"),
+                puts: r.counter("cluster.peer.puts"),
+                failures: r.counter("cluster.peer.failures"),
+            },
         }
     }
 
@@ -224,23 +231,6 @@ impl ClusterPeer {
         self.ring.read().epoch()
     }
 
-    /// Adds (or replaces) the link to one shard — a join in progress.
-    pub fn add_link(&self, shard: u32, link: Arc<PeerLink>) {
-        self.links.write().insert(shard, link);
-    }
-
-    /// Drops the link to a departed shard; its connection closes.
-    pub fn remove_link(&self, shard: u32) {
-        if let Some(link) = self.links.write().remove(&shard) {
-            link.close();
-        }
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> PeerStats {
-        *self.stats.lock()
-    }
-
     fn link_for_home(&self, url: &str) -> Option<Arc<PeerLink>> {
         let home = self.ring.read().home(url)?;
         if home == self.shard {
@@ -254,17 +244,14 @@ impl ClusterPeer {
 impl PeerCache for ClusterPeer {
     fn fetch_from_home(&self, url: &str) -> Option<Vec<u8>> {
         let link = self.link_for_home(url)?;
-        self.stats.lock().gets += 1;
-        match link.get(url) {
-            Some(bytes) => {
-                self.stats.lock().hits += 1;
-                Some(bytes)
-            }
-            None => {
-                self.stats.lock().failures += 1;
-                None
-            }
+        self.counters.gets.inc();
+        let answer = link.get(url);
+        if answer.is_some() {
+            self.counters.hits.inc();
+        } else {
+            self.counters.failures.inc();
         }
+        answer
     }
 
     fn offer_to_home(&self, url: &str, bytes: &[u8]) -> bool {
@@ -272,10 +259,10 @@ impl PeerCache for ClusterPeer {
             return false;
         };
         if link.put(url, bytes) {
-            self.stats.lock().puts += 1;
+            self.counters.puts.inc();
             true
         } else {
-            self.stats.lock().failures += 1;
+            self.counters.failures.inc();
             false
         }
     }

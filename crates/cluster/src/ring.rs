@@ -102,11 +102,6 @@ impl RemapPlan {
         t.dedup();
         t
     }
-
-    /// True when `segment` changes owner under this plan.
-    pub fn covers_segment(&self, segment: u32) -> bool {
-        self.moves.iter().any(|m| m.segment == segment)
-    }
 }
 
 /// A seeded, deterministic consistent-hash ring over shard ids.
@@ -365,12 +360,6 @@ impl HashRing {
             seed,
             epoch,
         }
-    }
-
-    /// The segment index `key` hashes into (for migration filters and
-    /// remap-plan checks).
-    pub fn segment_of(&self, key: &str) -> Option<u32> {
-        self.segment(key).map(|i| i as u32)
     }
 
     /// The current shard ids, sorted.

@@ -1,17 +1,10 @@
 //! Fleet-wide stats collection over the wire.
 //!
-//! [`collect_fleet_stats_live`] is the pull side of the stats plane: it
-//! walks the cluster's *live membership* (shard id → address pairs),
-//! reads each live server's `stats://`, and merges the
-//! per-shard metrics into one fleet-wide snapshot. Unreachable shards
-//! are reported as such rather than failing the whole collection — an
-//! operator asking "how is the cluster doing" most needs an answer when
-//! part of it is down.
-//!
-//! Walking live membership (rather than a boot-time address list)
-//! matters under elastic scaling: shards that joined after boot appear
-//! in the report, and retired shards stop being reported as eternally
-//! unreachable ghosts.
+//! [`collect_fleet_stats`] is the pull side of the stats plane: it reads
+//! each shard's `stats://` and merges the per-shard metrics into one
+//! fleet-wide snapshot. Unreachable shards are reported as such rather
+//! than failing the whole collection — an operator asking "how is the
+//! cluster doing" most needs an answer when part of it is down.
 
 use std::net::SocketAddr;
 
@@ -54,51 +47,32 @@ impl FleetStats {
     }
 }
 
-/// Pulls a [`StatsReport`] from every `(shard, addr)` pair (serially —
-/// the collector is an operator tool, not a hot path) and merges the
-/// reachable ones. `include_spans` asks each shard for its span window
-/// too; leave it off for cheap periodic polling.
-///
-/// The pairs should come from the cluster's live membership (see
-/// `ProxyCluster::live_addrs`), so the report tracks joins and retires
-/// instead of the boot-time roster.
-pub fn collect_fleet_stats_live(
-    pairs: &[(u32, SocketAddr)],
-    config: NetConfig,
-    include_spans: bool,
-) -> FleetStats {
-    let mut shards = Vec::with_capacity(pairs.len());
-    for &(shard, addr) in pairs {
-        match fetch_stats(addr, config, include_spans) {
-            Ok(report) => shards.push(ShardReport {
-                shard,
-                addr,
-                report: Some(report),
-                error: None,
-            }),
-            Err(e) => shards.push(ShardReport {
-                shard,
-                addr,
-                report: None,
-                error: Some(e.to_string()),
-            }),
-        }
-    }
-    let merged = StatsReport::merge_metrics(shards.iter().filter_map(|s| s.report.as_ref()));
-    FleetStats { shards, merged }
-}
-
-/// Address-list variant kept for callers without a membership view; the
-/// list index doubles as the shard id.
+/// Pulls a [`StatsReport`] from every address (serially — the
+/// collector is an operator tool, not a hot path) and merges the
+/// reachable ones; the list index doubles as the shard id.
+/// `include_spans` asks each shard for its span window too; leave it
+/// off for cheap periodic polling.
 pub fn collect_fleet_stats(
     addrs: &[SocketAddr],
     config: NetConfig,
     include_spans: bool,
 ) -> FleetStats {
-    let pairs: Vec<(u32, SocketAddr)> = addrs
+    let shards: Vec<ShardReport> = addrs
         .iter()
         .enumerate()
-        .map(|(i, &addr)| (i as u32, addr))
+        .map(|(i, &addr)| {
+            let (report, error) = match fetch_stats(addr, config, include_spans) {
+                Ok(report) => (Some(report), None),
+                Err(e) => (None, Some(e.to_string())),
+            };
+            ShardReport {
+                shard: i as u32,
+                addr,
+                report,
+                error,
+            }
+        })
         .collect();
-    collect_fleet_stats_live(&pairs, config, include_spans)
+    let merged = StatsReport::merge_metrics(shards.iter().filter_map(|s| s.report.as_ref()));
+    FleetStats { shards, merged }
 }

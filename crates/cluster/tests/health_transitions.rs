@@ -10,10 +10,11 @@
 //! telemetry plane records, so the chaos runner's breaker-consistency
 //! invariant rests on a fully pinned state machine.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use dvm_cluster::{HealthConfig, HealthTracker};
-use dvm_telemetry::Registry;
+use dvm_telemetry::Telemetry;
 
 const SHARD: u32 = 0;
 const LONG: u64 = 60_000; // quarantine that cannot expire within the test
@@ -45,12 +46,12 @@ struct Metrics {
 }
 
 fn run(name: &str, threshold: u32, quarantine_ms: u64, script: &[Step], expect: Metrics) {
-    let registry = Registry::new();
-    let mut t = HealthTracker::new(HealthConfig {
+    let telemetry = Arc::new(Telemetry::new("client"));
+    let config = HealthConfig {
         failure_threshold: threshold,
         quarantine: Duration::from_millis(quarantine_ms),
-    });
-    t.attach_metrics(&registry);
+    };
+    let mut t = HealthTracker::new(config, telemetry.clone());
     for (i, step) in script.iter().enumerate() {
         match step {
             Step::Success => t.record_success(SHARD),
@@ -66,7 +67,7 @@ fn run(name: &str, threshold: u32, quarantine_ms: u64, script: &[Step], expect: 
             }
         }
     }
-    let snap = registry.snapshot();
+    let snap = telemetry.registry().snapshot();
     assert_eq!(
         snap.counter("cluster.breaker.opened"),
         expect.opened,

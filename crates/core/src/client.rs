@@ -15,7 +15,7 @@ use dvm_net::NetClassProvider;
 use dvm_netsim::SimTime;
 use dvm_proxy::{Proxy, RequestContext, ServedFrom, Signer};
 use dvm_security::{EnforcementManager, PermissionId, SecurityId};
-use dvm_telemetry::{Histogram, SpanId, Telemetry, TraceContext, TraceId};
+use dvm_telemetry::{Counter, Histogram, SpanId, Telemetry, TraceContext, TraceId};
 
 use crate::config::CostModel;
 
@@ -43,6 +43,7 @@ struct ProxyProvider {
     transfers: Arc<Mutex<Vec<TransferRecord>>>,
     telemetry: Arc<Telemetry>,
     fetch_ns: Arc<Histogram>,
+    ir_installs: Arc<Counter>,
     ir_pending: IrPending,
 }
 
@@ -71,10 +72,7 @@ impl ProxyProvider {
             None => response.bytes.to_vec(),
         };
         if let Ok(ir) = dvm_exec::decode(&payload) {
-            self.telemetry
-                .registry()
-                .counter("client.ir_installs")
-                .inc();
+            self.ir_installs.inc();
             self.ir_pending.lock().insert(ir.class.clone(), ir);
         }
     }
@@ -242,6 +240,7 @@ impl DvmClient {
         let transfers = Arc::new(Mutex::new(Vec::new()));
         let telemetry = Arc::new(Telemetry::new(&format!("client:{}", ctx.client)));
         let fetch_ns = telemetry.registry().histogram("client.fetch_ns");
+        let ir_installs = telemetry.registry().counter("client.ir_installs");
         let ir_pending: IrPending = Arc::new(Mutex::new(HashMap::new()));
         let provider = ProxyProvider {
             proxy,
@@ -250,6 +249,7 @@ impl DvmClient {
             transfers: transfers.clone(),
             telemetry: telemetry.clone(),
             fetch_ns,
+            ir_installs,
             ir_pending: ir_pending.clone(),
         };
         Self::assemble(

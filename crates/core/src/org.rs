@@ -97,6 +97,17 @@ impl IrProducer for ExecIrProducer {
     }
 }
 
+/// The handshake a remote client of this organization sends.
+fn client_hello(user: &str, principal: &str) -> Hello {
+    Hello {
+        user: user.to_owned(),
+        principal: principal.to_owned(),
+        hardware: "x86/200MHz/64MB".to_owned(),
+        native_format: "x86".to_owned(),
+        jvm_version: "dvm-repro-0.1".to_owned(),
+    }
+}
+
 /// Builds one static-service filter pipeline per `config`. Filters hold
 /// `Box`es, so a pipeline cannot be shared — each proxy shard gets its
 /// own, but all pipelines share the same policy, site table, and
@@ -385,19 +396,12 @@ impl Organization {
         principal: &str,
         net: NetConfig,
     ) -> std::io::Result<DvmClient> {
-        let hello = Hello {
-            user: user.to_owned(),
-            principal: principal.to_owned(),
-            hardware: "x86/200MHz/64MB".to_owned(),
-            native_format: "x86".to_owned(),
-            jvm_version: "dvm-repro-0.1".to_owned(),
-        };
+        let hello = client_hello(user, principal);
         let provider = NetClassProvider::new(addr, hello.clone(), self.signer.clone(), net)?;
-        let mut console =
-            RemoteConsole::connect(addr, hello, net).map_err(std::io::Error::other)?;
         // The audit counters (`audit_batches_total`, drops) land on the
         // client's own plane, beside its fetch metrics.
-        console.set_telemetry(provider.telemetry());
+        let console = RemoteConsole::connect_on(addr, hello, net, provider.telemetry())
+            .map_err(std::io::Error::other)?;
         let audit: Box<dyn AuditSink> = Box::new(console);
         let (sid, enforcement) = self.principal_wiring(principal);
         DvmClient::wire_remote(provider, enforcement, sid, Some(audit), self.cost)
@@ -471,10 +475,9 @@ impl Organization {
     /// organization built over the same classes and `dir` serves them
     /// from the disk tier without re-rewriting.
     pub fn persist(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let store = dvm_store::Store::open(dir, dvm_store::StoreConfig::default())
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.proxy.attach_store(store);
-        Ok(())
+        self.proxy
+            .open_store(dir, dvm_store::StoreConfig::default())
+            .map_err(|e| std::io::Error::other(e.to_string()))
     }
 
     /// [`Organization::serve_cluster_with`] with per-shard persistent
@@ -512,13 +515,7 @@ impl Organization {
         principal: &str,
         config: ClusterClientConfig,
     ) -> std::io::Result<DvmClient> {
-        let hello = Hello {
-            user: user.to_owned(),
-            principal: principal.to_owned(),
-            hardware: "x86/200MHz/64MB".to_owned(),
-            native_format: "x86".to_owned(),
-            jvm_version: "dvm-repro-0.1".to_owned(),
-        };
+        let hello = client_hello(user, principal);
         let provider = ClusterClassProvider::new(
             cluster.addrs().to_vec(),
             cluster.ring().clone(),
@@ -543,7 +540,8 @@ impl Organization {
         let mut last_err = None;
         for i in 0..cluster.addrs().len() {
             let shard = (preferred + i) % cluster.addrs().len();
-            match RemoteConsole::connect(cluster.addrs()[shard], hello.clone(), config.net) {
+            let addr = cluster.addrs()[shard];
+            match RemoteConsole::connect_on(addr, hello.clone(), config.net, provider.telemetry()) {
                 Ok(c) => {
                     console = Some(c);
                     break;
@@ -551,10 +549,9 @@ impl Organization {
                 Err(e) => last_err = Some(e),
             }
         }
-        let mut console = console.ok_or_else(|| {
+        let console = console.ok_or_else(|| {
             std::io::Error::other(last_err.expect("cluster has at least one shard"))
         })?;
-        console.set_telemetry(provider.telemetry());
         let audit: Box<dyn AuditSink> = Box::new(console);
         let (sid, enforcement) = self.principal_wiring(principal);
         DvmClient::wire_cluster(provider, enforcement, sid, Some(audit), self.cost)

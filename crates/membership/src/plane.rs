@@ -76,43 +76,37 @@ pub struct RetireReport {
     pub drain_ok: bool,
 }
 
-/// Lifetime counters for the plane.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MembershipStats {
-    /// Shards joined.
-    pub joins: u64,
-    /// Shards retired.
-    pub retires: u64,
-    /// Shards restarted in place.
-    pub restarts: u64,
-    /// Cache entries moved by migration (joins and drains).
-    pub migrated_keys: u64,
-    /// Value bytes moved by migration.
-    pub migrated_bytes: u64,
-    /// Cut migration streams resumed from their cursor.
-    pub migration_resumes: u64,
-    /// Retirements committed without a drain (source dead).
-    pub undrained_retires: u64,
-    /// Gossip suspicions opened.
-    pub suspects: u64,
-    /// Suspicions refuted by a live answer.
-    pub refutes: u64,
-    /// Members declared dead by gossip.
-    pub deaths: u64,
+dvm_telemetry::counters! {
+    /// Registered handles behind [`MembershipStats`].
+    struct MembershipCounters;
+    /// The plane's lifetime counts, read from its telemetry node.
+    pub struct MembershipStats {
+        /// Shards joined.
+        joins = "membership.joins",
+        /// Shards retired.
+        retires = "membership.retires",
+        /// Shards restarted in place.
+        restarts = "membership.restarts",
+        /// Cache entries moved by migration (joins and drains).
+        migrated_keys = "membership.migrated_keys",
+        /// Value bytes moved by migration.
+        migrated_bytes = "membership.migrated_bytes",
+        /// Cut migration streams resumed from their cursor.
+        migration_resumes = "membership.migration_resumes",
+        /// Retirements committed without a drain (source dead).
+        undrained_retires = "membership.undrained_retires",
+        /// Gossip suspicions opened.
+        suspects = "membership.gossip.suspects",
+        /// Suspicions refuted by a live answer.
+        refutes = "membership.gossip.refutes",
+        /// Members declared dead by gossip.
+        deaths = "membership.gossip.deaths",
+    }
 }
 
 struct Metrics {
-    joins: Arc<Counter>,
-    retires: Arc<Counter>,
-    restarts: Arc<Counter>,
-    migrated_keys: Arc<Counter>,
-    migrated_bytes: Arc<Counter>,
-    migration_resumes: Arc<Counter>,
-    undrained_retires: Arc<Counter>,
+    counters: MembershipCounters,
     gossip_probes: Arc<Counter>,
-    gossip_suspects: Arc<Counter>,
-    gossip_refutes: Arc<Counter>,
-    gossip_deaths: Arc<Counter>,
     epoch: Arc<Gauge>,
     shards_live: Arc<Gauge>,
 }
@@ -120,17 +114,8 @@ struct Metrics {
 impl Metrics {
     fn register(r: &Registry) -> Metrics {
         Metrics {
-            joins: r.counter("membership.joins"),
-            retires: r.counter("membership.retires"),
-            restarts: r.counter("membership.restarts"),
-            migrated_keys: r.counter("membership.migrated_keys"),
-            migrated_bytes: r.counter("membership.migrated_bytes"),
-            migration_resumes: r.counter("membership.migration_resumes"),
-            undrained_retires: r.counter("membership.undrained_retires"),
+            counters: MembershipCounters::register(r),
             gossip_probes: r.counter("membership.gossip.probes"),
-            gossip_suspects: r.counter("membership.gossip.suspects"),
-            gossip_refutes: r.counter("membership.gossip.refutes"),
-            gossip_deaths: r.counter("membership.gossip.deaths"),
             epoch: r.gauge("membership.epoch"),
             shards_live: r.gauge("membership.shards_live"),
         }
@@ -176,7 +161,6 @@ pub struct MembershipPlane {
     opts: MembershipOptions,
     detector: SwimDetector,
     health: HealthTracker,
-    stats: MembershipStats,
     telemetry: Arc<Telemetry>,
     metrics: Metrics,
 }
@@ -200,15 +184,12 @@ impl MembershipPlane {
         for &s in cluster.ring().shards() {
             detector.add_member(s);
         }
-        let mut health = HealthTracker::new(opts.health);
-        health.attach_metrics(telemetry.registry());
-        health.attach_journal(telemetry.clone());
+        let health = HealthTracker::new(opts.health, telemetry.clone());
         let plane = MembershipPlane {
             cluster,
             opts,
             detector,
             health,
-            stats: MembershipStats::default(),
             telemetry,
             metrics,
         };
@@ -245,9 +226,9 @@ impl MembershipPlane {
         self.telemetry.clone()
     }
 
-    /// Counter snapshot.
+    /// The counts on this plane's telemetry node.
     pub fn stats(&self) -> MembershipStats {
-        self.stats
+        self.metrics.counters.view()
     }
 
     /// The plane's breaker view of a shard (true = quarantined).
@@ -264,12 +245,10 @@ impl MembershipPlane {
     }
 
     fn track(&mut self, m: &MigrationReport) {
-        self.stats.migrated_keys += m.keys;
-        self.stats.migrated_bytes += m.bytes;
-        self.stats.migration_resumes += m.resumes;
-        self.metrics.migrated_keys.add(m.keys);
-        self.metrics.migrated_bytes.add(m.bytes);
-        self.metrics.migration_resumes.add(m.resumes);
+        let c = &self.metrics.counters;
+        c.migrated_keys.add(m.keys);
+        c.migrated_bytes.add(m.bytes);
+        c.migration_resumes.add(m.resumes);
     }
 
     /// Adds `proxy` as a new shard and warms it up: the ring assigns it
@@ -319,8 +298,7 @@ impl MembershipPlane {
                 entries: migration.keys,
             });
         self.detector.add_member(shard);
-        self.stats.joins += 1;
-        self.metrics.joins.inc();
+        self.metrics.counters.joins.inc();
         self.publish_gauges();
         Ok(JoinReport {
             shard,
@@ -383,11 +361,9 @@ impl MembershipPlane {
                 epoch: self.cluster.ring().epoch(),
             });
             self.detector.remove_member(shard);
-            self.stats.retires += 1;
-            self.metrics.retires.inc();
+            self.metrics.counters.retires.inc();
             if !drain_ok {
-                self.stats.undrained_retires += 1;
-                self.metrics.undrained_retires.inc();
+                self.metrics.counters.undrained_retires.inc();
             }
             self.publish_gauges();
         }
@@ -407,8 +383,7 @@ impl MembershipPlane {
             epoch: self.cluster.ring().epoch(),
         });
         self.detector.add_member(shard);
-        self.stats.restarts += 1;
-        self.metrics.restarts.inc();
+        self.metrics.counters.restarts.inc();
         self.publish_gauges();
         Ok(addr)
     }
@@ -445,16 +420,13 @@ impl MembershipPlane {
         for e in &events {
             match e {
                 GossipEvent::Suspect { .. } => {
-                    self.stats.suspects += 1;
-                    self.metrics.gossip_suspects.inc();
+                    self.metrics.counters.suspects.inc();
                 }
                 GossipEvent::Refute { .. } => {
-                    self.stats.refutes += 1;
-                    self.metrics.gossip_refutes.inc();
+                    self.metrics.counters.refutes.inc();
                 }
                 GossipEvent::Dead { .. } => {
-                    self.stats.deaths += 1;
-                    self.metrics.gossip_deaths.inc();
+                    self.metrics.counters.deaths.inc();
                 }
             }
         }

@@ -8,7 +8,7 @@
 
 use dvm_bytecode::insn::Insn;
 use dvm_bytecode::{Code, CodeEditor};
-use dvm_classfile::ClassFile;
+use dvm_classfile::{ClassFile, ConstPool};
 
 use crate::sites::{SiteId, SiteTable};
 
@@ -36,6 +36,16 @@ pub enum ProfileMode {
 /// Error type shared with the bytecode layer.
 pub type RewriteError = dvm_bytecode::BytecodeError;
 
+/// The instruction that pushes `site`'s id: `sipush` range inline, and
+/// past it an `ldc` of a pool `Integer` (a long-running proxy interns
+/// more than 32 767 sites).
+fn push_site(pool: &mut ConstPool, site: SiteId) -> Result<Insn, RewriteError> {
+    if i16::try_from(site.0).is_ok() {
+        return Ok(Insn::IConst(site.0));
+    }
+    Ok(Insn::Ldc(pool.integer(site.0)?))
+}
+
 /// Inserts audit events at entry to and exit from every method and
 /// constructor.
 pub fn audit_class(
@@ -61,12 +71,10 @@ pub fn audit_class_filtered(
     let class_name = cf.name()?.to_owned();
     let enter = cf.pool.methodref("dvm/rt/Audit", "enter", "(I)V")?;
     let exit = cf.pool.methodref("dvm/rt/Audit", "exit", "(I)V")?;
-    let pool_snapshot = cf.pool.clone();
     let mut stats = InstrumentStats::default();
-    let pool = cf.pool.clone();
 
     for m in &mut cf.methods {
-        let mname = m.name(&pool)?.to_owned();
+        let mname = m.name(&cf.pool)?.to_owned();
         let Some(attr) = m.code() else { continue };
         let code = Code::decode(attr)?;
         stats.instructions_examined += code.insns.len() as u64;
@@ -74,14 +82,15 @@ pub fn audit_class_filtered(
         if !significant {
             continue;
         }
-        let site = sites.intern(&class_name, &mname);
+        let site = push_site(&mut cf.pool, sites.intern(&class_name, &mname))?;
         let mut ed = CodeEditor::new(code);
         // Exit probes first (so entry insertion indexes stay simple).
-        ed.insert_before_returns(|| vec![Insn::IConst(site.0), Insn::InvokeStatic(exit)]);
-        ed.insert_prologue(vec![Insn::IConst(site.0), Insn::InvokeStatic(enter)]);
+        ed.insert_before_returns(|| vec![site.clone(), Insn::InvokeStatic(exit)]);
+        ed.insert_prologue(vec![site, Insn::InvokeStatic(enter)]);
         stats.probes += 2;
         stats.methods += 1;
-        let new_attr = ed.into_code().encode(&pool_snapshot)?;
+        // Encoded against the pool as it stands now, site constants included.
+        let new_attr = ed.into_code().encode(&cf.pool)?;
         m.set_code(new_attr);
     }
     Ok(stats)
@@ -96,14 +105,12 @@ pub fn profile_class(
     let class_name = cf.name()?.to_owned();
     let count = cf.pool.methodref("dvm/rt/Profiler", "count", "(I)V")?;
     let first_use = cf.pool.methodref("dvm/rt/Profiler", "firstUse", "(I)V")?;
-    let pool_snapshot = cf.pool.clone();
     let mut stats = InstrumentStats::default();
-    let pool = cf.pool.clone();
 
     for m in &mut cf.methods {
-        let mname = m.name(&pool)?.to_owned();
+        let mname = m.name(&cf.pool)?.to_owned();
         let Some(attr) = m.code() else { continue };
-        let site = sites.intern(&class_name, &mname);
+        let site = push_site(&mut cf.pool, sites.intern(&class_name, &mname))?;
         let code = Code::decode(attr)?;
         stats.instructions_examined += code.insns.len() as u64;
         let mut probes = 2u64;
@@ -121,32 +128,24 @@ pub fn profile_class(
             targets.dedup();
             for &t in targets.iter().rev() {
                 let block_site = sites.intern(&class_name, &format!("{mname}@{t}"));
-                ed.insert(
-                    t,
-                    vec![Insn::IConst(block_site.0), Insn::InvokeStatic(count)],
-                );
+                let push = push_site(&mut cf.pool, block_site)?;
+                ed.insert(t, vec![push, Insn::InvokeStatic(count)]);
                 probes += 1;
             }
         }
 
         ed.insert_prologue(vec![
-            Insn::IConst(site.0),
+            site.clone(),
             Insn::InvokeStatic(first_use),
-            Insn::IConst(site.0),
+            site,
             Insn::InvokeStatic(count),
         ]);
         stats.probes += probes;
         stats.methods += 1;
-        let new_attr = ed.into_code().encode(&pool_snapshot)?;
+        let new_attr = ed.into_code().encode(&cf.pool)?;
         m.set_code(new_attr);
     }
     Ok(stats)
-}
-
-/// Returns the site id a method entry would get (for tests and metadata
-/// registration).
-pub fn site_for(sites: &mut SiteTable, class: &str, method: &str) -> SiteId {
-    sites.intern(class, method)
 }
 
 #[cfg(test)]

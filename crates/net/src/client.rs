@@ -23,7 +23,10 @@ use dvm_jvm::ClassProvider;
 use dvm_monitor::{AuditSink, AuditSpool, EventKind, SiteId};
 use dvm_proxy::{ServedFrom, SignatureCheck, Signer};
 use dvm_telemetry::events::decode_events;
-use dvm_telemetry::{JournalEvent, SpanId, StatsReport, Telemetry, TraceContext, TraceId};
+use dvm_telemetry::{
+    Counter, Histogram, JournalEvent, Registry, SpanId, StatsReport, Telemetry, TraceContext,
+    TraceId,
+};
 
 use crate::frame::{kind_from_u8, kind_to_u8, ErrorCode, Frame, FrameError, Hello};
 
@@ -212,24 +215,86 @@ pub struct NetTransfer {
     pub ir_key: Option<String>,
 }
 
-/// Counters for one provider's lifetime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NetClientStats {
-    /// Fetches attempted (one per `fetch` call).
-    pub requests: u64,
-    /// Individual retry attempts after a transport failure.
-    pub retries: u64,
-    /// Fresh connections established (first connect included).
-    pub reconnects: u64,
-    /// Payloads whose signature failed to verify.
-    pub signature_failures: u64,
-    /// Payload bytes received (after signature removal).
-    pub bytes_received: u64,
+dvm_telemetry::counters! {
+    /// Registered handles behind [`NetClientStats`]; `register` on a
+    /// provider's plane reads the same counts as its `stats()`.
+    pub struct NetClientCounters;
+    /// Client-side transfer counts, read from the provider's telemetry
+    /// plane. Their scope is the plane's: every provider sharing it
+    /// (the per-shard connections of one cluster client) counts here.
+    pub struct NetClientStats {
+        /// Fetches attempted (one per `fetch` or `fetch_attempt` call).
+        requests = "net.client.requests",
+        /// Individual retry attempts after a transport failure.
+        retries = "net.client.retries",
+        /// Fresh connections established (first connect included).
+        reconnects = "net.client.reconnects",
+        /// Payloads whose signature failed to verify.
+        signature_failures = "net.client.signature_failures",
+        /// Payload bytes received (after signature removal).
+        bytes_received = "net.client.bytes_received",
+    }
+}
+
+/// A provider's telemetry handles, resolved once at construction.
+struct NetClientMetrics {
+    counters: NetClientCounters,
+    backoff_ns: Arc<Counter>,
+    overloads: Arc<Counter>,
+    exhausted: Arc<Counter>,
+    ir_requests: Arc<Counter>,
+    ir_fetches: Arc<Counter>,
+    fetch_ns: Arc<Histogram>,
+}
+
+impl NetClientMetrics {
+    fn register(r: &Registry) -> NetClientMetrics {
+        NetClientMetrics {
+            counters: NetClientCounters::register(r),
+            backoff_ns: r.counter("net.client.backoff_ns"),
+            overloads: r.counter("net.client.overloads"),
+            exhausted: r.counter("net.client.exhausted"),
+            ir_requests: r.counter("net.client.ir_requests"),
+            ir_fetches: r.counter("net.client.ir_fetches"),
+            fetch_ns: r.histogram("net.client.fetch_ns"),
+        }
+    }
 }
 
 struct Conn {
     stream: TcpStream,
     session: u64,
+}
+
+/// The first address `addr` resolves to.
+fn resolve(addr: impl ToSocketAddrs) -> std::io::Result<SocketAddr> {
+    addr.to_socket_addrs()?.next().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no address resolved")
+    })
+}
+
+/// A stream connected to `addr` with `config`'s timeouts and no Nagle
+/// delay.
+fn open_stream(addr: &SocketAddr, config: &NetConfig) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(addr, config.connect_timeout)?;
+    stream.set_read_timeout(Some(config.read_timeout))?;
+    stream.set_write_timeout(Some(config.write_timeout))?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+/// Connects to `addr` and performs the `HELLO`/`WELCOME` handshake; a
+/// typed `ERROR` answer (an overloaded server) is [`NetError::Remote`].
+fn handshake(addr: &SocketAddr, config: &NetConfig, hello: &Hello) -> Result<Conn, NetError> {
+    let mut stream = open_stream(addr, config)?;
+    Frame::Hello(hello.clone()).write_to(&mut stream)?;
+    match Frame::read_from(&mut stream)? {
+        Frame::Welcome { session } => Ok(Conn { stream, session }),
+        Frame::Error { code, message, .. } => Err(NetError::Remote { code, message }),
+        other => Err(NetError::Protocol(format!(
+            "expected WELCOME, got {other:?}"
+        ))),
+    }
 }
 
 /// Observer invoked once per successful transfer.
@@ -248,11 +313,11 @@ pub struct NetClassProvider {
     signer: Option<Signer>,
     conn: Option<Conn>,
     next_request: u32,
-    stats: NetClientStats,
     hook: Option<TransferHook>,
     ir_hook: Option<IrHook>,
     jitter: StdRng,
     telemetry: Arc<Telemetry>,
+    metrics: NetClientMetrics,
 }
 
 impl std::fmt::Debug for NetClassProvider {
@@ -272,17 +337,32 @@ impl NetClassProvider {
     /// `signer` holds the organization's key: when present, every
     /// payload must carry a valid signature or the fetch fails with
     /// [`NetError::BadSignature`].
+    ///
+    /// The provider counts on a plane of its own, `client:<user>`;
+    /// [`NetClassProvider::new_on`] is the same provider on a caller's
+    /// plane.
     pub fn new(
         addr: impl ToSocketAddrs,
         hello: Hello,
         signer: Option<Signer>,
         config: NetConfig,
     ) -> std::io::Result<NetClassProvider> {
-        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no address resolved")
-        })?;
-        let jitter = StdRng::seed_from_u64(config.jitter_seed ^ fnv1a(hello.user.as_bytes()));
         let telemetry = Arc::new(Telemetry::new(&format!("client:{}", hello.user)));
+        NetClassProvider::new_on(addr, hello, signer, config, telemetry)
+    }
+
+    /// [`NetClassProvider::new`] counting on `telemetry` (a cluster
+    /// client passes its one plane to every per-shard provider, so the
+    /// client side reports as one node).
+    pub fn new_on(
+        addr: impl ToSocketAddrs,
+        hello: Hello,
+        signer: Option<Signer>,
+        config: NetConfig,
+        telemetry: Arc<Telemetry>,
+    ) -> std::io::Result<NetClassProvider> {
+        let addr = resolve(addr)?;
+        let jitter = StdRng::seed_from_u64(config.jitter_seed ^ fnv1a(hello.user.as_bytes()));
         Ok(NetClassProvider {
             addr,
             hello,
@@ -290,10 +370,10 @@ impl NetClassProvider {
             signer,
             conn: None,
             next_request: 1,
-            stats: NetClientStats::default(),
             hook: None,
             ir_hook: None,
             jitter,
+            metrics: NetClientMetrics::register(telemetry.registry()),
             telemetry,
         })
     }
@@ -302,13 +382,6 @@ impl NetClassProvider {
     /// requests, retries, and backoffs land here).
     pub fn telemetry(&self) -> Arc<Telemetry> {
         self.telemetry.clone()
-    }
-
-    /// Shares an externally owned telemetry plane (a cluster client
-    /// passes one plane to every per-shard provider so the client side
-    /// reports as one node).
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = telemetry;
     }
 
     /// The deterministic jittered backoff before retry number `retry`:
@@ -341,9 +414,9 @@ impl NetClassProvider {
         self.ir_hook = Some(hook);
     }
 
-    /// Counter snapshot.
+    /// The counts on this provider's plane.
     pub fn stats(&self) -> NetClientStats {
-        self.stats
+        self.metrics.counters.view()
     }
 
     /// The session id from the most recent handshake, if connected.
@@ -360,23 +433,8 @@ impl NetClassProvider {
     }
 
     fn connect(&mut self) -> Result<(), NetError> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
-        stream.set_read_timeout(Some(self.config.read_timeout))?;
-        stream.set_write_timeout(Some(self.config.write_timeout))?;
-        let _ = stream.set_nodelay(true);
-        let mut conn = Conn { stream, session: 0 };
-        Frame::Hello(self.hello.clone()).write_to(&mut conn.stream)?;
-        match Frame::read_from(&mut conn.stream)? {
-            Frame::Welcome { session } => conn.session = session,
-            Frame::Error { code, message, .. } => return Err(NetError::Remote { code, message }),
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected WELCOME, got {other:?}"
-                )))
-            }
-        }
-        self.stats.reconnects += 1;
-        self.conn = Some(conn);
+        self.conn = Some(handshake(&self.addr, &self.config, &self.hello)?);
+        self.metrics.counters.reconnects.inc();
         Ok(())
     }
 
@@ -388,11 +446,7 @@ impl NetClassProvider {
     /// `client.fetch` span is recorded here and its context rides the
     /// `CODE_REQUEST` so the server's spans stitch under it.
     pub fn fetch(&mut self, url: &str) -> Result<(Vec<u8>, NetTransfer), NetError> {
-        self.stats.requests += 1;
-        self.telemetry
-            .registry()
-            .counter("net.client.requests")
-            .inc();
+        self.metrics.counters.requests.inc();
         let trace = TraceId::generate();
         let root = SpanId::generate();
         let recorder = self.telemetry.recorder();
@@ -405,10 +459,7 @@ impl NetClassProvider {
         let recorder = self.telemetry.recorder();
         let duration = recorder.now_ns().saturating_sub(start);
         recorder.record_span(trace, root, SpanId::NONE, "client.fetch", start, duration);
-        self.telemetry
-            .registry()
-            .histogram("net.client.fetch_ns")
-            .record(duration);
+        self.metrics.fetch_ns.record(duration);
         result
     }
 
@@ -420,16 +471,9 @@ impl NetClassProvider {
         let mut last: Option<NetError> = None;
         for retry in 0..self.config.max_attempts.max(1) {
             if retry > 0 {
-                self.stats.retries += 1;
-                self.telemetry
-                    .registry()
-                    .counter("net.client.retries")
-                    .inc();
+                self.metrics.counters.retries.inc();
                 let delay = self.jittered_backoff(retry - 1);
-                self.telemetry
-                    .registry()
-                    .counter("net.client.backoff_ns")
-                    .add(delay.as_nanos() as u64);
+                self.metrics.backoff_ns.add(delay.as_nanos() as u64);
                 std::thread::sleep(delay);
             }
             match self.fetch_once(url, trace) {
@@ -439,20 +483,14 @@ impl NetClassProvider {
                     // turned us away at the door); rebuild it next try.
                     self.conn = None;
                     if e.is_overload() {
-                        self.telemetry
-                            .registry()
-                            .counter("net.client.overloads")
-                            .inc();
+                        self.metrics.overloads.inc();
                     }
                     last = Some(e);
                 }
                 Err(e) => return Err(e),
             }
         }
-        self.telemetry
-            .registry()
-            .counter("net.client.exhausted")
-            .inc();
+        self.metrics.exhausted.inc();
         Err(NetError::Exhausted(Box::new(
             last.unwrap_or(NetError::Protocol("no attempts made".into())),
         )))
@@ -475,11 +513,7 @@ impl NetClassProvider {
         url: &str,
         trace: Option<TraceContext>,
     ) -> Result<(Vec<u8>, NetTransfer), NetError> {
-        self.stats.requests += 1;
-        self.telemetry
-            .registry()
-            .counter("net.client.requests")
-            .inc();
+        self.metrics.counters.requests.inc();
         match self.fetch_once(url, trace) {
             Ok(ok) => Ok(ok),
             Err(e) => {
@@ -535,13 +569,13 @@ impl NetClassProvider {
                 // buffer rather than copying the payload out.
                 if let Some(signer) = &self.signer {
                     let (SignatureCheck::Valid, Some(payload)) = signer.detach(&bytes) else {
-                        self.stats.signature_failures += 1;
+                        self.metrics.counters.signature_failures.inc();
                         return Err(NetError::BadSignature);
                     };
                     let len = payload.len();
                     bytes.truncate(len);
                 }
-                self.stats.bytes_received += bytes.len() as u64;
+                self.metrics.counters.bytes_received.add(bytes.len() as u64);
                 let transfer = NetTransfer {
                     url: url.to_owned(),
                     bytes: bytes.len(),
@@ -579,15 +613,9 @@ impl ClassProvider for NetClassProvider {
         let (bytes, transfer) = self.fetch(&url).ok()?;
         if self.ir_hook.is_some() {
             if let Some(key) = transfer.ir_key.clone() {
-                self.telemetry
-                    .registry()
-                    .counter("net.client.ir_requests")
-                    .inc();
+                self.metrics.ir_requests.inc();
                 if let Ok((ir, _)) = self.fetch(&key) {
-                    self.telemetry
-                        .registry()
-                        .counter("net.client.ir_fetches")
-                        .inc();
+                    self.metrics.ir_fetches.inc();
                     if let Some(hook) = &mut self.ir_hook {
                         hook(name, &ir);
                     }
@@ -630,20 +658,7 @@ pub fn request_once(
     config: &NetConfig,
     request: Frame,
 ) -> Result<Frame, NetError> {
-    let addr = addr
-        .to_socket_addrs()
-        .map_err(NetError::from)?
-        .next()
-        .ok_or_else(|| {
-            NetError::Io(
-                std::io::ErrorKind::AddrNotAvailable,
-                "no address resolved".into(),
-            )
-        })?;
-    let mut stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    stream.set_write_timeout(Some(config.write_timeout))?;
-    let _ = stream.set_nodelay(true);
+    let mut stream = open_stream(&resolve(addr)?, config)?;
     request.write_to(&mut stream)?;
     let reply = Frame::read_from(&mut stream)?;
     let _ = Frame::Bye.write_to(&mut stream);
@@ -771,9 +786,18 @@ pub struct RemoteConsole {
     replayed: u64,
     spool: Option<AuditSpool>,
     telemetry: Arc<Telemetry>,
+    metrics: ConsoleMetrics,
     /// True once this connection's first delivery failure was logged
     /// (reset on reconnect, so each connection logs at most once).
     failure_logged: bool,
+}
+
+/// A console's `audit_*_total` handles, resolved once at connect.
+struct ConsoleMetrics {
+    batches: Arc<Counter>,
+    dropped: Arc<Counter>,
+    spooled: Arc<Counter>,
+    replayed: Arc<Counter>,
 }
 
 impl std::fmt::Debug for RemoteConsole {
@@ -789,22 +813,35 @@ impl std::fmt::Debug for RemoteConsole {
 impl RemoteConsole {
     /// Connects an audit channel to the server at `addr`, performing the
     /// handshake immediately so the session exists before any event.
+    /// The console counts on a plane of its own, `audit:<user>`;
+    /// [`RemoteConsole::connect_on`] is the same connect on a caller's
+    /// plane.
     pub fn connect(
         addr: impl ToSocketAddrs,
         hello: Hello,
         config: NetConfig,
     ) -> Result<RemoteConsole, NetError> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(NetError::from)?
-            .next()
-            .ok_or_else(|| {
-                NetError::Io(
-                    std::io::ErrorKind::AddrNotAvailable,
-                    "no address resolved".into(),
-                )
-            })?;
         let telemetry = Arc::new(Telemetry::new(&format!("audit:{}", hello.user)));
+        RemoteConsole::connect_on(addr, hello, config, telemetry)
+    }
+
+    /// [`RemoteConsole::connect`] counting on `telemetry` (a DVM client
+    /// passes its provider's plane, so audit drops land beside its
+    /// fetch metrics).
+    pub fn connect_on(
+        addr: impl ToSocketAddrs,
+        hello: Hello,
+        config: NetConfig,
+        telemetry: Arc<Telemetry>,
+    ) -> Result<RemoteConsole, NetError> {
+        let addr = resolve(addr)?;
+        let r = telemetry.registry();
+        let metrics = ConsoleMetrics {
+            batches: r.counter("audit_batches_total"),
+            dropped: r.counter("audit_dropped_total"),
+            spooled: r.counter("audit_spooled_total"),
+            replayed: r.counter("audit_replayed_total"),
+        };
         let mut console = RemoteConsole {
             addr,
             hello,
@@ -818,6 +855,7 @@ impl RemoteConsole {
             replayed: 0,
             spool: None,
             telemetry,
+            metrics,
             failure_logged: false,
         };
         console.reconnect()?;
@@ -830,28 +868,8 @@ impl RemoteConsole {
         self.telemetry.clone()
     }
 
-    /// Shares an externally owned telemetry plane so audit-drop counts
-    /// land beside the owning client's other metrics.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = telemetry;
-    }
-
     fn reconnect(&mut self) -> Result<(), NetError> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
-        stream.set_read_timeout(Some(self.config.read_timeout))?;
-        stream.set_write_timeout(Some(self.config.write_timeout))?;
-        let _ = stream.set_nodelay(true);
-        let mut conn = Conn { stream, session: 0 };
-        Frame::Hello(self.hello.clone()).write_to(&mut conn.stream)?;
-        match Frame::read_from(&mut conn.stream)? {
-            Frame::Welcome { session } => conn.session = session,
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected WELCOME, got {other:?}"
-                )))
-            }
-        }
-        self.conn = Some(conn);
+        self.conn = Some(handshake(&self.addr, &self.config, &self.hello)?);
         self.failure_logged = false;
         Ok(())
     }
@@ -911,10 +929,7 @@ impl RemoteConsole {
         if delivered > 0 {
             self.sent += delivered;
             self.replayed += delivered;
-            self.telemetry
-                .registry()
-                .counter("audit_replayed_total")
-                .add(delivered);
+            self.metrics.replayed.add(delivered);
         }
         delivered
     }
@@ -928,10 +943,7 @@ impl RemoteConsole {
         };
         if pushed {
             self.spooled += 1;
-            self.telemetry
-                .registry()
-                .counter("audit_spooled_total")
-                .inc();
+            self.metrics.spooled.inc();
         }
         pushed
     }
@@ -989,10 +1001,7 @@ impl RemoteConsole {
         let Some(conn) = self.conn.as_mut() else {
             return from;
         };
-        self.telemetry
-            .registry()
-            .counter("audit_batches_total")
-            .inc();
+        self.metrics.batches.inc();
         let mut written = from;
         while written < self.batch.len() {
             match conn.stream.write(&self.batch[written..]) {
@@ -1041,10 +1050,7 @@ impl RemoteConsole {
         }
         if dropped > 0 {
             self.dropped += dropped;
-            self.telemetry
-                .registry()
-                .counter("audit_dropped_total")
-                .add(dropped);
+            self.metrics.dropped.add(dropped);
         }
     }
 

@@ -37,7 +37,7 @@ pub mod server;
 pub use assembler::{peek_frame, FrameAssembler};
 pub use client::{
     fetch_events, fetch_metrics_text, fetch_stats, request_once, IrHook, NetClassProvider,
-    NetClientStats, NetConfig, NetError, NetTransfer, RemoteConsole,
+    NetClientCounters, NetClientStats, NetConfig, NetError, NetTransfer, RemoteConsole,
 };
 pub use frame::{kind_from_u8, kind_to_u8, ErrorCode, Frame, FrameError, Hello, MAX_FRAME_LEN};
 pub use server::{

@@ -150,7 +150,7 @@ impl RewriteCache {
         }
     }
 
-    /// Mutable access to the attached store (telemetry wiring, flush).
+    /// Mutable access to the attached store (flush).
     pub fn store_mut(&mut self) -> Option<&mut Store> {
         match &mut self.disk {
             DiskTier::Persistent(s) => Some(s),

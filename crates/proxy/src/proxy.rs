@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 
 use dvm_classfile::ClassFile;
 use dvm_netsim::CycleModel;
-use dvm_store::{Store, StoreStats};
+use dvm_store::{Store, StoreConfig, StoreError, StoreStats};
 use dvm_telemetry::{Histogram, SpanId, Telemetry, TraceContext};
 
 use crate::cache::{CacheCounters, CacheExportPage, CacheStats, CacheTier, RewriteCache};
@@ -357,12 +357,6 @@ impl Proxy {
         *self.ir_producer.write() = Some(producer);
     }
 
-    /// Builder-style variant of [`Proxy::set_ir_producer`].
-    pub fn with_ir_producer(self, producer: Arc<dyn IrProducer>) -> Proxy {
-        self.set_ir_producer(producer);
-        self
-    }
-
     /// Replaces the rewrite-cost model (builder style).
     pub fn with_rewrite_cost(mut self, cost: RewriteCost) -> Proxy {
         self.rewrite_cost = cost;
@@ -615,6 +609,12 @@ impl Proxy {
             .bytes_rewritten
             .add(bytes.len() as u64);
         let bytes: Arc<[u8]> = bytes.into();
+        // The IR is cached before the class: a client that hits the
+        // class in the cache then asks for its `ir://` package must
+        // find it.
+        if let Some((product, start, lower_ns)) = ir {
+            self.install_ir(&bytes, product, start, lower_ns, span);
+        }
         if self.caching {
             self.cache.lock().put(url.to_owned(), Arc::clone(&bytes));
             let peer = self.peer.read().clone();
@@ -625,9 +625,6 @@ impl Proxy {
                     self.metrics.counters.peer_offers.inc();
                 }
             }
-        }
-        if let Some((product, start, lower_ns)) = ir {
-            self.install_ir(&bytes, product, start, lower_ns, span);
         }
         Ok(ServedResponse {
             bytes,
@@ -759,18 +756,25 @@ impl Proxy {
         self.metrics.counters.migrate_ingests.inc();
     }
 
-    /// Backs this proxy's disk cache tier with a persistent store: what
-    /// is cached from now on (and anything already cached) survives a
-    /// kill, and whatever a previous life of this shard stored becomes
-    /// servable again without re-rewriting. The store joins this
-    /// proxy's telemetry plane.
-    pub fn attach_store(&self, mut store: Store) {
-        store.set_telemetry(&self.telemetry);
+    /// Backs this proxy's disk cache tier with the persistent store at
+    /// `dir`: what is cached from now on (and anything already cached)
+    /// survives a kill, and whatever a previous life of this shard
+    /// stored becomes servable again without re-rewriting. The store is
+    /// opened on this proxy's telemetry plane, so its recovery is on
+    /// the plane before the first request.
+    pub fn open_store(
+        &self,
+        dir: impl AsRef<std::path::Path>,
+        config: StoreConfig,
+    ) -> Result<(), StoreError> {
+        let store = Store::open_on(dir, config, self.telemetry.clone())?;
         self.cache.lock().attach_store(store);
+        Ok(())
     }
 
-    /// The persistent store's counters, when [`Proxy::attach_store`]
-    /// has been called (`None` for an ephemeral cache).
+    /// The persistent store's counts, read from this proxy's plane, when
+    /// [`Proxy::open_store`] has been called (`None` for an ephemeral
+    /// cache).
     pub fn store_stats(&self) -> Option<StoreStats> {
         self.cache.lock().store_stats()
     }
@@ -1119,16 +1123,14 @@ mod tests {
         let ctx = RequestContext::default();
 
         let proxy = make();
-        proxy
-            .attach_store(dvm_store::Store::open(&dir, dvm_store::StoreConfig::default()).unwrap());
+        proxy.open_store(&dir, StoreConfig::default()).unwrap();
         let first = proxy.handle_request_detailed("u", &ctx).unwrap();
         assert_eq!(first.served_from, ServedFrom::Rewritten);
         // SIGKILL-equivalent: no flush, no graceful shutdown.
         drop(proxy);
 
         let proxy = make();
-        proxy
-            .attach_store(dvm_store::Store::open(&dir, dvm_store::StoreConfig::default()).unwrap());
+        proxy.open_store(&dir, StoreConfig::default()).unwrap();
         let again = proxy.handle_request_detailed("u", &ctx).unwrap();
         assert_eq!(
             again.served_from,

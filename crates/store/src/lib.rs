@@ -285,30 +285,22 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_attach_is_late_binding_and_counts_from_then_on() {
+    fn open_on_counts_on_the_given_plane_from_recovery() {
         let tmp = TempDir::new("telemetry");
-        let mut s = open(&tmp);
-        s.put("early", b"before attach").unwrap();
+        open(&tmp).put("early", b"first life").unwrap();
         let t = Arc::new(Telemetry::new("store-test"));
-        s.set_telemetry(&t);
-        s.put("late", b"after attach").unwrap();
+        let mut s = Store::open_on(&tmp.0, StoreConfig::default(), t.clone()).unwrap();
+        s.put("late", b"second life").unwrap();
         let snap = t.registry().snapshot();
-        assert_eq!(
-            snap.counter("store.appends"),
-            2,
-            "pre-attach totals folded in"
-        );
+        assert_eq!(snap.counter("store.recovered_records"), 1);
+        assert_eq!(snap.counter("store.appends"), 1);
         assert_eq!(snap.gauge("store.live_records"), 2);
-        assert!(snap.gauge("store.segments") >= 1);
-        let spans = t.recorder().dump();
-        assert!(
-            spans.iter().any(|sp| sp.name == "store.open"),
-            "store.open span recorded retroactively"
-        );
+        assert_eq!(s.stats().live_records, 2);
         s.compact().unwrap();
-        let spans = t.recorder().dump();
-        assert!(spans.iter().any(|sp| sp.name == "store.compact"));
-        assert_eq!(t.registry().snapshot().counter("store.compactions"), 1);
+        let spans: Vec<String> = t.recorder().dump().into_iter().map(|sp| sp.name).collect();
+        assert!(spans.iter().any(|n| n == "store.open"), "{spans:?}");
+        assert!(spans.iter().any(|n| n == "store.compact"), "{spans:?}");
+        assert_eq!(s.stats().compactions, 1);
     }
 
     #[test]

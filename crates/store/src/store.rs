@@ -31,9 +31,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
-use dvm_telemetry::{Counter, Gauge, SpanId, Telemetry, TraceId};
+use dvm_telemetry::{SpanId, Telemetry, TraceId};
 
 use crate::record::{
     encode_record, encode_segment_header, parse_record, parse_segment_header, KIND_PUT,
@@ -108,61 +107,38 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// Running totals a store keeps about itself (mirrored into telemetry
-/// counters when a plane is attached).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Records appended (puts + tombstones) since open.
-    pub appends: u64,
-    /// `fsync` calls issued.
-    pub fsyncs: u64,
-    /// Committed records replayed by the last open.
-    pub recovered_records: u64,
-    /// Bytes discarded by recovery (torn tails + dropped segments).
-    pub truncated_bytes: u64,
-    /// Compaction passes completed.
-    pub compactions: u64,
-    /// Value reads served from disk.
-    pub reads: u64,
-    /// Reads that failed re-verification and were degraded to misses.
-    pub read_corruptions: u64,
-    /// Live segment files.
-    pub segments: u64,
-    /// Keys currently live in the index.
-    pub live_records: u64,
-    /// Framed bytes owed to superseded records and tombstones.
-    pub dead_bytes: u64,
-}
-
-/// Pre-registered telemetry handles (hot path touches only atomics).
-struct StoreMetrics {
-    appends: Arc<Counter>,
-    fsyncs: Arc<Counter>,
-    recovered_records: Arc<Counter>,
-    truncated_bytes: Arc<Counter>,
-    compactions: Arc<Counter>,
-    reads: Arc<Counter>,
-    read_corruptions: Arc<Counter>,
-    segments: Arc<Gauge>,
-    live_records: Arc<Gauge>,
-    dead_bytes: Arc<Gauge>,
-}
-
-impl StoreMetrics {
-    fn register(t: &Telemetry) -> StoreMetrics {
-        let r = t.registry();
-        StoreMetrics {
-            appends: r.counter("store.appends"),
-            fsyncs: r.counter("store.fsyncs"),
-            recovered_records: r.counter("store.recovered_records"),
-            truncated_bytes: r.counter("store.truncated_bytes"),
-            compactions: r.counter("store.compactions"),
-            reads: r.counter("store.reads"),
-            read_corruptions: r.counter("store.read_corruptions"),
-            segments: r.gauge("store.segments"),
-            live_records: r.gauge("store.live_records"),
-            dead_bytes: r.gauge("store.dead_bytes"),
-        }
+dvm_telemetry::counters! {
+    /// Registered handles behind [`StoreStats`].
+    struct StoreCounters;
+    /// A store's counts, read from the telemetry plane it was opened on
+    /// — the only place they live. Their scope is that plane's: a store
+    /// from [`Store::open`] has a plane of its own, so its counts start
+    /// at its open; a store opened on a longer-lived plane (a proxy's,
+    /// through [`Store::open_on`]) adds to what that plane already
+    /// holds, so `recovered_records` sums every open on it.
+    pub struct StoreStats {
+        /// Records appended (puts + tombstones).
+        appends = "store.appends",
+        /// `fsync` calls issued.
+        fsyncs = "store.fsyncs",
+        /// Committed records replayed by recovery.
+        recovered_records = "store.recovered_records",
+        /// Bytes discarded by recovery (torn tails + dropped segments).
+        truncated_bytes = "store.truncated_bytes",
+        /// Compaction passes completed.
+        compactions = "store.compactions",
+        /// Value reads served from disk.
+        reads = "store.reads",
+        /// Reads that failed re-verification and were degraded to misses.
+        read_corruptions = "store.read_corruptions",
+    }
+    gauges {
+        /// Live segment files.
+        segments = "store.segments",
+        /// Keys currently live in the index.
+        live_records = "store.live_records",
+        /// Framed bytes owed to superseded records and tombstones.
+        dead_bytes = "store.dead_bytes",
     }
 }
 
@@ -198,10 +174,8 @@ pub struct Store {
     appends_since_sync: u32,
     live_bytes: u64,
     dead_bytes: u64,
-    stats: StoreStats,
-    metrics: Option<StoreMetrics>,
-    telemetry: Option<Arc<Telemetry>>,
-    open_wall_ns: u64,
+    counters: StoreCounters,
+    telemetry: Arc<Telemetry>,
 }
 
 impl fmt::Debug for Store {
@@ -216,9 +190,22 @@ impl fmt::Debug for Store {
 
 impl Store {
     /// Opens (creating if needed) the store rooted at `dir`, replaying
-    /// every committed record and truncating any torn tail.
+    /// every committed record and truncating any torn tail. The store
+    /// counts on a telemetry plane of its own; [`Store::open_on`] is
+    /// the same open on a caller's plane.
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Store, StoreError> {
-        let started = Instant::now();
+        Store::open_on(dir, config, Arc::new(Telemetry::new("store")))
+    }
+
+    /// [`Store::open`] counting on `telemetry` from the first record
+    /// recovery replays: `store.*` counters and gauges, and the
+    /// `store.open` and `store.compact` spans.
+    pub fn open_on(
+        dir: impl AsRef<Path>,
+        config: StoreConfig,
+        telemetry: Arc<Telemetry>,
+    ) -> Result<Store, StoreError> {
+        let started = telemetry.recorder().now_ns();
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
 
@@ -244,10 +231,8 @@ impl Store {
             appends_since_sync: 0,
             live_bytes: 0,
             dead_bytes: 0,
-            stats: StoreStats::default(),
-            metrics: None,
-            telemetry: None,
-            open_wall_ns: 0,
+            counters: StoreCounters::register(telemetry.registry()),
+            telemetry,
         };
         store.recover(&ids)?;
 
@@ -264,7 +249,7 @@ impl Store {
             }
         }
         store.refresh_gauges();
-        store.open_wall_ns = started.elapsed().as_nanos() as u64;
+        store.record_span("store.open", started);
         Ok(store)
     }
 
@@ -279,7 +264,7 @@ impl Store {
                 dvm_fuzz::cov!("store.recover.bad_header");
                 // Nothing in this segment is trustworthy; it and every
                 // later segment leave the committed prefix.
-                self.stats.truncated_bytes += buf.len() as u64;
+                self.counters.truncated_bytes.add(buf.len() as u64);
                 fs::remove_file(&path)?;
                 self.drop_trailing_segments(&ids[pos + 1..])?;
                 return Ok(());
@@ -290,7 +275,7 @@ impl Store {
                 match parse_record(&buf, offset) {
                     Some(rec) => {
                         dvm_fuzz::cov!("store.recover.record");
-                        self.stats.recovered_records += 1;
+                        self.counters.recovered_records.inc();
                         let entry = IndexEntry {
                             segment: id,
                             offset: offset as u64,
@@ -317,11 +302,13 @@ impl Store {
                     None => {
                         dvm_fuzz::cov!("store.recover.torn");
                         // Torn tail: truncate here, drop later segments.
-                        self.stats.truncated_bytes += (buf.len() - offset) as u64;
+                        self.counters
+                            .truncated_bytes
+                            .add((buf.len() - offset) as u64);
                         let f = OpenOptions::new().write(true).open(&path)?;
                         f.set_len(offset as u64)?;
                         f.sync_all()?;
-                        self.stats.fsyncs += 1;
+                        self.counters.fsyncs.inc();
                         torn = true;
                         break;
                     }
@@ -353,7 +340,7 @@ impl Store {
         for &id in ids {
             let path = segment_path(&self.dir, id);
             if let Ok(meta) = fs::metadata(&path) {
-                self.stats.truncated_bytes += meta.len();
+                self.counters.truncated_bytes.add(meta.len());
             }
             fs::remove_file(&path)?;
         }
@@ -386,49 +373,28 @@ impl Store {
 
     fn sync_dir(&mut self) -> Result<(), StoreError> {
         File::open(&self.dir)?.sync_all()?;
-        self.stats.fsyncs += 1;
-        if let Some(m) = &self.metrics {
-            m.fsyncs.inc();
-        }
+        self.counters.fsyncs.inc();
         Ok(())
     }
 
-    /// Attaches a telemetry plane: registers `store.*` counters/gauges,
-    /// folds in totals accumulated before attachment, and records the
-    /// `store.open` span retroactively.
-    pub fn set_telemetry(&mut self, telemetry: &Arc<Telemetry>) {
-        let m = StoreMetrics::register(telemetry);
-        m.appends.add(self.stats.appends);
-        m.fsyncs.add(self.stats.fsyncs);
-        m.recovered_records.add(self.stats.recovered_records);
-        m.truncated_bytes.add(self.stats.truncated_bytes);
-        m.compactions.add(self.stats.compactions);
-        m.reads.add(self.stats.reads);
-        m.read_corruptions.add(self.stats.read_corruptions);
-        self.metrics = Some(m);
-        self.telemetry = Some(Arc::clone(telemetry));
-        self.refresh_gauges();
-        let rec = telemetry.recorder();
-        let start = rec.now_ns().saturating_sub(self.open_wall_ns);
+    fn refresh_gauges(&self) {
+        self.counters.segments.set(self.segments.len() as i64);
+        self.counters.live_records.set(self.index.len() as i64);
+        self.counters.dead_bytes.set(self.dead_bytes as i64);
+    }
+
+    /// Records a root span `name` that began at `start` (recorder ns).
+    fn record_span(&self, name: &str, start: u64) {
+        let rec = self.telemetry.recorder();
+        let duration = rec.now_ns().saturating_sub(start);
         rec.record_span(
             TraceId::generate(),
             SpanId::generate(),
             SpanId::NONE,
-            "store.open",
+            name,
             start,
-            self.open_wall_ns,
+            duration,
         );
-    }
-
-    fn refresh_gauges(&mut self) {
-        self.stats.segments = self.segments.len() as u64;
-        self.stats.live_records = self.index.len() as u64;
-        self.stats.dead_bytes = self.dead_bytes;
-        if let Some(m) = &self.metrics {
-            m.segments.set(self.segments.len() as i64);
-            m.live_records.set(self.index.len() as i64);
-            m.dead_bytes.set(self.dead_bytes as i64);
-        }
     }
 
     /// Appends `key → value`. The previous value (if any) becomes dead
@@ -460,15 +426,8 @@ impl Store {
     }
 
     fn append(&mut self, rec: &[u8]) -> Result<IndexEntry, StoreError> {
-        let id = self.active;
-        let seg = self.segments.get_mut(&id).expect("active segment exists");
-        let offset = seg.len;
-        seg.file.write_all(rec)?;
-        seg.len += rec.len() as u64;
-        self.stats.appends += 1;
-        if let Some(m) = &self.metrics {
-            m.appends.inc();
-        }
+        let entry = self.append_uncounted(rec)?;
+        self.counters.appends.inc();
         match self.config.durability {
             Durability::Always => self.sync_active()?,
             Durability::Batch(n) => {
@@ -479,11 +438,7 @@ impl Store {
             }
             Durability::Never => {}
         }
-        Ok(IndexEntry {
-            segment: id,
-            offset,
-            total_len: rec.len() as u32,
-        })
+        Ok(entry)
     }
 
     /// Post-append housekeeping: segment roll and auto-compaction.
@@ -506,10 +461,7 @@ impl Store {
         let seg = self.segments.get_mut(&self.active).expect("active segment");
         seg.file.sync_all()?;
         self.appends_since_sync = 0;
-        self.stats.fsyncs += 1;
-        if let Some(m) = &self.metrics {
-            m.fsyncs.inc();
-        }
+        self.counters.fsyncs.inc();
         Ok(())
     }
 
@@ -525,17 +477,11 @@ impl Store {
         let Some(entry) = self.index.get(key).copied() else {
             return Ok(None);
         };
-        self.stats.reads += 1;
-        if let Some(m) = &self.metrics {
-            m.reads.inc();
-        }
+        self.counters.reads.inc();
         match self.read_entry(key, entry)? {
             Some(value) => Ok(Some(value)),
             None => {
-                self.stats.read_corruptions += 1;
-                if let Some(m) = &self.metrics {
-                    m.read_corruptions.inc();
-                }
+                self.counters.read_corruptions.inc();
                 if let Some(old) = self.index.remove(key) {
                     self.live_bytes -= old.total_len as u64;
                     self.dead_bytes += old.total_len as u64;
@@ -615,7 +561,7 @@ impl Store {
     /// order, so a crash at any point yields either the old view or
     /// the new one — never a mix that loses a key.
     pub fn compact(&mut self) -> Result<(), StoreError> {
-        let started = Instant::now();
+        let started = self.telemetry.recorder().now_ns();
         let reclaimable = self.dead_bytes;
         let mut live: Vec<(String, IndexEntry)> =
             self.index.iter().map(|(k, e)| (k.clone(), *e)).collect();
@@ -625,12 +571,7 @@ impl Store {
         for (key, entry) in &live {
             match self.read_entry(key, *entry)? {
                 Some(v) => values.push((key.clone(), v)),
-                None => {
-                    self.stats.read_corruptions += 1;
-                    if let Some(m) = &self.metrics {
-                        m.read_corruptions.inc();
-                    }
-                }
+                None => self.counters.read_corruptions.inc(),
             }
         }
 
@@ -659,32 +600,20 @@ impl Store {
             fs::remove_file(&seg.path)?;
         }
         self.sync_dir()?;
-        self.stats.compactions += 1;
-        if let Some(m) = &self.metrics {
-            m.compactions.inc();
-        }
+        self.counters.compactions.inc();
         self.refresh_gauges();
-        if let Some(t) = &self.telemetry {
-            let rec = t.recorder();
-            let dur = started.elapsed().as_nanos() as u64;
-            rec.record_span(
-                TraceId::generate(),
-                SpanId::generate(),
-                SpanId::NONE,
-                "store.compact",
-                rec.now_ns().saturating_sub(dur),
-                dur,
-            );
-            t.record_event(dvm_telemetry::JournalKind::StoreCompaction {
+        self.record_span("store.compact", started);
+        self.telemetry
+            .record_event(dvm_telemetry::JournalKind::StoreCompaction {
                 live: self.index.len() as u64,
                 reclaimed: reclaimable,
             });
-        }
         Ok(())
     }
 
-    /// Append without the durability bookkeeping (compaction syncs
-    /// explicitly at its own barriers).
+    /// Writes `rec` to the active segment without counting it or
+    /// applying the durability policy (compaction syncs explicitly at
+    /// its own barriers).
     fn append_uncounted(&mut self, rec: &[u8]) -> Result<IndexEntry, StoreError> {
         let id = self.active;
         let seg = self.segments.get_mut(&id).expect("active segment exists");
@@ -698,13 +627,9 @@ impl Store {
         })
     }
 
-    /// Running totals (gauge fields are refreshed before returning).
+    /// This store's counts, read from its telemetry plane.
     pub fn stats(&self) -> StoreStats {
-        let mut s = self.stats.clone();
-        s.segments = self.segments.len() as u64;
-        s.live_records = self.index.len() as u64;
-        s.dead_bytes = self.dead_bytes;
-        s
+        self.counters.view()
     }
 
     /// The data directory this store owns.

@@ -397,6 +397,10 @@ impl Registry {
 /// assert_eq!(counters.view(), DemoStats { requests: 1 });
 /// assert_eq!(registry.snapshot().counter("demo.requests"), 1);
 /// ```
+///
+/// An optional `gauges { … }` block after the view declares gauge
+/// handles the same way; the view reads them as `u64` (a negative
+/// gauge reads 0).
 #[macro_export]
 macro_rules! counters {
     (
@@ -406,23 +410,33 @@ macro_rules! counters {
         $view_vis:vis struct $view:ident {
             $( $(#[$field_meta:meta])* $field:ident = $name:literal, )*
         }
+        $( gauges {
+            $( $(#[$gauge_meta:meta])* $gauge:ident = $gauge_name:literal, )*
+        } )?
     ) => {
         $(#[$handles_meta])*
         #[derive(Debug, Clone)]
         $handles_vis struct $handles {
             $( $(#[$field_meta])* $handles_vis $field: ::std::sync::Arc<$crate::Counter>, )*
+            $($( $(#[$gauge_meta])* $handles_vis $gauge: ::std::sync::Arc<$crate::Gauge>, )*)?
         }
 
         impl $handles {
             /// Resolves every handle on `registry`, creating the
-            /// counters that do not exist yet.
+            /// metrics that do not exist yet.
             $handles_vis fn register(registry: &$crate::Registry) -> $handles {
-                $handles { $( $field: registry.counter($name), )* }
+                $handles {
+                    $( $field: registry.counter($name), )*
+                    $($( $gauge: registry.gauge($gauge_name), )*)?
+                }
             }
 
-            /// Reads every counter into the typed view.
+            /// Reads every handle into the typed view.
             $handles_vis fn view(&self) -> $view {
-                $view { $( $field: self.$field.get(), )* }
+                $view {
+                    $( $field: self.$field.get(), )*
+                    $($( $gauge: self.$gauge.get().max(0) as u64, )*)?
+                }
             }
         }
 
@@ -430,6 +444,7 @@ macro_rules! counters {
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         $view_vis struct $view {
             $( $(#[$field_meta])* pub $field: u64, )*
+            $($( $(#[$gauge_meta])* pub $gauge: u64, )*)?
         }
     };
 }

@@ -190,14 +190,6 @@ impl Sampler {
             .unwrap_or_default()
     }
 
-    /// The retained points for gauge `name`, oldest first.
-    pub fn gauge_points(&self, name: &str) -> Vec<GaugePoint> {
-        self.gauges
-            .get(name)
-            .map(|r| r.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Total counter events inside `(now - window, now]`.
     pub fn window_delta(&self, name: &str, window_ns: u64, now_ns: u64) -> u64 {
         let from = now_ns.saturating_sub(window_ns);

@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 use dvm_repro::cluster::{ClusterClientConfig, ClusterOptions, HashRing, HealthConfig};
 use dvm_repro::core::{CostModel, Organization, ServiceConfig};
 use dvm_repro::monitor::{EventKind, SessionId, SiteId};
-use dvm_repro::net::{FaultPlan, Hello, NetClassProvider, NetConfig, ServerConfig};
+use dvm_repro::net::{
+    fetch_stats, FaultPlan, Hello, NetClassProvider, NetClientCounters, NetConfig, ServerConfig,
+};
 use dvm_repro::proxy::{ServedFrom, Signer};
 use dvm_repro::security::Policy;
 use dvm_repro::workload::{corpus, Applet};
@@ -305,6 +307,11 @@ fn peer_cache_fill_crosses_the_wire_in_both_directions() {
     assert_eq!(cluster.proxy(other).stats().rewrites, 0);
     let home_server = cluster.shard_stats(home).unwrap();
     assert!(home_server.peer_gets >= 1 && home_server.peer_hits >= 1);
+    // The asking shard's side of the probe is on its own plane.
+    let asker = fetch_stats(cluster.addrs()[other], NetConfig::default(), false).unwrap();
+    assert_eq!(asker.metrics.counter("cluster.peer.gets"), 1);
+    assert_eq!(asker.metrics.counter("cluster.peer.hits"), 1);
+    assert_eq!(asker.metrics.counter("cluster.peer.failures"), 0);
 
     // Now the reverse: a URL homed on the *other* shard, first fetched
     // at `home` — which rewrites it and offers it home with PEER_PUT.
@@ -326,11 +333,56 @@ fn peer_cache_fill_crosses_the_wire_in_both_directions() {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(cluster.shard_stats(other).unwrap().peer_puts >= 1);
+        let offerer = fetch_stats(cluster.addrs()[home], NetConfig::default(), false).unwrap();
+        assert!(offerer.metrics.counter("cluster.peer.puts") >= 1);
         let (offered, t) = at_other.fetch(&foreign_url).unwrap();
         assert_eq!(t.served_from, ServedFrom::DiskCache, "offer not cached");
         assert_eq!(offered, bytes);
         assert_eq!(cluster.proxy(other).stats().rewrites, 0);
     }
+    cluster.shutdown();
+}
+
+/// A cluster client's per-shard connections count on its one plane:
+/// after N fetches spread over three shards, `net.client.requests` is N
+/// and the typed `NetClientStats` read from that plane agrees.
+#[test]
+fn per_shard_connections_count_on_the_cluster_clients_one_plane() {
+    let applets = small_applets(41, 2);
+    let org = org_over(&applets);
+    let cluster = org.serve_cluster(3).unwrap();
+    let urls: Vec<String> = applets
+        .iter()
+        .flat_map(|a| a.classes.iter())
+        .map(|c| format!("class://{}", c.name().unwrap()))
+        .collect();
+    let mut provider = dvm_repro::cluster::ClusterClassProvider::new(
+        cluster.addrs().to_vec(),
+        cluster.ring().clone(),
+        hello("counted"),
+        org_signer(),
+        ClusterClientConfig::default(),
+    );
+    let mut bytes = 0u64;
+    for url in &urls {
+        bytes += provider.fetch(url).unwrap().0.len() as u64;
+    }
+    let homes: std::collections::HashSet<u32> =
+        urls.iter().filter_map(|u| cluster.ring().home(u)).collect();
+    assert!(homes.len() >= 2, "the URLs should spread over shards");
+
+    let plane = provider.telemetry();
+    let snap = plane.registry().snapshot();
+    let n = urls.len() as u64;
+    assert_eq!(snap.counter("net.client.requests"), n);
+    assert_eq!(snap.counter("net.client.reconnects"), homes.len() as u64);
+    let stats = NetClientCounters::register(plane.registry()).view();
+    assert_eq!(stats.requests, n);
+    assert_eq!(stats.reconnects, homes.len() as u64);
+    assert_eq!(stats.bytes_received, bytes);
+    assert_eq!(stats.signature_failures, 0);
+    assert_eq!(provider.stats().requests, n);
+    provider.close();
     cluster.shutdown();
 }
 

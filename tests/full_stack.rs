@@ -198,3 +198,61 @@ fn audit_and_security_compose_on_one_pipeline() {
     assert!(stats.static_checks > 0);
     assert!(org.console.lock().total_events() > 0);
 }
+
+#[test]
+fn site_ids_past_i16_rewrite_verify_and_run() {
+    // A long-running proxy's site table outgrows `sipush`: every id
+    // here is past 32 767, so each probe pushes a pool `Integer`.
+    const PRE_INTERNED: i32 = 40_000;
+    let app = small_app();
+    let mut sites = SiteTable::new();
+    for i in 0..PRE_INTERNED {
+        sites.intern("pre/Interned", &format!("m{i}"));
+    }
+    let verifier = dvm_repro::verifier::StaticVerifier::new(
+        dvm_repro::verifier::MapEnvironment::with_bootstrap(),
+    );
+    let mut provider = MapProvider::new();
+    for cf in &app.classes {
+        let mut cf = cf.clone();
+        dvm_repro::monitor::audit_class(&mut cf, &mut sites).unwrap();
+        dvm_repro::monitor::profile_class(&mut cf, &mut sites, ProfileMode::Block).unwrap();
+        let (mut verified, _) = verifier.verify(cf).unwrap();
+        provider.insert_class(&mut verified).unwrap();
+    }
+    assert!(sites.len() > PRE_INTERNED as usize);
+
+    #[derive(Default)]
+    struct Reported(std::sync::Arc<std::sync::Mutex<Vec<i32>>>);
+    impl dvm_repro::jvm::DynamicServices for Reported {
+        fn audit_event(&mut self, site: i32, _kind: dvm_repro::jvm::AuditKind) {
+            self.0.lock().unwrap().push(site);
+        }
+        fn profile_count(&mut self, site: i32) {
+            self.0.lock().unwrap().push(site);
+        }
+        fn first_use(&mut self, site: i32) {
+            self.0.lock().unwrap().push(site);
+        }
+    }
+    let reported = Reported::default();
+    let seen = reported.0.clone();
+    let mut vm = Vm::with_services(Box::new(provider), Box::new(reported)).unwrap();
+    let completion = vm.run_main(&app.main_class).unwrap();
+    assert!(
+        matches!(completion, Completion::Normal(_)),
+        "{completion:?}"
+    );
+
+    let seen = seen.lock().unwrap();
+    assert!(!seen.is_empty(), "no probe fired");
+    let app_classes: std::collections::HashSet<&str> =
+        app.classes.iter().map(|cf| cf.name().unwrap()).collect();
+    for &site in seen.iter() {
+        assert!(site >= PRE_INTERNED, "site {site} is a pre-interned id");
+        let (class, _) = sites
+            .resolve(dvm_repro::monitor::SiteId(site))
+            .unwrap_or_else(|| panic!("site {site} was never assigned"));
+        assert!(app_classes.contains(class), "site {site} names {class}");
+    }
+}

@@ -110,7 +110,8 @@ fn eight_concurrent_remote_clients_run_corpus_applets() {
 
     // Each remote client opens a provider and an audit connection, and
     // every handshake creates a console session.
-    assert_eq!(org.console.lock().session_count(), 16);
+    let sessions = org.console.lock().session_count();
+    assert_eq!(sessions, 16, "console sessions {sessions}, want 16");
 
     // Audit events are fire-and-forget: give the server a moment to drain
     // what the clients wrote before they disconnected.
@@ -126,10 +127,23 @@ fn eight_concurrent_remote_clients_run_corpus_applets() {
     // More events may land until the server stops; compare the console
     // with the server's count only once nothing can arrive.
     let stats = server.shutdown();
-    assert_eq!(stats.connections, 16);
-    assert!(stats.requests > 0);
-    assert_eq!(stats.errors, 0);
-    assert_eq!(stats.audit_events, org.console.lock().total_events());
+    let console_events = org.console.lock().total_events();
+    assert_eq!(
+        stats.connections, 16,
+        "server connections {} != 16; {stats:?}",
+        stats.connections
+    );
+    assert!(stats.requests > 0, "{stats:?}");
+    assert_eq!(
+        stats.errors, 0,
+        "server errors {} != 0; {stats:?}",
+        stats.errors
+    );
+    assert_eq!(
+        stats.audit_events, console_events,
+        "server audit_events {} != console events {console_events}; {stats:?}",
+        stats.audit_events
+    );
 }
 
 /// Tier reporting over the wire: the first fetch is rewritten, repeats

@@ -97,6 +97,49 @@ fn class_urls(applets: &[Applet]) -> Vec<String> {
         .collect()
 }
 
+/// A restarted shard's store is on its plane from birth: the very first
+/// `stats://` read of the second life already carries the recovery —
+/// `store.recovered_records`, the live-record gauge and the
+/// `store.open` span — before any request has reached the proxy.
+#[test]
+fn first_stats_read_after_a_restart_shows_the_recovery() {
+    let dir = TempDir::new();
+    let applets = small_applets(23, 2);
+    let urls = class_urls(&applets);
+    {
+        let org = org_over(&applets);
+        let cluster = org
+            .serve_cluster_persistent(1, ClusterOptions::default(), &dir.0)
+            .unwrap();
+        let mut provider = client_of(cluster.addrs()[0], "life1");
+        for url in &urls {
+            provider.fetch(url).unwrap();
+        }
+        provider.close();
+        cluster.shutdown();
+    }
+
+    let org = org_over(&applets);
+    let cluster = org
+        .serve_cluster_persistent(1, ClusterOptions::default(), &dir.0)
+        .unwrap();
+    let report = fetch_stats(cluster.addrs()[0], NetConfig::default(), true).unwrap();
+    let n = urls.len() as u64;
+    assert!(report.metrics.counter("store.recovered_records") >= n);
+    assert!(report.metrics.gauge("store.live_records") >= n as i64);
+    assert_eq!(report.metrics.counter("proxy.requests"), 0);
+    assert!(
+        report.spans.iter().any(|s| s.name == "store.open"),
+        "no store.open span on the shard's plane"
+    );
+    let view = cluster.proxy(0).store_stats().unwrap();
+    assert_eq!(
+        view.recovered_records,
+        report.metrics.counter("store.recovered_records")
+    );
+    cluster.shutdown();
+}
+
 /// The tentpole acceptance: fill a persistent single-shard proxy over
 /// TCP, kill it without flushing, rebuild everything from scratch over
 /// the same directory, and fetch again. Every class must arrive from
