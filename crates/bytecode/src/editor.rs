@@ -12,25 +12,20 @@ use crate::error::Result;
 use crate::insn::Insn;
 
 /// An editor over a [`Code`] body that supports multi-point insertion with
-/// automatic target fix-up.
+/// automatic target fix-up. It edits the body in place.
 #[derive(Debug)]
-pub struct CodeEditor {
-    code: Code,
+pub struct CodeEditor<'a> {
+    code: &'a mut Code,
 }
 
-impl CodeEditor {
+impl<'a> CodeEditor<'a> {
     /// Wraps a decoded body for editing.
-    pub fn new(code: Code) -> CodeEditor {
+    pub fn new(code: &'a mut Code) -> CodeEditor<'a> {
         CodeEditor { code }
     }
 
     /// Read access to the body being edited.
     pub fn code(&self) -> &Code {
-        &self.code
-    }
-
-    /// Consumes the editor, returning the edited body.
-    pub fn into_code(self) -> Code {
         self.code
     }
 
@@ -149,9 +144,8 @@ mod tests {
 
     #[test]
     fn prologue_insertion_shifts_targets() {
-        let mut ed = CodeEditor::new(sample());
-        ed.insert_prologue(vec![Insn::Nop, Insn::Nop]);
-        let code = ed.into_code();
+        let mut code = sample();
+        CodeEditor::new(&mut code).insert_prologue(vec![Insn::Nop, Insn::Nop]);
         assert_eq!(code.insns.len(), 10);
         // The loop back-edge now points at the shifted loop top.
         assert_eq!(code.insns[8], Insn::Goto(4));
@@ -171,11 +165,10 @@ mod tests {
 
     #[test]
     fn mid_insertion_keeps_back_edges_on_original_instruction() {
-        let mut ed = CodeEditor::new(sample());
+        let mut code = sample();
         // Instrument the loop top (index 2): inserted block must NOT be
         // re-executed by the back edge.
-        ed.insert(2, vec![Insn::Nop]);
-        let code = ed.into_code();
+        CodeEditor::new(&mut code).insert(2, vec![Insn::Nop]);
         // Back edge was Goto(2); original instruction moved to 3.
         assert_eq!(code.insns[7], Insn::Goto(3));
         // The inserted Nop sits at 2 and is only reached by fall-through.
@@ -184,7 +177,7 @@ mod tests {
 
     #[test]
     fn insert_before_returns_handles_multiple_returns() {
-        let code = Code {
+        let mut code = Code {
             insns: vec![
                 Insn::Load(Kind::Int, 0),
                 Insn::If(ICond::Eq, 4),
@@ -196,9 +189,7 @@ mod tests {
             handlers: vec![],
             max_locals: 1,
         };
-        let mut ed = CodeEditor::new(code);
-        ed.insert_before_returns(|| vec![Insn::Nop]);
-        let code = ed.into_code();
+        CodeEditor::new(&mut code).insert_before_returns(|| vec![Insn::Nop]);
         assert_eq!(code.insns.len(), 8);
         assert_eq!(code.insns[3], Insn::Nop);
         assert_eq!(code.insns[6], Insn::Nop);
@@ -210,7 +201,8 @@ mod tests {
 
     #[test]
     fn empty_insert_is_a_no_op() {
-        let mut ed = CodeEditor::new(sample());
+        let mut code = sample();
+        let mut ed = CodeEditor::new(&mut code);
         let before = ed.code().clone();
         ed.insert(3, vec![]);
         assert_eq!(*ed.code(), before);

@@ -11,6 +11,8 @@
 //!   automatic branch/handler fix-up.
 //! - [`asm::Asm`] — a label-based assembler for synthesizing bodies.
 //! - [`disasm`] — human-readable rendering for the admin console.
+//! - [`unit::RewriteUnit`] — a class in flight through the rewriting
+//!   services, each body decoded once and each edited body encoded once.
 
 pub mod asm;
 pub mod code;
@@ -19,9 +21,11 @@ pub mod editor;
 pub mod error;
 pub mod insn;
 pub mod opcode;
+pub mod unit;
 
 pub use asm::{Asm, Label};
 pub use code::{Code, Handler};
 pub use editor::CodeEditor;
 pub use error::{BytecodeError, Result};
 pub use insn::{AKind, ArithOp, ICond, Insn, Kind, LogicOp, NumKind, NumType, ShiftOp};
+pub use unit::{Bodies, RewriteUnit};

@@ -168,23 +168,24 @@ impl ClassFile {
             .collect()
     }
 
+    /// The index in [`ClassFile::methods`] of a declared method, by name
+    /// and descriptor.
+    pub fn method_index(&self, name: &str, descriptor: &str) -> Option<usize> {
+        let pool = &self.pool;
+        self.methods.iter().position(|m| {
+            m.name(pool).map(|n| n == name).unwrap_or(false)
+                && m.descriptor(pool).map(|d| d == descriptor).unwrap_or(false)
+        })
+    }
+
     /// Finds a declared method by name and descriptor.
     pub fn find_method(&self, name: &str, descriptor: &str) -> Option<&MemberInfo> {
-        self.methods.iter().find(|m| {
-            m.name(&self.pool).map(|n| n == name).unwrap_or(false)
-                && m.descriptor(&self.pool)
-                    .map(|d| d == descriptor)
-                    .unwrap_or(false)
-        })
+        Some(&self.methods[self.method_index(name, descriptor)?])
     }
 
     /// Finds a declared method mutably by name and descriptor.
     pub fn find_method_mut(&mut self, name: &str, descriptor: &str) -> Option<&mut MemberInfo> {
-        let pool = &self.pool;
-        let idx = self.methods.iter().position(|m| {
-            m.name(pool).map(|n| n == name).unwrap_or(false)
-                && m.descriptor(pool).map(|d| d == descriptor).unwrap_or(false)
-        })?;
+        let idx = self.method_index(name, descriptor)?;
         Some(&mut self.methods[idx])
     }
 

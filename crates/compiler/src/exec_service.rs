@@ -1,18 +1,25 @@
 //! The network compiler service: the optimizing execution tier's
 //! proxy side.
 //!
-//! It parses a served class, lowers and optimizes every method onto the
+//! It lowers and optimizes every method of a rewritten class onto the
 //! portable register-IR tier (`dvm-exec`), and returns the wire-encoded
 //! IR package the client VM installs next to the class. Results are
-//! cached per rewrite signature — the MD5 the proxy already computes over
-//! the signed served payload — so one compilation is amortized across
-//! every client in the organization that fetches the same rewrite.
+//! cached per rewrite signature — the MD5 of the unsigned rewritten
+//! payload, which the proxy's IR producer computes — so one compilation
+//! is amortized across every client in the organization that fetches
+//! the same rewrite.
+//!
+//! The cache ([`ExecCompiler`]) and the compilation
+//! ([`IrPackage::compile`]) are apart so a shared cache is locked only
+//! to look a signature up and to insert a package, never across a
+//! compilation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use dvm_bytecode::Bodies;
 use dvm_classfile::ClassFile;
-use dvm_exec::{compile_class, encode, PassStats};
+use dvm_exec::{compile_bodies, encode, PassStats};
 
 use crate::error::{CompileError, Result};
 
@@ -26,7 +33,7 @@ pub const IR_COMPILE_CYCLES_PER_INSN: u64 = 600;
 pub struct IrPackage {
     /// Class internal name.
     pub class: String,
-    /// Rewrite signature (MD5 hex of the signed served payload) the
+    /// Rewrite signature (MD5 hex of the unsigned rewritten payload) the
     /// package is keyed under.
     pub signature: String,
     /// Wire-encoded IR (`dvm_exec::encode` format).
@@ -39,6 +46,26 @@ pub struct IrPackage {
     pub passes: PassStats,
     /// Simulated cycles the compilation cost (charged to the proxy).
     pub compile_cycles: u64,
+}
+
+impl IrPackage {
+    /// Lowers, optimizes and encodes `cf`, reading its method bodies
+    /// through `bodies` (a body already decoded there is not decoded
+    /// again). Touches no cache.
+    pub fn compile(signature: &str, cf: &ClassFile, bodies: &mut Bodies) -> Result<IrPackage> {
+        let (ir, cs) = compile_bodies(cf, bodies)
+            .map_err(|e| CompileError::Unsupported(format!("IR lowering failed: {e}")))?;
+        let ir_insns: usize = ir.methods.iter().map(|f| f.insns.len()).sum();
+        Ok(IrPackage {
+            bytes: encode(&ir),
+            class: ir.class,
+            signature: signature.to_owned(),
+            methods_compiled: cs.lowered,
+            methods_skipped: cs.skipped,
+            passes: cs.passes,
+            compile_cycles: ir_insns as u64 * IR_COMPILE_CYCLES_PER_INSN,
+        })
+    }
 }
 
 /// Statistics for the IR compilation service.
@@ -73,30 +100,36 @@ impl ExecCompiler {
     /// Compiles the class in `class_bytes` under rewrite signature
     /// `signature`, serving repeats from the cache.
     pub fn compile(&mut self, signature: &str, class_bytes: &[u8]) -> Result<Arc<IrPackage>> {
-        if let Some(pkg) = self.cache.get(signature) {
-            self.stats.cache_hits += 1;
-            return Ok(pkg.clone());
+        if let Some(pkg) = self.lookup(signature) {
+            return Ok(pkg);
         }
         let cf = ClassFile::parse(class_bytes)?;
-        let (ir, cs) = compile_class(&cf)
-            .map_err(|e| CompileError::Unsupported(format!("IR lowering failed: {e}")))?;
-        let ir_insns: usize = ir.methods.iter().map(|f| f.insns.len()).sum();
-        let compile_cycles = ir_insns as u64 * IR_COMPILE_CYCLES_PER_INSN;
-        let pkg = Arc::new(IrPackage {
-            class: ir.class.clone(),
-            signature: signature.to_owned(),
-            bytes: encode(&ir),
-            methods_compiled: cs.lowered,
-            methods_skipped: cs.skipped,
-            passes: cs.passes,
-            compile_cycles,
-        });
+        let pkg = IrPackage::compile(signature, &cf, &mut Bodies::new())?;
+        Ok(self.insert(pkg))
+    }
+
+    /// The cached package for `signature`, counted as a cache hit.
+    pub fn lookup(&mut self, signature: &str) -> Option<Arc<IrPackage>> {
+        let pkg = self.cache.get(signature)?.clone();
+        self.stats.cache_hits += 1;
+        Some(pkg)
+    }
+
+    /// Caches a package compiled after a [`ExecCompiler::lookup`] missed
+    /// and returns the cached one. When a racing compilation of the same
+    /// signature got there first, its package stays and this one counts
+    /// as a cache hit, so each signature is one compilation.
+    pub fn insert(&mut self, pkg: IrPackage) -> Arc<IrPackage> {
+        if let Some(first) = self.lookup(&pkg.signature) {
+            return first;
+        }
         self.stats.compilations += 1;
-        self.stats.cycles_spent += compile_cycles;
-        self.stats.methods_compiled += cs.lowered as u64;
-        self.stats.methods_skipped += cs.skipped as u64;
-        self.cache.insert(signature.to_owned(), pkg.clone());
-        Ok(pkg)
+        self.stats.cycles_spent += pkg.compile_cycles;
+        self.stats.methods_compiled += pkg.methods_compiled as u64;
+        self.stats.methods_skipped += pkg.methods_skipped as u64;
+        let pkg = Arc::new(pkg);
+        self.cache.insert(pkg.signature.clone(), pkg.clone());
+        pkg
     }
 
     /// Seeds the cache with a package recovered from the persistent tier
@@ -181,6 +214,20 @@ mod tests {
         assert_eq!(served.bytes, pkg.bytes);
         assert_eq!(restarted.stats.compilations, 0);
         assert_eq!(restarted.stats.cache_hits, 1);
+    }
+
+    #[test]
+    fn a_racing_second_compilation_keeps_the_first_package() {
+        let mut svc = ExecCompiler::new();
+        let cf = ClassFile::parse(&sample_bytes()).unwrap();
+        let compile = || IrPackage::compile("race", &cf, &mut Bodies::new()).unwrap();
+        let (a, b) = (compile(), compile());
+        assert!(svc.lookup("race").is_none());
+        let first = svc.insert(a);
+        let second = svc.insert(b);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(svc.stats.compilations, 1);
+        assert_eq!(svc.stats.cache_hits, 1);
     }
 
     #[test]

@@ -1,22 +1,52 @@
 //! The static service components, packaged as proxy pipeline filters.
 //!
-//! Each service crate exposes its transformation; this module adapts them
-//! to the proxy's stackable [`Filter`] API and aggregates the service
-//! statistics the experiments report (static check counts for Figure 8,
-//! instrumentation counts, etc.).
+//! Each service crate exposes its transformation over a
+//! [`RewriteUnit`]; this module adapts them to the proxy's stackable
+//! [`Filter`] API and aggregates the service statistics the experiments
+//! report (static check counts for Figure 8, instrumentation counts,
+//! etc.).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use dvm_bytecode::RewriteUnit;
 use dvm_classfile::ClassFile;
 use dvm_monitor::{ProfileMode, SiteTable};
 use dvm_proxy::{Filter, FilterError, RequestContext};
 use dvm_security::{Policy, SecurityId};
 use dvm_verifier::StaticVerifier;
 
+/// A static service that edits a [`RewriteUnit`] in place, so services
+/// stacked on one unit share each body's single decode and encode. The
+/// [`Filter`] form is a wrapper: a unit of its own, one service, and an
+/// encode of what that service edited.
+pub trait UnitFilter: Filter {
+    /// Transforms one class in place.
+    fn apply_unit(&self, unit: &mut RewriteUnit, ctx: &RequestContext) -> Result<(), FilterError>;
+}
+
+/// `filter`'s error `e` as a [`FilterError`].
+pub(crate) fn filter_error(filter: &str, e: impl std::fmt::Display) -> FilterError {
+    FilterError {
+        filter: filter.into(),
+        reason: e.to_string(),
+    }
+}
+
+/// [`Filter::apply`] of a [`UnitFilter`].
+fn apply_via_unit(
+    filter: &dyn UnitFilter,
+    class: ClassFile,
+    ctx: &RequestContext,
+) -> Result<ClassFile, FilterError> {
+    let mut unit = RewriteUnit::new(class);
+    filter.apply_unit(&mut unit, ctx)?;
+    unit.finish().map_err(|e| filter_error(filter.name(), e))
+}
+
 /// Aggregated static-service statistics across all processed classes.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StaticServiceStats {
     /// Verifier: checks performed statically.
     pub static_checks: u64,
@@ -55,23 +85,29 @@ impl Filter for VerifierFilter {
         "verifier"
     }
 
-    fn apply(&self, class: ClassFile, _ctx: &RequestContext) -> Result<ClassFile, FilterError> {
+    fn apply(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
+        apply_via_unit(self, class, ctx)
+    }
+}
+
+impl UnitFilter for VerifierFilter {
+    fn apply_unit(&self, unit: &mut RewriteUnit, _ctx: &RequestContext) -> Result<(), FilterError> {
         let mut v = self.verifier.lock();
         // The proxy sees every class of the organization flow through it;
         // learning signatures lets later classes discharge more statically.
-        v.learn(&class);
-        let (mut out, report) = v.verify_or_replace(class);
+        v.learn(&unit.class);
+        let report = v.verify_or_replace(unit);
+        drop(v);
         // §4.3 reflection service: ship a self-describing digest so
         // injected checks avoid the slow client reflection path.
-        let _ = dvm_verifier::attach_self_describing(&mut out);
+        let _ = dvm_verifier::attach_self_describing(&mut unit.class);
         let mut s = self.stats.lock();
         s.static_checks += report.static_checks;
         s.dynamic_checks_injected += report.dynamic_checks_injected;
         if report.static_checks == 0 {
             s.replacements += 1;
         }
-        drop(s);
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -103,21 +139,25 @@ impl Filter for SecurityFilter {
         "security"
     }
 
-    fn apply(&self, mut class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
+    fn apply(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
+        apply_via_unit(self, class, ctx)
+    }
+}
+
+impl UnitFilter for SecurityFilter {
+    fn apply_unit(&self, unit: &mut RewriteUnit, ctx: &RequestContext) -> Result<(), FilterError> {
         let policy = self.policy.lock();
         let sid = policy
             .principals
             .get(&ctx.principal)
             .copied()
             .unwrap_or(self.default_sid);
-        let rw = dvm_security::secure_class(&mut class, &policy, sid).map_err(|e| FilterError {
-            filter: "security".into(),
-            reason: e.to_string(),
-        })?;
+        let rw = dvm_security::secure_class(unit, &policy, sid)
+            .map_err(|e| filter_error("security", e))?;
         let mut s = self.stats.lock();
         s.security_checks_inserted += rw.checks_inserted;
         s.instructions_examined += rw.instructions_examined;
-        Ok(class)
+        Ok(())
     }
 }
 
@@ -144,17 +184,19 @@ impl Filter for AuditFilter {
         "audit"
     }
 
-    fn apply(&self, mut class: ClassFile, _ctx: &RequestContext) -> Result<ClassFile, FilterError> {
-        let st =
-            dvm_monitor::audit_class_filtered(&mut class, &mut self.sites.lock(), AUDIT_MIN_INSNS)
-                .map_err(|e| FilterError {
-                    filter: "audit".into(),
-                    reason: e.to_string(),
-                })?;
+    fn apply(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
+        apply_via_unit(self, class, ctx)
+    }
+}
+
+impl UnitFilter for AuditFilter {
+    fn apply_unit(&self, unit: &mut RewriteUnit, _ctx: &RequestContext) -> Result<(), FilterError> {
+        let st = dvm_monitor::audit_class_filtered(unit, &mut self.sites.lock(), AUDIT_MIN_INSNS)
+            .map_err(|e| filter_error("audit", e))?;
         let mut s = self.stats.lock();
         s.audit_probes += st.probes;
         s.instructions_examined += st.instructions_examined;
-        Ok(class)
+        Ok(())
     }
 }
 
@@ -181,15 +223,18 @@ impl Filter for ProfileFilter {
         "profiler"
     }
 
-    fn apply(&self, mut class: ClassFile, _ctx: &RequestContext) -> Result<ClassFile, FilterError> {
-        let st = dvm_monitor::profile_class(&mut class, &mut self.sites.lock(), self.mode)
-            .map_err(|e| FilterError {
-                filter: "profiler".into(),
-                reason: e.to_string(),
-            })?;
+    fn apply(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
+        apply_via_unit(self, class, ctx)
+    }
+}
+
+impl UnitFilter for ProfileFilter {
+    fn apply_unit(&self, unit: &mut RewriteUnit, _ctx: &RequestContext) -> Result<(), FilterError> {
+        let st = dvm_monitor::profile_class(unit, &mut self.sites.lock(), self.mode)
+            .map_err(|e| filter_error("profiler", e))?;
         let mut s = self.stats.lock();
         s.profile_probes += st.probes;
         s.instructions_examined += st.instructions_examined;
-        Ok(class)
+        Ok(())
     }
 }

@@ -1,20 +1,22 @@
 //! The organization: one set of centralized services, many clients.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use dvm_bytecode::RewriteUnit;
 use dvm_classfile::ClassFile;
 use dvm_cluster::{ClusterClassProvider, ClusterClientConfig, ClusterOptions, ProxyCluster};
-use dvm_compiler::{ExecCompiler, ExecCompilerStats};
+use dvm_compiler::{ExecCompiler, ExecCompilerStats, IrPackage};
 use dvm_membership::{MembershipOptions, MembershipPlane};
 use dvm_monitor::{
     AdminConsole, AuditSink, ClientDescription, ConsoleSink, ProfileMode, SiteTable,
 };
 use dvm_net::{Hello, NetClassProvider, NetConfig, ProxyServer, RemoteConsole, ServerConfig};
 use dvm_proxy::{
-    CodeOrigin, IrProducer, IrProduct, MapOrigin, Pipeline, Proxy, RequestContext, RewriteCost,
-    Signer,
+    CodeOrigin, IrProduct, MapOrigin, Proxy, ProxyError, RequestContext, Rewrite, RewriteCost,
+    Rewritten, Signer,
 };
 use dvm_security::{EnforcementManager, Policy, SecurityId, SecurityServer};
 use dvm_telemetry::{StatsReport, Telemetry};
@@ -24,7 +26,8 @@ use dvm_watch::{Watch, WatchConfig};
 use crate::client::DvmClient;
 use crate::config::{CostModel, ServiceConfig};
 use crate::filters::{
-    AuditFilter, ProfileFilter, SecurityFilter, StaticServiceStats, VerifierFilter,
+    filter_error, AuditFilter, ProfileFilter, SecurityFilter, StaticServiceStats, UnitFilter,
+    VerifierFilter,
 };
 
 /// An organization running a distributed virtual machine: centralized
@@ -49,7 +52,7 @@ pub struct Organization {
     origin: Arc<dyn CodeOrigin>,
     // The IR compiler every proxy shard shares (one per-signature cache
     // for the whole organization); `None` with the exec tier disabled.
-    ir_producer: Option<Arc<ExecIrProducer>>,
+    compiler: Option<Arc<SharedCompiler>>,
     // Memoized continuous-observability plane over the primary proxy
     // (created on first `watch()` call).
     watch: Mutex<Option<Arc<Watch>>>,
@@ -57,29 +60,40 @@ pub struct Organization {
     pub cost: CostModel,
 }
 
-/// Adapts the `dvm-compiler` IR service to the proxy's producer hook:
-/// the rewritten payload's MD5 is the compilation-cache signature, and
+/// The organization's network compiler: one per-signature cache every
+/// proxy shard shares. The rewritten payload's MD5 is the signature, and
 /// the pass-pipeline statistics become `exec.opt.<pass>` span work.
-struct ExecIrProducer {
-    compiler: Mutex<ExecCompiler>,
+struct SharedCompiler {
+    // Locked only to look a signature up and to insert a package: shards
+    // compile concurrently.
+    cache: Mutex<ExecCompiler>,
 }
 
-impl ExecIrProducer {
-    fn new() -> ExecIrProducer {
-        ExecIrProducer {
-            compiler: Mutex::new(ExecCompiler::new()),
+impl SharedCompiler {
+    fn new() -> SharedCompiler {
+        SharedCompiler {
+            cache: Mutex::new(ExecCompiler::new()),
         }
     }
 
     fn stats(&self) -> ExecCompilerStats {
-        self.compiler.lock().stats
+        self.cache.lock().stats
     }
-}
 
-impl IrProducer for ExecIrProducer {
-    fn produce(&self, class_bytes: &[u8]) -> Option<IrProduct> {
-        let signature = dvm_proxy::md5::hex(&dvm_proxy::md5::md5(class_bytes));
-        let pkg = self.compiler.lock().compile(&signature, class_bytes).ok()?;
+    /// The IR package for the class `unit` serialized to `payload`,
+    /// lowered from the unit's final bodies; `None` when no method
+    /// lowered (or lowering failed), leaving the class on the interpreter.
+    fn produce(&self, payload: &[u8], unit: &mut RewriteUnit) -> Option<IrProduct> {
+        let start = Instant::now();
+        let signature = dvm_proxy::md5::hex(&dvm_proxy::md5::md5(payload));
+        let cached = self.cache.lock().lookup(&signature);
+        let pkg = match cached {
+            Some(pkg) => pkg,
+            None => {
+                let pkg = IrPackage::compile(&signature, &unit.class, &mut unit.bodies).ok()?;
+                self.cache.lock().insert(pkg)
+            }
+        };
         if pkg.methods_compiled == 0 {
             return None;
         }
@@ -93,6 +107,53 @@ impl IrProducer for ExecIrProducer {
                 ("dce".to_owned(), p.eliminated as u64),
             ],
             compile_cycles: pkg.compile_cycles,
+            lower_ns: start.elapsed().as_nanos() as u64,
+        })
+    }
+}
+
+/// One proxy shard's rewrite: the static services edit one
+/// [`RewriteUnit`] in turn, each edited body is encoded once, the class
+/// is generated once, and the shared compiler lowers the same in-memory
+/// bodies.
+struct StaticServices {
+    services: Vec<Box<dyn UnitFilter>>,
+    compiler: Option<Arc<SharedCompiler>>,
+}
+
+impl Rewrite for StaticServices {
+    fn stages(&self) -> Vec<&str> {
+        self.services.iter().map(|s| s.name()).collect()
+    }
+
+    fn rewrite(
+        &self,
+        original: &[u8],
+        ctx: &RequestContext,
+        observe: &mut dyn FnMut(&str, u64),
+    ) -> Result<Rewritten, ProxyError> {
+        let class = ClassFile::parse(original).map_err(|e| ProxyError::Parse(e.to_string()))?;
+        let mut unit = RewriteUnit::new(class);
+        for service in &self.services {
+            let start = Instant::now();
+            service
+                .apply_unit(&mut unit, ctx)
+                .map_err(ProxyError::Filter)?;
+            observe(service.name(), start.elapsed().as_nanos() as u64);
+        }
+        unit.bodies
+            .encode_dirty(&mut unit.class)
+            .map_err(|e| ProxyError::Filter(filter_error("generate", e)))?;
+        let payload = unit
+            .class
+            .to_bytes()
+            .map_err(|e| ProxyError::Parse(e.to_string()))?;
+        let ir = (self.compiler.as_ref()).and_then(|c| c.produce(&payload, &mut unit));
+        Ok(Rewritten {
+            payload,
+            ir,
+            bodies_decoded: unit.bodies.decoded(),
+            bodies_encoded: unit.bodies.encoded(),
         })
     }
 }
@@ -108,46 +169,50 @@ fn client_hello(user: &str, principal: &str) -> Hello {
     }
 }
 
-/// Builds one static-service filter pipeline per `config`. Filters hold
-/// `Box`es, so a pipeline cannot be shared — each proxy shard gets its
-/// own, but all pipelines share the same policy, site table, and
-/// statistics sinks, which is what makes N shards one logical service.
-fn build_pipeline(
+/// Builds one shard's static services per `config`. Services hold
+/// `Box`es, so one set cannot be shared — each proxy shard gets its own,
+/// but all share the same policy, site table, statistics sinks and
+/// compiler, which is what makes N shards one logical service.
+fn build_services(
     config: &ServiceConfig,
     policy: &Arc<Mutex<Policy>>,
     sites: &Arc<Mutex<SiteTable>>,
     service_stats: &Arc<Mutex<StaticServiceStats>>,
-) -> Pipeline {
+    compiler: &Option<Arc<SharedCompiler>>,
+) -> Box<StaticServices> {
     let default_sid = SecurityId(1);
-    let mut pipeline = Pipeline::new();
+    let mut services: Vec<Box<dyn UnitFilter>> = Vec::new();
     if config.verify {
         let verifier = StaticVerifier::new(MapEnvironment::with_bootstrap());
-        pipeline.push(Box::new(VerifierFilter::new(
+        services.push(Box::new(VerifierFilter::new(
             verifier,
             service_stats.clone(),
         )));
     }
     if config.security {
-        pipeline.push(Box::new(SecurityFilter::new(
+        services.push(Box::new(SecurityFilter::new(
             policy.clone(),
             default_sid,
             service_stats.clone(),
         )));
     }
     if config.audit {
-        pipeline.push(Box::new(AuditFilter::new(
+        services.push(Box::new(AuditFilter::new(
             sites.clone(),
             service_stats.clone(),
         )));
     }
     if config.profile {
-        pipeline.push(Box::new(ProfileFilter::new(
+        services.push(Box::new(ProfileFilter::new(
             sites.clone(),
             ProfileMode::Method,
             service_stats.clone(),
         )));
     }
-    pipeline
+    Box::new(StaticServices {
+        services,
+        compiler: compiler.clone(),
+    })
 }
 
 impl Organization {
@@ -180,7 +245,10 @@ impl Organization {
         let policy = Arc::new(Mutex::new(policy));
         let origin: Arc<dyn CodeOrigin> = Arc::from(origin);
 
-        let pipeline = build_pipeline(&config, &policy, &sites, &service_stats);
+        // All shards share one compilation cache: a signature compiled
+        // anywhere in the fleet is compiled once.
+        let compiler = config.exec_tier.then(|| Arc::new(SharedCompiler::new()));
+        let services = build_services(&config, &policy, &sites, &service_stats, &compiler);
         let signer = if config.signing {
             Some(Signer::new(b"dvm-org-key"))
         } else {
@@ -189,7 +257,7 @@ impl Organization {
         let proxy = Arc::new(
             Proxy::new(
                 Box::new(origin.clone()),
-                pipeline,
+                services,
                 8 << 20,
                 config.caching,
                 signer.clone(),
@@ -199,13 +267,6 @@ impl Organization {
                 cpu: cost.cpu,
             }),
         );
-        let ir_producer = if config.exec_tier {
-            let producer = Arc::new(ExecIrProducer::new());
-            proxy.set_ir_producer(producer.clone());
-            Some(producer)
-        } else {
-            None
-        };
         let security = Arc::new(Mutex::new(SecurityServer::new(policy.lock().clone())));
         Organization {
             proxy,
@@ -217,7 +278,7 @@ impl Organization {
             signer,
             services: config,
             origin,
-            ir_producer,
+            compiler,
             watch: Mutex::new(None),
             cost,
         }
@@ -249,11 +310,11 @@ impl Organization {
     /// Statistics of the shared IR compilation service, when the exec
     /// tier is enabled.
     pub fn exec_compiler_stats(&self) -> Option<ExecCompilerStats> {
-        self.ir_producer.as_ref().map(|p| p.stats())
+        self.compiler.as_ref().map(|c| c.stats())
     }
 
-    /// Builds one additional proxy shard: its own pipeline and rewrite
-    /// cache over the same origin, signer, policy, site table, and
+    /// Builds one additional proxy shard: its own static services and
+    /// rewrite cache over the same origin, signer, policy, site table, and
     /// statistics sinks as the primary proxy. N shards built this way
     /// are the paper's proxy scaled out — byte-identical (and
     /// identically signed) responses from every shard.
@@ -265,16 +326,17 @@ impl Organization {
     /// named `node` (e.g. `"shard2"`), so stats pulled from a fleet stay
     /// attributable to the shard that produced them.
     pub fn shard_proxy_named(&self, node: &str) -> Arc<Proxy> {
-        let pipeline = build_pipeline(
+        let services = build_services(
             &self.services,
             &self.policy,
             &self.sites,
             &self.service_stats,
+            &self.compiler,
         );
-        let proxy = Arc::new(
+        Arc::new(
             Proxy::new(
                 Box::new(self.origin.clone()),
-                pipeline,
+                services,
                 8 << 20,
                 self.services.caching,
                 self.signer.clone(),
@@ -284,13 +346,7 @@ impl Organization {
                 cpu: self.cost.cpu,
             })
             .with_telemetry(Arc::new(Telemetry::new(node))),
-        );
-        if let Some(producer) = &self.ir_producer {
-            // All shards share one compilation cache: a signature
-            // compiled anywhere in the fleet is compiled once.
-            proxy.set_ir_producer(producer.clone());
-        }
-        proxy
+        )
     }
 
     /// The primary proxy's observable state: its metrics snapshot plus

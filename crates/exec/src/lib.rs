@@ -33,7 +33,7 @@ pub use ir::{
 pub use lower::lower;
 pub use passes::{optimize, PassStats};
 
-use dvm_bytecode::Code;
+use dvm_bytecode::Bodies;
 use dvm_classfile::ClassFile;
 
 /// What [`compile_class`] did, for telemetry and the bench.
@@ -54,21 +54,29 @@ pub struct CompileStats {
 /// falls back to the interpreter per method — so this only errors when
 /// the class itself is unusable (no name).
 pub fn compile_class(cf: &ClassFile) -> Result<(ClassIr, CompileStats)> {
+    compile_bodies(cf, &mut Bodies::new())
+}
+
+/// [`compile_class`] over bodies another pass already decoded: the proxy
+/// lowers a rewritten class from the bodies its services edited, and
+/// decodes only those no service read.
+pub fn compile_bodies(cf: &ClassFile, bodies: &mut Bodies) -> Result<(ClassIr, CompileStats)> {
     let class = cf.name()?.to_owned();
     let mut stats = CompileStats::default();
     let mut methods = Vec::new();
-    for m in &cf.methods {
+    for (mi, m) in cf.methods.iter().enumerate() {
         let (Ok(name), Ok(descriptor)) = (m.name(&cf.pool), m.descriptor(&cf.pool)) else {
             stats.skipped += 1;
             continue;
         };
-        let Some(attr) = m.code() else {
-            stats.skipped += 1; // native or abstract
-            continue;
+        let lowered = match bodies.body(cf, mi) {
+            Ok(None) => {
+                stats.skipped += 1; // native or abstract
+                continue;
+            }
+            Ok(Some(code)) => lower::lower(code, &cf.pool, name, descriptor),
+            Err(e) => Err(e.into()),
         };
-        let lowered = Code::decode(attr)
-            .map_err(ExecError::from)
-            .and_then(|code| lower::lower(&code, &cf.pool, name, descriptor));
         match lowered {
             Ok(mut func) => {
                 stats.passes.absorb(&passes::optimize(&mut func, &cf.pool));

@@ -7,8 +7,8 @@
 //! and the first-use graph that drives the §5 repartitioning service.
 
 use dvm_bytecode::insn::Insn;
-use dvm_bytecode::{Code, CodeEditor};
-use dvm_classfile::{ClassFile, ConstPool};
+use dvm_bytecode::{CodeEditor, RewriteUnit};
+use dvm_classfile::ConstPool;
 
 use crate::sites::{SiteId, SiteTable};
 
@@ -49,10 +49,10 @@ fn push_site(pool: &mut ConstPool, site: SiteId) -> Result<Insn, RewriteError> {
 /// Inserts audit events at entry to and exit from every method and
 /// constructor.
 pub fn audit_class(
-    cf: &mut ClassFile,
+    unit: &mut RewriteUnit,
     sites: &mut SiteTable,
 ) -> Result<InstrumentStats, RewriteError> {
-    audit_class_filtered(cf, sites, 0)
+    audit_class_filtered(unit, sites, 0)
 }
 
 /// Like [`audit_class`], but only instruments methods whose bodies have at
@@ -64,76 +64,76 @@ pub fn audit_class(
 /// events the administrator never wanted. Every instruction of every
 /// method is still examined (the §4.1 requirement on the static service).
 pub fn audit_class_filtered(
-    cf: &mut ClassFile,
+    unit: &mut RewriteUnit,
     sites: &mut SiteTable,
     min_insns: usize,
 ) -> Result<InstrumentStats, RewriteError> {
+    let cf = &mut unit.class;
     let class_name = cf.name()?.to_owned();
     let enter = cf.pool.methodref("dvm/rt/Audit", "enter", "(I)V")?;
     let exit = cf.pool.methodref("dvm/rt/Audit", "exit", "(I)V")?;
     let mut stats = InstrumentStats::default();
 
-    for m in &mut cf.methods {
-        let mname = m.name(&cf.pool)?.to_owned();
-        let Some(attr) = m.code() else { continue };
-        let code = Code::decode(attr)?;
+    for m in 0..unit.class.methods.len() {
+        let mname = unit.class.methods[m].name(&unit.class.pool)?.to_owned();
+        let Some(code) = unit.body(m)? else { continue };
         stats.instructions_examined += code.insns.len() as u64;
         let significant = code.insns.len() >= min_insns || mname == "<init>" || mname == "<clinit>";
         if !significant {
             continue;
         }
-        let site = push_site(&mut cf.pool, sites.intern(&class_name, &mname))?;
-        let mut ed = CodeEditor::new(code);
+        let site = push_site(&mut unit.class.pool, sites.intern(&class_name, &mname))?;
+        let mut ed = CodeEditor::new(unit.body_mut(m)?.expect("decoded above"));
         // Exit probes first (so entry insertion indexes stay simple).
         ed.insert_before_returns(|| vec![site.clone(), Insn::InvokeStatic(exit)]);
         ed.insert_prologue(vec![site, Insn::InvokeStatic(enter)]);
         stats.probes += 2;
         stats.methods += 1;
-        // Encoded against the pool as it stands now, site constants included.
-        let new_attr = ed.into_code().encode(&cf.pool)?;
-        m.set_code(new_attr);
     }
     Ok(stats)
 }
 
 /// Inserts profiling probes.
 pub fn profile_class(
-    cf: &mut ClassFile,
+    unit: &mut RewriteUnit,
     sites: &mut SiteTable,
     mode: ProfileMode,
 ) -> Result<InstrumentStats, RewriteError> {
+    let cf = &mut unit.class;
     let class_name = cf.name()?.to_owned();
     let count = cf.pool.methodref("dvm/rt/Profiler", "count", "(I)V")?;
     let first_use = cf.pool.methodref("dvm/rt/Profiler", "firstUse", "(I)V")?;
     let mut stats = InstrumentStats::default();
 
-    for m in &mut cf.methods {
-        let mname = m.name(&cf.pool)?.to_owned();
-        let Some(attr) = m.code() else { continue };
+    for m in 0..unit.class.methods.len() {
+        let cf = &mut unit.class;
+        let mname = cf.methods[m].name(&cf.pool)?.to_owned();
+        if cf.methods[m].code().is_none() {
+            continue;
+        }
         let site = push_site(&mut cf.pool, sites.intern(&class_name, &mname))?;
-        let code = Code::decode(attr)?;
+        let code = unit.body(m)?.expect("checked above");
         stats.instructions_examined += code.insns.len() as u64;
         let mut probes = 2u64;
-        let mut ed = CodeEditor::new(code);
-
+        // Block mode instruments every branch target (block heads) with a
+        // counter.
+        let mut blocks = Vec::new();
         if mode == ProfileMode::Block {
-            // Instrument every branch target (block heads) with a counter.
-            let mut targets: Vec<usize> = ed
-                .code()
-                .insns
-                .iter()
-                .flat_map(Insn::branch_targets)
-                .collect();
+            let mut targets: Vec<usize> =
+                code.insns.iter().flat_map(Insn::branch_targets).collect();
             targets.sort_unstable();
             targets.dedup();
             for &t in targets.iter().rev() {
                 let block_site = sites.intern(&class_name, &format!("{mname}@{t}"));
-                let push = push_site(&mut cf.pool, block_site)?;
-                ed.insert(t, vec![push, Insn::InvokeStatic(count)]);
+                blocks.push((t, push_site(&mut unit.class.pool, block_site)?));
                 probes += 1;
             }
         }
 
+        let mut ed = CodeEditor::new(unit.body_mut(m)?.expect("decoded above"));
+        for (t, push) in blocks {
+            ed.insert(t, vec![push, Insn::InvokeStatic(count)]);
+        }
         ed.insert_prologue(vec![
             site.clone(),
             Insn::InvokeStatic(first_use),
@@ -142,8 +142,6 @@ pub fn profile_class(
         ]);
         stats.probes += probes;
         stats.methods += 1;
-        let new_attr = ed.into_code().encode(&cf.pool)?;
-        m.set_code(new_attr);
     }
     Ok(stats)
 }
@@ -152,7 +150,8 @@ pub fn profile_class(
 mod tests {
     use super::*;
     use dvm_bytecode::asm::Asm;
-    use dvm_classfile::{AccessFlags, Attribute, ClassBuilder, MemberInfo};
+    use dvm_bytecode::Code;
+    use dvm_classfile::{AccessFlags, Attribute, ClassBuilder, ClassFile, MemberInfo};
 
     fn two_method_class() -> ClassFile {
         let mut cf = ClassBuilder::new("t/Mon").build();
@@ -178,9 +177,10 @@ mod tests {
 
     #[test]
     fn audit_inserts_enter_and_exit() {
-        let mut cf = two_method_class();
+        let mut unit = RewriteUnit::new(two_method_class());
         let mut sites = SiteTable::new();
-        let stats = audit_class(&mut cf, &mut sites).unwrap();
+        let stats = audit_class(&mut unit, &mut sites).unwrap();
+        let cf = unit.finish().unwrap();
         assert_eq!(stats.methods, 2);
         assert_eq!(stats.probes, 4);
         assert_eq!(sites.len(), 2);
@@ -195,9 +195,10 @@ mod tests {
 
     #[test]
     fn method_profile_inserts_first_use_and_count() {
-        let mut cf = two_method_class();
+        let mut unit = RewriteUnit::new(two_method_class());
         let mut sites = SiteTable::new();
-        let stats = profile_class(&mut cf, &mut sites, ProfileMode::Method).unwrap();
+        let stats = profile_class(&mut unit, &mut sites, ProfileMode::Method).unwrap();
+        let cf = unit.finish().unwrap();
         assert_eq!(stats.methods, 2);
         assert_eq!(stats.probes, 4);
         let m = cf.find_method("g", "()V").unwrap();
@@ -228,7 +229,9 @@ mod tests {
             attributes: vec![Attribute::Code(attr)],
         });
         let mut sites = SiteTable::new();
-        let stats = profile_class(&mut cf, &mut sites, ProfileMode::Block).unwrap();
+        let mut unit = RewriteUnit::new(cf);
+        let stats = profile_class(&mut unit, &mut sites, ProfileMode::Block).unwrap();
+        let cf = unit.finish().unwrap();
         // Two branch targets (loop head, exit) plus the method site.
         assert_eq!(stats.probes, 4);
         assert!(sites.len() >= 3);

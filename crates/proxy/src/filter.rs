@@ -6,13 +6,16 @@
 //! independent code-transformation filters enables them to be stacked
 //! according to site-specific requirements." (§3)
 //!
-//! Filters receive a parsed [`ClassFile`], never bytes: the proxy parses
-//! once at the head of the pipeline and serializes once at its tail.
+//! Filters receive a parsed [`ClassFile`], never bytes: a [`Pipeline`] is
+//! the proxy's [`Rewrite`] that parses once at its head and serializes
+//! once at its tail.
 
 use std::fmt;
 
 use dvm_classfile::ClassFile;
 use dvm_telemetry::TraceContext;
+
+use crate::proxy::{ProxyError, Rewrite, Rewritten};
 
 /// Per-request context threaded through the pipeline.
 #[derive(Debug, Clone, Default)]
@@ -139,6 +142,29 @@ impl Pipeline {
             observe(f.name(), t0.elapsed().as_nanos() as u64);
         }
         Ok(class)
+    }
+}
+
+impl Rewrite for Pipeline {
+    fn stages(&self) -> Vec<&str> {
+        self.names()
+    }
+
+    fn rewrite(
+        &self,
+        original: &[u8],
+        ctx: &RequestContext,
+        observe: &mut dyn FnMut(&str, u64),
+    ) -> Result<Rewritten, ProxyError> {
+        let parse_error = |e: dvm_classfile::ClassFileError| ProxyError::Parse(e.to_string());
+        let class = ClassFile::parse(original).map_err(parse_error)?;
+        let mut class = self
+            .run_traced(class, ctx, observe)
+            .map_err(ProxyError::Filter)?;
+        Ok(Rewritten {
+            payload: class.to_bytes().map_err(parse_error)?,
+            ..Rewritten::default()
+        })
     }
 }
 

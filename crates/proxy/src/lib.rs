@@ -18,7 +18,7 @@ pub mod sign;
 pub use cache::{CacheExportPage, CacheStats, CacheTier, RewriteCache};
 pub use filter::{Filter, FilterError, NullFilter, Pipeline, RequestContext};
 pub use proxy::{
-    ir_key, CodeOrigin, IrProducer, IrProduct, MapOrigin, PeerCache, Proxy, ProxyError, ProxyStats,
-    RewriteCost, ServedFrom, ServedResponse, IR_SCHEME,
+    ir_key, CodeOrigin, IrProduct, MapOrigin, PeerCache, Proxy, ProxyError, ProxyStats, Rewrite,
+    RewriteCost, Rewritten, ServedFrom, ServedResponse, IR_SCHEME,
 };
 pub use sign::{SignatureCheck, Signer, TAG_LEN};

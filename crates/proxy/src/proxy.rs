@@ -2,23 +2,22 @@
 //!
 //! A transparent proxy at the organization's trust boundary: it intercepts
 //! code requests, serves rewrites from its cache, otherwise fetches from
-//! the origin, parses once, runs the filter pipeline, serializes once,
-//! and optionally signs the result. All state is internally synchronized
-//! so many client sessions can drive one proxy concurrently (the §4.2
-//! scaling experiment).
+//! the origin, hands the bytes to its [`Rewrite`] (parse once, the static
+//! services, serialize once, compile), and optionally signs the result.
+//! All state is internally synchronized so many client sessions can drive
+//! one proxy concurrently (the §4.2 scaling experiment).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use dvm_classfile::ClassFile;
 use dvm_netsim::CycleModel;
 use dvm_store::{Store, StoreConfig, StoreError, StoreStats};
 use dvm_telemetry::{Histogram, SpanId, Telemetry, TraceContext};
 
 use crate::cache::{CacheCounters, CacheExportPage, CacheStats, CacheTier, RewriteCache};
-use crate::filter::{FilterError, Pipeline, RequestContext};
+use crate::filter::{FilterError, RequestContext};
 use crate::sign::Signer;
 
 /// Supplies original (untransformed) code bytes, keyed by URL.
@@ -162,17 +161,45 @@ pub struct IrProduct {
     pub pass_work: Vec<(String, u64)>,
     /// Simulated cycles the compilation cost.
     pub compile_cycles: u64,
+    /// Wall-clock nanoseconds the compilation took, the last step of the
+    /// rewrite (the `exec.lower` span and `exec.lower_ns` histogram).
+    pub lower_ns: u64,
 }
 
-/// Produces optimized register IR for a served class: the proxy's
-/// `compiler`/`optimizer` stages for the client's optimizing execution
-/// tier. Implementations live above this crate (`dvm-core` wires the
-/// `dvm-compiler` service in); the proxy only caches and serves the
-/// result under `ir://<signature>` keys.
-pub trait IrProducer: Send + Sync {
-    /// Compiles `class_bytes` (the rewritten, pre-signature payload), or
-    /// `None` to leave the class on the interpreter tier.
-    fn produce(&self, class_bytes: &[u8]) -> Option<IrProduct>;
+/// What one rewrite produced.
+#[derive(Debug, Clone, Default)]
+pub struct Rewritten {
+    /// The serialized class, before any signature is attached.
+    pub payload: Vec<u8>,
+    /// The class's optimized register IR, when the rewriter compiles for
+    /// the client's optimizing execution tier and some method lowered.
+    pub ir: Option<IrProduct>,
+    /// Method bodies the rewrite decoded.
+    pub bodies_decoded: u64,
+    /// Method bodies the rewrite encoded.
+    pub bodies_encoded: u64,
+}
+
+/// The proxy's work on a miss: parse the origin's bytes once, run the
+/// static services, generate the class once and, for the optimizing
+/// execution tier, compile it. [`Pipeline`](crate::Pipeline) is this over
+/// [`Filter`](crate::Filter)s; `dvm-core` implements it over one decoded
+/// form of every method body, which this crate never sees. The proxy
+/// only times, signs, caches and serves the result — IR under
+/// `ir://<signature>` keys.
+pub trait Rewrite: Send + Sync {
+    /// Stage names, in the order [`Rewrite::rewrite`] reports them: each
+    /// gets a `proxy.stage.<name>_ns` histogram and `stage.<name>` spans.
+    fn stages(&self) -> Vec<&str>;
+
+    /// Rewrites the class in `original`, calling `observe(name,
+    /// elapsed_ns)` as each stage completes.
+    fn rewrite(
+        &self,
+        original: &[u8],
+        ctx: &RequestContext,
+        observe: &mut dyn FnMut(&str, u64),
+    ) -> Result<Rewritten, ProxyError>;
 }
 
 /// URL scheme under which compiled IR packages are cached and served.
@@ -225,11 +252,15 @@ dvm_telemetry::counters! {
         peer_offers = "proxy.peer.offers",
         /// Classes rewritten (parse + pipeline + generate executed).
         rewrites = "proxy.rewrites",
+        /// Method bodies the rewrites decoded.
+        bodies_decoded = "proxy.rewrite.bodies_decoded",
+        /// Method bodies the rewrites encoded.
+        bodies_encoded = "proxy.rewrite.bodies_encoded",
         /// Bytes fetched from origins.
         bytes_fetched = "proxy.rewrite.bytes_in",
         /// Bytes the rewrites produced, signature included.
         bytes_rewritten = "proxy.rewrite.bytes_out",
-        /// IR packages compiled by the attached [`IrProducer`].
+        /// IR packages the rewrites produced.
         ir_compiles = "exec.ir.compiles",
         /// `ir://` requests served from the cache.
         ir_served = "exec.ir.served",
@@ -250,21 +281,21 @@ struct ProxyMetrics {
     request_ns: Arc<Histogram>,
     origin_fetch_ns: Arc<Histogram>,
     ir_lower_ns: Arc<Histogram>,
-    /// Per pipeline stage, in pipeline order: its `proxy.stage.<name>_ns`
+    /// Per rewrite stage, in order: its `proxy.stage.<name>_ns`
     /// histogram and its `stage.<name>` span name.
     stages: Vec<(Arc<Histogram>, String)>,
 }
 
 impl ProxyMetrics {
-    fn register(telemetry: &Telemetry, pipeline: &Pipeline) -> ProxyMetrics {
+    fn register(telemetry: &Telemetry, rewrite: &dyn Rewrite) -> ProxyMetrics {
         let r = telemetry.registry();
         ProxyMetrics {
             counters: ProxyCounters::register(r),
             request_ns: r.histogram("proxy.request_ns"),
             origin_fetch_ns: r.histogram("proxy.origin.fetch_ns"),
             ir_lower_ns: r.histogram("exec.lower_ns"),
-            stages: pipeline
-                .names()
+            stages: rewrite
+                .stages()
                 .into_iter()
                 .map(|stage| {
                     (
@@ -287,13 +318,12 @@ struct RequestScope {
 /// The proxy.
 pub struct Proxy {
     origin: Box<dyn CodeOrigin>,
-    pipeline: Pipeline,
+    rewrite: Box<dyn Rewrite>,
     cache: Mutex<RewriteCache>,
     caching: bool,
     signer: Option<Signer>,
     rewrite_cost: RewriteCost,
     peer: parking_lot::RwLock<Option<Arc<dyn PeerCache>>>,
-    ir_producer: parking_lot::RwLock<Option<Arc<dyn IrProducer>>>,
     telemetry: Arc<Telemetry>,
     metrics: ProxyMetrics,
 }
@@ -301,7 +331,7 @@ pub struct Proxy {
 impl std::fmt::Debug for Proxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Proxy")
-            .field("pipeline", &self.pipeline)
+            .field("stages", &self.rewrite.stages())
             .field("caching", &self.caching)
             .finish()
     }
@@ -315,23 +345,22 @@ impl Proxy {
     /// §4.2 scaling experiment).
     pub fn new(
         origin: Box<dyn CodeOrigin>,
-        pipeline: Pipeline,
+        rewrite: Box<dyn Rewrite>,
         cache_memory_bytes: usize,
         caching: bool,
         signer: Option<Signer>,
     ) -> Proxy {
         let telemetry = Arc::new(Telemetry::new("proxy"));
         telemetry.recorder().set_node("proxy");
-        let metrics = ProxyMetrics::register(&telemetry, &pipeline);
+        let metrics = ProxyMetrics::register(&telemetry, &*rewrite);
         Proxy {
             origin,
-            pipeline,
+            rewrite,
             cache: Mutex::new(RewriteCache::new(cache_memory_bytes, telemetry.registry())),
             caching,
             signer,
             rewrite_cost: RewriteCost::default(),
             peer: parking_lot::RwLock::new(None),
-            ir_producer: parking_lot::RwLock::new(None),
             telemetry,
             metrics,
         }
@@ -350,13 +379,6 @@ impl Proxy {
         *self.peer.write() = None;
     }
 
-    /// Attaches the compiler stage for the optimizing execution tier:
-    /// every future rewrite also produces an IR package, cached under
-    /// [`ir_key`] of the served bytes and fetchable as `ir://<hex>`.
-    pub fn set_ir_producer(&self, producer: Arc<dyn IrProducer>) {
-        *self.ir_producer.write() = Some(producer);
-    }
-
     /// Replaces the rewrite-cost model (builder style).
     pub fn with_rewrite_cost(mut self, cost: RewriteCost) -> Proxy {
         self.rewrite_cost = cost;
@@ -369,7 +391,7 @@ impl Proxy {
     /// before the swap stay on the old plane.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Proxy {
         telemetry.recorder().set_node(telemetry.node());
-        self.metrics = ProxyMetrics::register(&telemetry, &self.pipeline);
+        self.metrics = ProxyMetrics::register(&telemetry, &*self.rewrite);
         self.cache.get_mut().counters = CacheCounters::register(telemetry.registry());
         self.telemetry = telemetry;
         self
@@ -557,63 +579,45 @@ impl Proxy {
             .bytes_fetched
             .add(original.len() as u64);
 
-        // Parse once for all static services.
-        let class = ClassFile::parse(&original).map_err(|e| ProxyError::Parse(e.to_string()))?;
-        // The pipeline reports its stages in order, so the n-th report
+        // The rewrite reports its stages in order, so the n-th report
         // belongs to the n-th pre-resolved handle.
         let mut stages = self.metrics.stages.iter();
-        let mut rewritten = self
-            .pipeline
-            .run_traced(class, ctx, &mut |_, elapsed_ns| {
-                let Some((histogram, span_name)) = stages.next() else {
-                    return;
-                };
-                histogram.record(elapsed_ns);
-                if let Some((trace, parent)) = span {
-                    let end = recorder.now_ns();
-                    recorder.record_span(
-                        trace,
-                        SpanId::generate(),
-                        parent,
-                        span_name,
-                        end.saturating_sub(elapsed_ns),
-                        elapsed_ns,
-                    );
-                }
-            })
-            .map_err(ProxyError::Filter)?;
-        // Generate once.
-        let mut bytes = rewritten
-            .to_bytes()
-            .map_err(|e| ProxyError::Parse(e.to_string()))?;
-        // Compile the rewritten payload for the optimizing execution
-        // tier before the signature is attached: the IR must describe the
-        // class the client will actually link.
-        let ir = {
-            let producer = self.ir_producer.read().clone();
-            producer.and_then(|p| {
-                let start = recorder.now_ns();
-                let product = p.produce(&bytes);
-                let lower_ns = recorder.now_ns().saturating_sub(start);
-                product.map(|pr| (pr, start, lower_ns))
-            })
-        };
+        let rewritten = self.rewrite.rewrite(&original, ctx, &mut |_, elapsed_ns| {
+            let Some((histogram, span_name)) = stages.next() else {
+                return;
+            };
+            histogram.record(elapsed_ns);
+            if let Some((trace, parent)) = span {
+                let end = recorder.now_ns();
+                recorder.record_span(
+                    trace,
+                    SpanId::generate(),
+                    parent,
+                    span_name,
+                    end.saturating_sub(elapsed_ns),
+                    elapsed_ns,
+                );
+            }
+        })?;
+        // The IR is the rewrite's last step, so it ended just now.
+        let ir_end = recorder.now_ns();
+        let counters = &self.metrics.counters;
+        counters.bodies_decoded.add(rewritten.bodies_decoded);
+        counters.bodies_encoded.add(rewritten.bodies_encoded);
+        let mut bytes = rewritten.payload;
         if let Some(signer) = &self.signer {
             bytes = signer.attach(bytes);
         }
         // Charge deterministic, machine-independent processing time.
         let elapsed = self.rewrite_cost.charge_ns(original.len() as u64);
-        self.metrics.counters.rewrites.inc();
-        self.metrics
-            .counters
-            .bytes_rewritten
-            .add(bytes.len() as u64);
+        counters.rewrites.inc();
+        counters.bytes_rewritten.add(bytes.len() as u64);
         let bytes: Arc<[u8]> = bytes.into();
         // The IR is cached before the class: a client that hits the
         // class in the cache then asks for its `ir://` package must
         // find it.
-        if let Some((product, start, lower_ns)) = ir {
-            self.install_ir(&bytes, product, start, lower_ns, span);
+        if let Some(product) = rewritten.ir {
+            self.install_ir(&bytes, product, ir_end, span);
         }
         if self.caching {
             self.cache.lock().put(url.to_owned(), Arc::clone(&bytes));
@@ -622,7 +626,7 @@ impl Proxy {
                 // One organization-wide rewrite should populate the fleet:
                 // push the result to the url's home shard.
                 if peer.offer_to_home(url, &bytes) {
-                    self.metrics.counters.peer_offers.inc();
+                    counters.peer_offers.inc();
                 }
             }
         }
@@ -640,11 +644,12 @@ impl Proxy {
         &self,
         served_bytes: &Arc<[u8]>,
         product: IrProduct,
-        start: u64,
-        lower_ns: u64,
+        end: u64,
         span: Option<(dvm_telemetry::TraceId, SpanId)>,
     ) {
         let key = ir_key(served_bytes);
+        let lower_ns = product.lower_ns;
+        let start = end.saturating_sub(lower_ns);
         let counters = &self.metrics.counters;
         counters.ir_compiles.inc();
         counters.ir_bytes.add(product.bytes.len() as u64);
@@ -791,8 +796,8 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::NullFilter;
-    use dvm_classfile::ClassBuilder;
+    use crate::filter::{NullFilter, Pipeline};
+    use dvm_classfile::{ClassBuilder, ClassFile};
 
     fn origin_with(name: &str, url: &str) -> MapOrigin {
         let mut cf = ClassBuilder::new(name).build();
@@ -801,10 +806,10 @@ mod tests {
         o
     }
 
-    fn null_pipeline() -> Pipeline {
+    fn null_pipeline() -> Box<dyn Rewrite> {
         let mut p = Pipeline::new();
         p.push(Box::new(NullFilter));
-        p
+        Box::new(p)
     }
 
     #[test]
@@ -1144,28 +1149,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    struct CannedProducer;
-
-    impl IrProducer for CannedProducer {
-        fn produce(&self, class_bytes: &[u8]) -> Option<IrProduct> {
-            Some(IrProduct {
-                bytes: vec![0xd0, class_bytes[0]],
-                pass_work: vec![("fold".to_owned(), 3), ("dce".to_owned(), 2)],
-                compile_cycles: 1_000,
-            })
+    /// The null pipeline plus a canned IR package for every class.
+    fn canned_ir() -> Box<dyn Rewrite> {
+        struct CannedIr(Box<dyn Rewrite>);
+        impl Rewrite for CannedIr {
+            fn stages(&self) -> Vec<&str> {
+                self.0.stages()
+            }
+            fn rewrite(
+                &self,
+                original: &[u8],
+                ctx: &RequestContext,
+                observe: &mut dyn FnMut(&str, u64),
+            ) -> Result<Rewritten, ProxyError> {
+                let mut out = self.0.rewrite(original, ctx, observe)?;
+                out.ir = Some(IrProduct {
+                    bytes: vec![0xd0, out.payload[0]],
+                    pass_work: vec![("fold".to_owned(), 3), ("dce".to_owned(), 2)],
+                    compile_cycles: 1_000,
+                    lower_ns: 0,
+                });
+                Ok(out)
+            }
         }
+        Box::new(CannedIr(null_pipeline()))
     }
 
     #[test]
     fn rewrites_produce_cached_ir_packages() {
         let proxy = Proxy::new(
             Box::new(origin_with("t/I", "u")),
-            null_pipeline(),
+            canned_ir(),
             1 << 20,
             true,
             Some(Signer::new(b"org")),
         );
-        proxy.set_ir_producer(Arc::new(CannedProducer));
         let ctx = RequestContext::default();
         let served = proxy.handle_request_detailed("u", &ctx).unwrap();
         assert_eq!(proxy.stats().ir_compiles, 1);
@@ -1197,12 +1215,11 @@ mod tests {
     fn unknown_ir_key_is_not_found_not_a_rewrite() {
         let proxy = Proxy::new(
             Box::new(origin_with("t/I", "u")),
-            null_pipeline(),
+            canned_ir(),
             1 << 20,
             true,
             None,
         );
-        proxy.set_ir_producer(Arc::new(CannedProducer));
         let miss = proxy.handle_request("ir://deadbeef", &RequestContext::default());
         assert!(matches!(miss, Err(ProxyError::NotFound(_))));
         assert_eq!(proxy.stats().rewrites, 0);
@@ -1213,12 +1230,11 @@ mod tests {
         use dvm_telemetry::{TraceContext, TraceId};
         let proxy = Proxy::new(
             Box::new(origin_with("t/I", "u")),
-            null_pipeline(),
+            canned_ir(),
             1 << 20,
             true,
             None,
         );
-        proxy.set_ir_producer(Arc::new(CannedProducer));
         let trace = TraceId::generate();
         let ctx = RequestContext {
             trace: Some(TraceContext {

@@ -8,8 +8,7 @@
 //! appropriate access checks").
 
 use dvm_bytecode::insn::Insn;
-use dvm_bytecode::{Code, CodeEditor};
-use dvm_classfile::ClassFile;
+use dvm_bytecode::{CodeEditor, RewriteUnit};
 
 use crate::policy::{Policy, SecurityId};
 
@@ -28,56 +27,54 @@ pub struct SecurityRewriteStats {
 /// Error from the rewriting pass (malformed method bodies).
 pub type RewriteError = dvm_bytecode::BytecodeError;
 
-/// Rewrites `cf` so that every protected call site checks `sid`'s
-/// permission first.
+/// Rewrites `unit` so that every protected call site checks `sid`'s
+/// permission first. Only bodies that gain a check are marked dirty.
 pub fn secure_class(
-    cf: &mut ClassFile,
+    unit: &mut RewriteUnit,
     policy: &Policy,
     sid: SecurityId,
 ) -> Result<SecurityRewriteStats, RewriteError> {
     let mut stats = SecurityRewriteStats::default();
+    let cf = &mut unit.class;
     let enforcer = cf.pool.methodref("dvm/rt/Enforcer", "check", "(II)V")?;
 
     // Pre-resolve the member refs of instrumentable call sites once per
     // class: map pool index -> required permission.
     let mut protected: Vec<(u16, u32)> = Vec::new();
-    for (idx, _) in cf.pool.clone().iter() {
+    for (idx, _) in cf.pool.iter() {
         if let Ok((class, name, _)) = cf.pool.get_member_ref(idx) {
             if let Some(perm) = policy.operation_permission(class, name) {
                 protected.push((idx, perm.0));
             }
         }
     }
+    let permission = |insn: &Insn| match insn {
+        Insn::InvokeVirtual(i)
+        | Insn::InvokeSpecial(i)
+        | Insn::InvokeStatic(i)
+        | Insn::InvokeInterface(i) => protected
+            .iter()
+            .find(|(p, _)| p == i)
+            .map(|(_, perm)| *perm),
+        _ => None,
+    };
 
-    let pool_snapshot = cf.pool.clone();
-    for m in &mut cf.methods {
-        let Some(attr) = m.code() else { continue };
-        let code = Code::decode(attr)?;
+    for m in 0..unit.class.methods.len() {
+        let Some(code) = unit.body(m)? else { continue };
         stats.instructions_examined += code.insns.len() as u64;
-        let mut inserted = 0u64;
-        let mut ed = CodeEditor::new(code);
-        ed.insert_before_matching(
-            |insn| match insn {
-                Insn::InvokeVirtual(i)
-                | Insn::InvokeSpecial(i)
-                | Insn::InvokeStatic(i)
-                | Insn::InvokeInterface(i) => protected.iter().any(|(p, _)| p == i),
-                _ => false,
-            },
+        let inserted = code
+            .insns
+            .iter()
+            .filter(|insn| permission(insn).is_some())
+            .count() as u64;
+        if inserted == 0 {
+            continue;
+        }
+        let code = unit.body_mut(m)?.expect("decoded above");
+        CodeEditor::new(code).insert_before_matching(
+            |insn| permission(insn).is_some(),
             |_, insn| {
-                let idx = match insn {
-                    Insn::InvokeVirtual(i)
-                    | Insn::InvokeSpecial(i)
-                    | Insn::InvokeStatic(i)
-                    | Insn::InvokeInterface(i) => *i,
-                    _ => unreachable!("matched above"),
-                };
-                let perm = protected
-                    .iter()
-                    .find(|(p, _)| *p == idx)
-                    .map(|(_, perm)| *perm)
-                    .expect("matched above");
-                inserted += 1;
+                let perm = permission(insn).expect("matched above");
                 vec![
                     Insn::IConst(sid.0 as i32),
                     Insn::IConst(perm as i32),
@@ -85,12 +82,8 @@ pub fn secure_class(
                 ]
             },
         );
-        if inserted > 0 {
-            stats.checks_inserted += inserted;
-            stats.methods_instrumented += 1;
-            let new_attr = ed.into_code().encode(&pool_snapshot)?;
-            m.set_code(new_attr);
-        }
+        stats.checks_inserted += inserted;
+        stats.methods_instrumented += 1;
     }
     Ok(stats)
 }
@@ -100,7 +93,8 @@ mod tests {
     use super::*;
     use crate::policy::example_policy;
     use dvm_bytecode::asm::Asm;
-    use dvm_classfile::{AccessFlags, Attribute, ClassBuilder, MemberInfo};
+    use dvm_bytecode::Code;
+    use dvm_classfile::{AccessFlags, Attribute, ClassBuilder, ClassFile, MemberInfo};
 
     fn app() -> ClassFile {
         let mut cf = ClassBuilder::new("t/App").build();
@@ -130,8 +124,9 @@ mod tests {
     #[test]
     fn protected_call_sites_get_checks() {
         let policy = Policy::parse(example_policy()).unwrap();
-        let mut cf = app();
-        let stats = secure_class(&mut cf, &policy, SecurityId(1)).unwrap();
+        let mut unit = RewriteUnit::new(app());
+        let stats = secure_class(&mut unit, &policy, SecurityId(1)).unwrap();
+        let cf = unit.finish().unwrap();
         assert_eq!(stats.checks_inserted, 1);
         assert_eq!(stats.methods_instrumented, 1);
         let m = cf.find_method("main", "()V").unwrap();
@@ -161,8 +156,11 @@ mod tests {
             descriptor_index: d,
             attributes: vec![Attribute::Code(attr)],
         });
-        let stats = secure_class(&mut cf, &policy, SecurityId(1)).unwrap();
+        let mut unit = RewriteUnit::new(cf);
+        let stats = secure_class(&mut unit, &policy, SecurityId(1)).unwrap();
         assert_eq!(stats.checks_inserted, 0);
+        assert_eq!(unit.bodies.decoded(), 1);
+        assert_eq!(unit.bodies.encode_dirty(&mut unit.class).unwrap(), 0);
         assert_eq!(stats.methods_instrumented, 0);
         assert!(stats.instructions_examined > 0);
     }

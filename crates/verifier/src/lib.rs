@@ -39,6 +39,7 @@ pub use reflection::{attach_self_describing, digest_has_member, self_description
 pub use replacement::replacement_class;
 pub use types::VType;
 
+use dvm_bytecode::{Bodies, RewriteUnit};
 use dvm_classfile::ClassFile;
 
 /// Outcome statistics of a verification run (the data behind Figure 8).
@@ -82,31 +83,48 @@ impl StaticVerifier {
     /// Verifies `cf`, producing the (possibly rewritten, self-verifying)
     /// class and a report.
     pub fn verify(&self, cf: ClassFile) -> Result<(ClassFile, VerifyReport)> {
+        let mut unit = RewriteUnit::new(cf);
+        let report = self.verify_unit(&mut unit)?;
+        Ok((unit.finish()?, report))
+    }
+
+    /// [`StaticVerifier::verify`] in place: phase 2 decodes each body
+    /// into `unit` once, phase 3 reads those bodies, and the phase-4
+    /// split edits them.
+    pub fn verify_unit(&self, unit: &mut RewriteUnit) -> Result<VerifyReport> {
+        let cf = &unit.class;
         let mut report = VerifyReport::default();
-        report.static_checks += phase1::check(&cf)?;
-        let (p2, bodies) = phase2::check(&cf)?;
-        report.static_checks += p2;
-        let p3 = phase3::check(&cf, &bodies)?;
+        report.static_checks += phase1::check(cf)?;
+        report.static_checks += phase2::check(cf, &mut unit.bodies)?;
+        let p3 = phase3::check(cf, &mut unit.bodies)?;
         report.static_checks += p3.checks;
-        report.assumptions = p3.assumptions.clone();
-        let out = rewrite::split_and_rewrite(cf, &p3.assumptions, &self.env)?;
+        let out = rewrite::split_and_rewrite(unit, &p3.assumptions, &self.env)?;
+        report.assumptions = p3.assumptions;
         dvm_fuzz::cov!("verify.ok");
         report.static_checks += out.discharged;
         report.discharged_assumptions = out.discharged;
         report.dynamic_checks_injected = out.injected_checks;
-        Ok((out.class, report))
+        Ok(report)
     }
 
-    /// Like [`StaticVerifier::verify`], but converts failures into the
-    /// paper's replacement-class mechanism instead of an error.
-    pub fn verify_or_replace(&self, cf: ClassFile) -> (ClassFile, VerifyReport) {
-        let name = cf.name().unwrap_or("invalid/Class").to_owned();
-        match self.verify(cf.clone()) {
-            Ok(r) => r,
-            Err(e) => (
-                replacement_class(&name, &e.to_string(), Some(&cf)),
-                VerifyReport::default(),
-            ),
+    /// Like [`StaticVerifier::verify_unit`], but converts failures into
+    /// the paper's replacement-class mechanism instead of an error: a
+    /// class that fails verification is swapped for its replacement
+    /// inside `unit`.
+    pub fn verify_or_replace(&self, unit: &mut RewriteUnit) -> VerifyReport {
+        match self.verify_unit(unit) {
+            Ok(report) => report,
+            Err(e) => {
+                // A failure leaves at most synthetic members, pool
+                // entries and injected prologues behind, and the
+                // replacement keeps only the other method signatures, so
+                // a class the split had begun to edit is replaced like
+                // the original.
+                let cf = &unit.class;
+                let name = cf.name().unwrap_or("invalid/Class");
+                unit.replace(replacement_class(name, &e.to_string(), Some(cf)));
+                VerifyReport::default()
+            }
         }
     }
 }
@@ -115,9 +133,9 @@ impl StaticVerifier {
 /// local namespace. Returns the total number of checks performed locally.
 pub fn monolithic_verify(cf: &ClassFile, env: &dyn SignatureEnvironment) -> Result<u64> {
     let mut checks = phase1::check(cf)?;
-    let (p2, bodies) = phase2::check(cf)?;
-    checks += p2;
-    let p3 = phase3::check(cf, &bodies)?;
+    let mut bodies = Bodies::new();
+    checks += phase2::check(cf, &mut bodies)?;
+    let p3 = phase3::check(cf, &mut bodies)?;
     checks += p3.checks;
     for sa in &p3.assumptions {
         checks += 1;
@@ -226,7 +244,9 @@ mod tests {
             attributes: vec![Attribute::Code(attr)],
         });
         let v = StaticVerifier::default();
-        let (out, report) = v.verify_or_replace(cf);
+        let mut unit = RewriteUnit::new(cf);
+        let report = v.verify_or_replace(&mut unit);
+        let out = unit.finish().unwrap();
         assert_eq!(out.name().unwrap(), "t/Bad2");
         assert_eq!(report.static_checks, 0);
         assert!(out.find_method("<clinit>", "()V").is_some());

@@ -6,7 +6,7 @@
 //! consistency.
 
 use dvm_bytecode::insn::Insn;
-use dvm_bytecode::Code;
+use dvm_bytecode::Bodies;
 use dvm_classfile::pool::Constant;
 use dvm_classfile::ClassFile;
 
@@ -23,20 +23,23 @@ fn fail(class: &str, method: &str, at: Option<usize>, reason: String) -> VerifyF
     }
 }
 
-/// Runs phase 2 over every method with a body. Returns
-/// `(checks_performed, decoded bodies)` so phase 3 can reuse the decode.
-pub fn check(cf: &ClassFile) -> Result<(u64, Vec<(usize, Code)>)> {
+/// Runs phase 2 over every method with a body, decoding each into
+/// `bodies` (phase 3 and the rewriting services reuse the decode).
+/// Returns the checks performed.
+pub fn check(cf: &ClassFile, bodies: &mut Bodies) -> Result<u64> {
     dvm_fuzz::cov!("verify.phase2");
     let class = cf.name()?.to_owned();
     let mut checks = 0u64;
-    let mut bodies = Vec::new();
 
     for (mi, m) in cf.methods.iter().enumerate() {
         let Some(attr) = m.code() else { continue };
         let mname = m.name(&cf.pool)?.to_owned();
 
         // Decode validates opcodes, operand lengths, branch alignment.
-        let code = Code::decode(attr).map_err(|e| fail(&class, &mname, None, e.to_string()))?;
+        let code = bodies
+            .body(cf, mi)
+            .map_err(|e| fail(&class, &mname, None, e.to_string()))?
+            .expect("the method has a Code attribute");
         checks += code.insns.len() as u64;
 
         // Per-instruction operand validation.
@@ -193,10 +196,8 @@ pub fn check(cf: &ClassFile) -> Result<(u64, Vec<(usize, Code)>)> {
         } else {
             return Err(fail(&class, &mname, None, "empty code".into()));
         }
-
-        bodies.push((mi, code));
     }
-    Ok((checks, bodies))
+    Ok(checks)
 }
 
 #[cfg(test)]
@@ -223,9 +224,10 @@ mod tests {
                 },
             )
             .build();
-        let (checks, bodies) = check(&cf).unwrap();
+        let mut bodies = Bodies::new();
+        let checks = check(&cf, &mut bodies).unwrap();
         assert!(checks > 0);
-        assert_eq!(bodies.len(), 1);
+        assert_eq!(bodies.decoded(), 1);
     }
 
     #[test]
@@ -244,7 +246,7 @@ mod tests {
                 },
             )
             .build();
-        let err = check(&cf).unwrap_err();
+        let err = check(&cf, &mut Bodies::new()).unwrap_err();
         assert_eq!(err.phase, 2);
         assert!(err.reason.contains("max_locals"));
     }
@@ -264,7 +266,7 @@ mod tests {
                 },
             )
             .build();
-        let err = check(&cf).unwrap_err();
+        let err = check(&cf, &mut Bodies::new()).unwrap_err();
         assert!(err.reason.contains("max_stack"));
     }
 
@@ -282,7 +284,7 @@ mod tests {
                 },
             )
             .build();
-        let err = check(&cf).unwrap_err();
+        let err = check(&cf, &mut Bodies::new()).unwrap_err();
         assert!(err.reason.contains("falls off"));
     }
 
@@ -300,7 +302,7 @@ mod tests {
                 },
             )
             .build();
-        let err = check(&cf).unwrap_err();
+        let err = check(&cf, &mut Bodies::new()).unwrap_err();
         assert!(err.reason.contains("truncated"));
     }
 
@@ -325,7 +327,7 @@ mod tests {
             descriptor_index: d,
             attributes: vec![dvm_classfile::Attribute::Code(attr)],
         });
-        let err = check(&cf).unwrap_err();
+        let err = check(&cf, &mut Bodies::new()).unwrap_err();
         assert!(err.reason.contains("invokespecial"));
     }
 }

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dvm_bytecode::insn::{AKind, Insn, Kind, NumKind, NumType};
-use dvm_bytecode::Code;
+use dvm_bytecode::{Bodies, Code};
 use dvm_classfile::descriptor::{FieldType, MethodDescriptor};
 use dvm_classfile::pool::Constant;
 use dvm_classfile::ClassFile;
@@ -220,8 +220,9 @@ impl Ctx<'_> {
     }
 }
 
-/// Runs phase 3 over the decoded bodies from phase 2.
-pub fn check(cf: &ClassFile, bodies: &[(usize, Code)]) -> Result<Phase3Output> {
+/// Runs phase 3 over every method body, reusing the decode phase 2 left
+/// in `bodies`.
+pub fn check(cf: &ClassFile, bodies: &mut Bodies) -> Result<Phase3Output> {
     dvm_fuzz::cov!("verify.phase3");
     let mut memo = PoolMemo::default();
     let class = memo.name(cf.name()?);
@@ -243,8 +244,10 @@ pub fn check(cf: &ClassFile, bodies: &[(usize, Code)]) -> Result<Phase3Output> {
     }
 
     let mut seen: HashSet<ScopedAssumption> = HashSet::new();
-    for (mi, code) in bodies {
-        let m = &cf.methods[*mi];
+    for (mi, m) in cf.methods.iter().enumerate() {
+        let Some(code) = bodies.body(cf, mi)? else {
+            continue;
+        };
         let mname = m.name(&cf.pool)?;
         let mdesc = m.descriptor(&cf.pool)?;
         let desc = MethodDescriptor::parse(mdesc)?;

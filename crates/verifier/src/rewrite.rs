@@ -7,8 +7,7 @@
 //! `<clinit>` so they run before any use of the class.
 
 use dvm_bytecode::insn::{ICond, Insn};
-use dvm_bytecode::{Code, CodeEditor};
-use dvm_classfile::attributes::CodeAttribute;
+use dvm_bytecode::{Code, CodeEditor, RewriteUnit};
 use dvm_classfile::{AccessFlags, Attribute, ClassFile, MemberInfo};
 
 use crate::assumptions::{Assumption, Scope, ScopedAssumption};
@@ -18,8 +17,6 @@ use crate::error::{Result, VerifyFailure};
 /// Result of the split.
 #[derive(Debug)]
 pub struct RewriteOutput {
-    /// The rewritten, self-verifying class.
-    pub class: ClassFile,
     /// Runtime checks injected (the dynamic side of Figure 8).
     pub injected_checks: u64,
     /// Assumptions proven statically against the environment.
@@ -31,13 +28,14 @@ const CHECK_MEMBER_DESC: &str = "(Ljava/lang/String;Ljava/lang/String;Ljava/lang
 const CHECK_CLASS_DESC: &str = "(Ljava/lang/String;Ljava/lang/String;)V";
 
 /// Splits `assumptions` into statically-discharged and runtime-deferred
-/// sets, rewriting `cf` to carry the deferred checks.
+/// sets, rewriting `unit` in place to carry the deferred checks. Nothing
+/// is edited when an assumption is violated.
 pub fn split_and_rewrite(
-    mut cf: ClassFile,
+    unit: &mut RewriteUnit,
     assumptions: &[ScopedAssumption],
     env: &dyn SignatureEnvironment,
 ) -> Result<RewriteOutput> {
-    let class_name = cf.name()?.to_owned();
+    let class_name = unit.class.name()?.to_owned();
     let mut discharged = 0u64;
     let mut deferred_class: Vec<Assumption> = Vec::new();
     let mut deferred_method: Vec<(String, String, Assumption)> = Vec::new();
@@ -68,7 +66,7 @@ pub fn split_and_rewrite(
     // Class-scope checks go into <clinit> (created if missing).
     if !deferred_class.is_empty() {
         injected += deferred_class.len() as u64;
-        inject_clinit_checks(&mut cf, &deferred_class)?;
+        inject_clinit_checks(unit, &deferred_class)?;
     }
 
     // Method-scope checks get a guarded prologue.
@@ -86,11 +84,10 @@ pub fn split_and_rewrite(
     }
     for ((mname, mdesc), checks) in grouped {
         injected += checks.len() as u64;
-        inject_method_checks(&mut cf, &mname, &mdesc, &checks, &mut flag_counter)?;
+        inject_method_checks(unit, &mname, &mdesc, &checks, &mut flag_counter)?;
     }
 
     Ok(RewriteOutput {
-        class: cf,
         injected_checks: injected,
         discharged,
     })
@@ -147,55 +144,46 @@ fn check_block(cf: &mut ClassFile, checks: &[Assumption]) -> Result<Vec<Insn>> {
     Ok(insns)
 }
 
-fn inject_clinit_checks(cf: &mut ClassFile, checks: &[Assumption]) -> Result<()> {
-    let block = check_block(cf, checks)?;
-    let existing = cf.find_method("<clinit>", "()V").is_some();
-    if existing {
-        let attr = cf
-            .find_method("<clinit>", "()V")
-            .expect("checked above")
-            .code()
-            .ok_or_else(|| VerifyFailure {
+fn inject_clinit_checks(unit: &mut RewriteUnit, checks: &[Assumption]) -> Result<()> {
+    let block = check_block(&mut unit.class, checks)?;
+    match unit.class.method_index("<clinit>", "()V") {
+        Some(clinit) => {
+            let code = unit.body_mut(clinit)?.ok_or_else(|| VerifyFailure {
                 phase: 4,
                 class: String::new(),
                 method: Some("<clinit>".into()),
                 at: None,
                 reason: "initializer without code".into(),
             })?;
-        let code = Code::decode(attr)?;
-        let mut ed = CodeEditor::new(code);
-        ed.insert_prologue(block);
-        let new_attr = ed.into_code().encode(&cf.pool)?;
-        cf.find_method_mut("<clinit>", "()V")
-            .expect("checked above")
-            .set_code(new_attr);
-    } else {
-        let mut insns = block;
-        insns.push(Insn::Return(None));
-        let code = Code {
-            insns,
-            handlers: vec![],
-            max_locals: 0,
-        };
-        let attr = code.encode(&cf.pool)?;
-        push_method(
-            cf,
-            AccessFlags::STATIC | AccessFlags::SYNTHETIC,
-            "<clinit>",
-            "()V",
-            attr,
-        )?;
+            CodeEditor::new(code).insert_prologue(block);
+        }
+        None => {
+            let mut insns = block;
+            insns.push(Insn::Return(None));
+            let code = Code {
+                insns,
+                handlers: vec![],
+                max_locals: 0,
+            };
+            unit.push_method(
+                AccessFlags::STATIC | AccessFlags::SYNTHETIC,
+                "<clinit>",
+                "()V",
+                code,
+            )?;
+        }
     }
     Ok(())
 }
 
 fn inject_method_checks(
-    cf: &mut ClassFile,
+    unit: &mut RewriteUnit,
     mname: &str,
     mdesc: &str,
     checks: &[Assumption],
     flag_counter: &mut usize,
 ) -> Result<()> {
+    let cf = &mut unit.class;
     // Synthetic guard flag.
     let flag_name = format!("__dvmChecked${flag_counter}");
     *flag_counter += 1;
@@ -219,27 +207,21 @@ fn inject_method_checks(
         *t = skip_to;
     }
 
-    let m = cf.find_method(mname, mdesc).ok_or_else(|| VerifyFailure {
+    let m = cf.method_index(mname, mdesc).ok_or_else(|| VerifyFailure {
         phase: 4,
         class: class_name.clone(),
         method: Some(mname.to_owned()),
         at: None,
         reason: "instrumented method disappeared".into(),
     })?;
-    let attr = m.code().ok_or_else(|| VerifyFailure {
+    let code = unit.body_mut(m)?.ok_or_else(|| VerifyFailure {
         phase: 4,
         class: class_name,
         method: Some(mname.to_owned()),
         at: None,
         reason: "cannot instrument a bodyless method".into(),
     })?;
-    let code = Code::decode(attr)?;
-    let mut ed = CodeEditor::new(code);
-    ed.insert_prologue(block);
-    let new_attr = ed.into_code().encode(&cf.pool)?;
-    cf.find_method_mut(mname, mdesc)
-        .expect("found above")
-        .set_code(new_attr);
+    CodeEditor::new(code).insert_prologue(block);
     Ok(())
 }
 
@@ -251,24 +233,6 @@ fn push_field(cf: &mut ClassFile, access: AccessFlags, name: &str, descriptor: &
         name_index,
         descriptor_index,
         attributes: vec![Attribute::Synthetic],
-    });
-    Ok(())
-}
-
-fn push_method(
-    cf: &mut ClassFile,
-    access: AccessFlags,
-    name: &str,
-    descriptor: &str,
-    code: CodeAttribute,
-) -> Result<()> {
-    let name_index = cf.pool.utf8(name)?;
-    let descriptor_index = cf.pool.utf8(descriptor)?;
-    cf.methods.push(MemberInfo {
-        access,
-        name_index,
-        descriptor_index,
-        attributes: vec![Attribute::Code(code)],
     });
     Ok(())
 }
@@ -304,6 +268,16 @@ mod tests {
         cf
     }
 
+    fn split(
+        cf: ClassFile,
+        assumptions: &[ScopedAssumption],
+        env: &dyn SignatureEnvironment,
+    ) -> Result<(RewriteOutput, ClassFile)> {
+        let mut unit = RewriteUnit::new(cf);
+        let out = split_and_rewrite(&mut unit, assumptions, env)?;
+        Ok((out, unit.finish()?))
+    }
+
     fn hello_assumptions() -> Vec<ScopedAssumption> {
         vec![
             ScopedAssumption {
@@ -329,12 +303,10 @@ mod tests {
 
     #[test]
     fn unknown_environment_defers_all_checks_figure3() {
-        let out =
-            split_and_rewrite(sample_class(), &hello_assumptions(), &EmptyEnvironment).unwrap();
+        let (out, cf) = split(sample_class(), &hello_assumptions(), &EmptyEnvironment).unwrap();
         assert_eq!(out.injected_checks, 2);
         assert_eq!(out.discharged, 0);
         // The rewritten class has the guard flag and a longer main.
-        let cf = out.class;
         assert!(cf.find_field("__dvmChecked$0").is_some());
         let m = cf.find_method("main", "()V").unwrap();
         let code = Code::decode(m.code().unwrap()).unwrap();
@@ -348,11 +320,11 @@ mod tests {
     #[test]
     fn bootstrap_environment_discharges_hello_world() {
         let env = crate::env::MapEnvironment::with_bootstrap();
-        let out = split_and_rewrite(sample_class(), &hello_assumptions(), &env).unwrap();
+        let (out, cf) = split(sample_class(), &hello_assumptions(), &env).unwrap();
         assert_eq!(out.injected_checks, 0);
         assert_eq!(out.discharged, 2);
         // No rewriting needed.
-        let m = out.class.find_method("main", "()V").unwrap();
+        let m = cf.find_method("main", "()V").unwrap();
         let code = Code::decode(m.code().unwrap()).unwrap();
         assert_eq!(code.insns.len(), 4);
     }
@@ -369,7 +341,7 @@ mod tests {
             scope: Scope::Method,
             method: Some(("main".into(), "()V".into())),
         }];
-        let err = split_and_rewrite(sample_class(), &bad, &env).unwrap_err();
+        let err = split(sample_class(), &bad, &env).unwrap_err();
         assert_eq!(err.phase, 4);
     }
 
@@ -383,9 +355,9 @@ mod tests {
             scope: Scope::Class,
             method: None,
         }];
-        let out = split_and_rewrite(sample_class(), &deferred, &EmptyEnvironment).unwrap();
+        let (out, cf) = split(sample_class(), &deferred, &EmptyEnvironment).unwrap();
         assert_eq!(out.injected_checks, 1);
-        let clinit = out.class.find_method("<clinit>", "()V").unwrap();
+        let clinit = cf.find_method("<clinit>", "()V").unwrap();
         let code = Code::decode(clinit.code().unwrap()).unwrap();
         // ldc, ldc, invokestatic, return
         assert_eq!(code.insns.len(), 4);

@@ -9,6 +9,7 @@
 //! cargo run --release --example mobile_code
 //! ```
 
+use dvm_bytecode::RewriteUnit;
 use dvm_jvm::{Completion, MapProvider, Vm};
 use dvm_monitor::{ProfileMode, SiteTable};
 use dvm_netsim::presets;
@@ -31,9 +32,9 @@ fn main() {
     let mut sites = SiteTable::new();
     let mut provider = MapProvider::new();
     for cf in &app.classes {
-        let mut cf = cf.clone();
-        dvm_monitor::profile_class(&mut cf, &mut sites, ProfileMode::Method).unwrap();
-        provider.insert_class(&mut cf).unwrap();
+        let mut unit = RewriteUnit::new(cf.clone());
+        dvm_monitor::profile_class(&mut unit, &mut sites, ProfileMode::Method).unwrap();
+        provider.insert_class(&mut unit.finish().unwrap()).unwrap();
     }
     struct Collector(std::sync::Arc<std::sync::Mutex<dvm_monitor::ProfileCollector>>);
     impl dvm_jvm::DynamicServices for Collector {

@@ -1,6 +1,7 @@
 //! Cross-crate integration: scenarios that span the whole workspace —
 //! generator → proxy pipeline → client engine → IR compiler → optimizer.
 
+use dvm_repro::bytecode::RewriteUnit;
 use dvm_repro::compiler::ExecCompiler;
 use dvm_repro::core::{CostModel, Organization, ServiceConfig};
 use dvm_repro::jvm::{Completion, MapProvider, Vm};
@@ -85,9 +86,9 @@ fn profile_guided_repartition_preserves_behavior_end_to_end() {
     let mut sites = SiteTable::new();
     let mut provider = MapProvider::new();
     for cf in &app.classes {
-        let mut cf = cf.clone();
-        dvm_repro::monitor::profile_class(&mut cf, &mut sites, ProfileMode::Method).unwrap();
-        provider.insert_class(&mut cf).unwrap();
+        let mut unit = RewriteUnit::new(cf.clone());
+        dvm_repro::monitor::profile_class(&mut unit, &mut sites, ProfileMode::Method).unwrap();
+        provider.insert_class(&mut unit.finish().unwrap()).unwrap();
     }
     struct Collector(std::sync::Arc<std::sync::Mutex<dvm_repro::monitor::ProfileCollector>>);
     impl dvm_repro::jvm::DynamicServices for Collector {
@@ -214,10 +215,10 @@ fn site_ids_past_i16_rewrite_verify_and_run() {
     );
     let mut provider = MapProvider::new();
     for cf in &app.classes {
-        let mut cf = cf.clone();
-        dvm_repro::monitor::audit_class(&mut cf, &mut sites).unwrap();
-        dvm_repro::monitor::profile_class(&mut cf, &mut sites, ProfileMode::Block).unwrap();
-        let (mut verified, _) = verifier.verify(cf).unwrap();
+        let mut unit = RewriteUnit::new(cf.clone());
+        dvm_repro::monitor::audit_class(&mut unit, &mut sites).unwrap();
+        dvm_repro::monitor::profile_class(&mut unit, &mut sites, ProfileMode::Block).unwrap();
+        let (mut verified, _) = verifier.verify(unit.finish().unwrap()).unwrap();
         provider.insert_class(&mut verified).unwrap();
     }
     assert!(sites.len() > PRE_INTERNED as usize);
