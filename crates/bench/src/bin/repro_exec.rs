@@ -52,24 +52,22 @@ fn run_app(app: &dvm_workload::GeneratedApp) -> AppRun {
     let mut cold = tiered_org.client("cold", "applets").expect("client builds");
     let cr = cold.run_main(&app.main_class).expect("runs");
     assert!(matches!(cr.completion, Completion::Normal(_)), "{cr:?}");
-    let cold_stats = tiered_org.exec_compiler_stats().expect("exec tier on");
-    let cold_served = tiered_org.proxy.stats().ir_served;
+    let cold_proxy = tiered_org.proxy.stats();
 
     let mut warm = tiered_org.client("warm", "applets").expect("client builds");
     let wr = warm.run_main(&app.main_class).expect("runs");
     assert!(matches!(wr.completion, Completion::Normal(_)), "{wr:?}");
-    let warm_stats = tiered_org.exec_compiler_stats().expect("exec tier on");
-    let warm_served = tiered_org.proxy.stats().ir_served - cold_served;
+    let warm_proxy = tiered_org.proxy.stats();
 
     AppRun {
         stock_cycles: stock.vm.stats.cycles,
         tiered_cycles: cold.vm.stats.cycles,
         ir_invocations: cold.vm.exec.stats.ir_invocations,
         interp_invocations: cold.vm.exec.stats.interp_invocations,
-        cold_compile_cycles: cold_stats.cycles_spent,
-        cold_compilations: cold_stats.compilations,
-        warm_ir_served: warm_served,
-        warm_new_compile_cycles: warm_stats.cycles_spent - cold_stats.cycles_spent,
+        cold_compile_cycles: cold_proxy.ir_compile_cycles,
+        cold_compilations: cold_proxy.ir_compiles,
+        warm_ir_served: warm_proxy.ir_served - cold_proxy.ir_served,
+        warm_new_compile_cycles: warm_proxy.ir_compile_cycles - cold_proxy.ir_compile_cycles,
     }
 }
 

@@ -1,18 +1,17 @@
 //! The network compiler service: the optimizing execution tier's
 //! proxy side.
 //!
-//! It lowers and optimizes every method of a rewritten class onto the
-//! portable register-IR tier (`dvm-exec`), and returns the wire-encoded
-//! IR package the client VM installs next to the class. Results are
-//! cached per rewrite signature — the MD5 of the unsigned rewritten
-//! payload, which the proxy's IR producer computes — so one compilation
-//! is amortized across every client in the organization that fetches
-//! the same rewrite.
+//! [`IrPackage::compile`] lowers and optimizes every method of a
+//! rewritten class onto the portable register-IR tier (`dvm-exec`) and
+//! returns the wire-encoded IR package the client VM installs next to
+//! the class. A proxy miss calls it on the bodies the static services
+//! just edited, and the proxy's rewrite cache serves the package under
+//! its `ir://` key, so one compilation is amortized across every client
+//! in the organization that fetches the same rewrite.
 //!
-//! The cache ([`ExecCompiler`]) and the compilation
-//! ([`IrPackage::compile`]) are apart so a shared cache is locked only
-//! to look a signature up and to insert a package, never across a
-//! compilation.
+//! [`ExecCompiler`] is a stand-alone keyed cache over the same
+//! compilation, for callers that hold serialized classes rather than a
+//! proxy.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,9 +32,6 @@ pub const IR_COMPILE_CYCLES_PER_INSN: u64 = 600;
 pub struct IrPackage {
     /// Class internal name.
     pub class: String,
-    /// Rewrite signature (MD5 hex of the unsigned rewritten payload) the
-    /// package is keyed under.
-    pub signature: String,
     /// Wire-encoded IR (`dvm_exec::encode` format).
     pub bytes: Vec<u8>,
     /// Methods lowered onto the optimizing tier.
@@ -52,14 +48,13 @@ impl IrPackage {
     /// Lowers, optimizes and encodes `cf`, reading its method bodies
     /// through `bodies` (a body already decoded there is not decoded
     /// again). Touches no cache.
-    pub fn compile(signature: &str, cf: &ClassFile, bodies: &mut Bodies) -> Result<IrPackage> {
+    pub fn compile(cf: &ClassFile, bodies: &mut Bodies) -> Result<IrPackage> {
         let (ir, cs) = compile_bodies(cf, bodies)
             .map_err(|e| CompileError::Unsupported(format!("IR lowering failed: {e}")))?;
         let ir_insns: usize = ir.methods.iter().map(|f| f.insns.len()).sum();
         Ok(IrPackage {
             bytes: encode(&ir),
             class: ir.class,
-            signature: signature.to_owned(),
             methods_compiled: cs.lowered,
             methods_skipped: cs.skipped,
             passes: cs.passes,
@@ -83,7 +78,8 @@ pub struct ExecCompilerStats {
     pub methods_skipped: u64,
 }
 
-/// The proxy-resident IR compiler with its per-signature cache.
+/// A stand-alone IR compiler with a per-signature cache that never
+/// evicts.
 #[derive(Debug, Default)]
 pub struct ExecCompiler {
     cache: HashMap<String, Arc<IrPackage>>,
@@ -97,52 +93,21 @@ impl ExecCompiler {
         ExecCompiler::default()
     }
 
-    /// Compiles the class in `class_bytes` under rewrite signature
+    /// Compiles the class in `class_bytes` under the caller's
     /// `signature`, serving repeats from the cache.
     pub fn compile(&mut self, signature: &str, class_bytes: &[u8]) -> Result<Arc<IrPackage>> {
-        if let Some(pkg) = self.lookup(signature) {
-            return Ok(pkg);
+        if let Some(pkg) = self.cache.get(signature) {
+            self.stats.cache_hits += 1;
+            return Ok(pkg.clone());
         }
         let cf = ClassFile::parse(class_bytes)?;
-        let pkg = IrPackage::compile(signature, &cf, &mut Bodies::new())?;
-        Ok(self.insert(pkg))
-    }
-
-    /// The cached package for `signature`, counted as a cache hit.
-    pub fn lookup(&mut self, signature: &str) -> Option<Arc<IrPackage>> {
-        let pkg = self.cache.get(signature)?.clone();
-        self.stats.cache_hits += 1;
-        Some(pkg)
-    }
-
-    /// Caches a package compiled after a [`ExecCompiler::lookup`] missed
-    /// and returns the cached one. When a racing compilation of the same
-    /// signature got there first, its package stays and this one counts
-    /// as a cache hit, so each signature is one compilation.
-    pub fn insert(&mut self, pkg: IrPackage) -> Arc<IrPackage> {
-        if let Some(first) = self.lookup(&pkg.signature) {
-            return first;
-        }
+        let pkg = Arc::new(IrPackage::compile(&cf, &mut Bodies::new())?);
         self.stats.compilations += 1;
         self.stats.cycles_spent += pkg.compile_cycles;
         self.stats.methods_compiled += pkg.methods_compiled as u64;
         self.stats.methods_skipped += pkg.methods_skipped as u64;
-        let pkg = Arc::new(pkg);
-        self.cache.insert(pkg.signature.clone(), pkg.clone());
-        pkg
-    }
-
-    /// Seeds the cache with a package recovered from the persistent tier
-    /// (warm restart): no compile cycles are charged.
-    pub fn seed(&mut self, pkg: IrPackage) {
-        self.cache
-            .entry(pkg.signature.clone())
-            .or_insert_with(|| Arc::new(pkg));
-    }
-
-    /// Number of cached packages.
-    pub fn cache_size(&self) -> usize {
-        self.cache.len()
+        self.cache.insert(signature.to_owned(), pkg.clone());
+        Ok(pkg)
     }
 }
 
@@ -192,48 +157,17 @@ mod tests {
 
         // Same signature: amortized; different signature: recompiled.
         let again = svc.compile("sig-1", &bytes).unwrap();
-        assert_eq!(again.signature, "sig-1");
+        assert!(Arc::ptr_eq(&again, &pkg));
         assert_eq!(svc.stats.compilations, 1);
         assert_eq!(svc.stats.cache_hits, 1);
         let _ = svc.compile("sig-2", &bytes).unwrap();
         assert_eq!(svc.stats.compilations, 2);
-        assert_eq!(svc.cache_size(), 2);
-    }
-
-    #[test]
-    fn seeded_packages_serve_without_compiling() {
-        let mut svc = ExecCompiler::new();
-        let bytes = sample_bytes();
-        let pkg = svc.compile("warm", &bytes).unwrap();
-        let recovered = (*pkg).clone();
-
-        let mut restarted = ExecCompiler::new();
-        restarted.seed(recovered);
-        assert_eq!(restarted.cache_size(), 1);
-        let served = restarted.compile("warm", &bytes).unwrap();
-        assert_eq!(served.bytes, pkg.bytes);
-        assert_eq!(restarted.stats.compilations, 0);
-        assert_eq!(restarted.stats.cache_hits, 1);
-    }
-
-    #[test]
-    fn a_racing_second_compilation_keeps_the_first_package() {
-        let mut svc = ExecCompiler::new();
-        let cf = ClassFile::parse(&sample_bytes()).unwrap();
-        let compile = || IrPackage::compile("race", &cf, &mut Bodies::new()).unwrap();
-        let (a, b) = (compile(), compile());
-        assert!(svc.lookup("race").is_none());
-        let first = svc.insert(a);
-        let second = svc.insert(b);
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(svc.stats.compilations, 1);
-        assert_eq!(svc.stats.cache_hits, 1);
     }
 
     #[test]
     fn malformed_classes_error_instead_of_panicking() {
         let mut svc = ExecCompiler::new();
         assert!(svc.compile("bad", &[0xde, 0xad, 0xbe, 0xef]).is_err());
-        assert_eq!(svc.cache_size(), 0);
+        assert_eq!(svc.stats.compilations, 0);
     }
 }

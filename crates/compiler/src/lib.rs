@@ -7,11 +7,13 @@
 //!
 //! The compiler is the IR tier: `dvm-exec` lowers each method of a
 //! rewritten class to a register IR and runs its pass pipeline (service
-//! inlining, constant folding, copy propagation, dead-code elimination);
-//! [`ExecCompiler`] wraps that in a per-signature cache and serves the
-//! wire-encoded result as the class's `ir://` package. The client's
-//! native format, learned from the monitoring handshake, is recorded by
-//! the console but not consumed: every client runs the same portable IR.
+//! inlining, constant folding, copy propagation, dead-code elimination).
+//! In production a proxy miss compiles through [`IrPackage::compile`]
+//! and the proxy's rewrite cache holds the wire-encoded result as the
+//! class's `ir://` package; [`ExecCompiler`] is the same compilation
+//! behind a stand-alone per-signature cache. The client's native
+//! format, learned from the monitoring handshake, is recorded by the
+//! console but not consumed: every client runs the same portable IR.
 
 pub mod error;
 pub mod exec_service;

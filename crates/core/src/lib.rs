@@ -4,8 +4,9 @@
 //! [`Organization`] hosts the centralized static services (verification,
 //! security, auditing, profiling) as a filter pipeline on a transparent
 //! code proxy, plus the security server, administration console, and
-//! network compiler (the IR tier: `dvm_compiler::ExecCompiler` compiles
-//! each rewritten class once into an `ir://` package); [`DvmClient`]s
+//! network compiler (the IR tier: the last stage of each rewrite,
+//! `dvm_compiler::IrPackage::compile`, lowers the class into the
+//! `ir://` package the proxy caches beside it); [`DvmClient`]s
 //! fetch all code through the proxy and run the small dynamic service
 //! components locally; the [`MonolithicClient`] baseline performs every
 //! service on the client, as the systems the paper compares against did.

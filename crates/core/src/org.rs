@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use dvm_bytecode::RewriteUnit;
 use dvm_classfile::ClassFile;
 use dvm_cluster::{ClusterClassProvider, ClusterClientConfig, ClusterOptions, ProxyCluster};
-use dvm_compiler::{ExecCompiler, ExecCompilerStats, IrPackage};
+use dvm_compiler::IrPackage;
 use dvm_membership::{MembershipOptions, MembershipPlane};
 use dvm_monitor::{
     AdminConsole, AuditSink, ClientDescription, ConsoleSink, ProfileMode, SiteTable,
@@ -31,9 +31,9 @@ use crate::filters::{
 };
 
 /// An organization running a distributed virtual machine: centralized
-/// static services on a proxy, a security server, an administration
-/// console, the network compiler (the IR tier's shared
-/// [`ExecCompiler`], when enabled), and any number of clients.
+/// static services on a proxy (the network compiler among them, when
+/// the IR tier is enabled), a security server, an administration
+/// console, and any number of clients.
 pub struct Organization {
     /// The code proxy hosting the static service pipeline.
     pub proxy: Arc<Proxy>,
@@ -50,9 +50,6 @@ pub struct Organization {
     services: ServiceConfig,
     // Shared by the primary proxy and any cluster shards built later.
     origin: Arc<dyn CodeOrigin>,
-    // The IR compiler every proxy shard shares (one per-signature cache
-    // for the whole organization); `None` with the exec tier disabled.
-    compiler: Option<Arc<SharedCompiler>>,
     // Memoized continuous-observability plane over the primary proxy
     // (created on first `watch()` call).
     watch: Mutex<Option<Arc<Watch>>>,
@@ -60,65 +57,37 @@ pub struct Organization {
     pub cost: CostModel,
 }
 
-/// The organization's network compiler: one per-signature cache every
-/// proxy shard shares. The rewritten payload's MD5 is the signature, and
-/// the pass-pipeline statistics become `exec.opt.<pass>` span work.
-struct SharedCompiler {
-    // Locked only to look a signature up and to insert a package: shards
-    // compile concurrently.
-    cache: Mutex<ExecCompiler>,
-}
-
-impl SharedCompiler {
-    fn new() -> SharedCompiler {
-        SharedCompiler {
-            cache: Mutex::new(ExecCompiler::new()),
-        }
+/// The IR package lowered from `unit`'s final bodies, with the
+/// pass-pipeline statistics as `exec.opt.<pass>` span work; `None` when
+/// no method lowered (or lowering failed), leaving the class on the
+/// interpreter. The proxy signs, keys and caches it.
+fn compile_ir(unit: &mut RewriteUnit) -> Option<IrProduct> {
+    let start = Instant::now();
+    let pkg = IrPackage::compile(&unit.class, &mut unit.bodies).ok()?;
+    if pkg.methods_compiled == 0 {
+        return None;
     }
-
-    fn stats(&self) -> ExecCompilerStats {
-        self.cache.lock().stats
-    }
-
-    /// The IR package for the class `unit` serialized to `payload`,
-    /// lowered from the unit's final bodies; `None` when no method
-    /// lowered (or lowering failed), leaving the class on the interpreter.
-    fn produce(&self, payload: &[u8], unit: &mut RewriteUnit) -> Option<IrProduct> {
-        let start = Instant::now();
-        let signature = dvm_proxy::md5::hex(&dvm_proxy::md5::md5(payload));
-        let cached = self.cache.lock().lookup(&signature);
-        let pkg = match cached {
-            Some(pkg) => pkg,
-            None => {
-                let pkg = IrPackage::compile(&signature, &unit.class, &mut unit.bodies).ok()?;
-                self.cache.lock().insert(pkg)
-            }
-        };
-        if pkg.methods_compiled == 0 {
-            return None;
-        }
-        let p = &pkg.passes;
-        Some(IrProduct {
-            bytes: pkg.bytes.clone(),
-            pass_work: vec![
-                ("inline".to_owned(), p.services_inlined as u64),
-                ("fold".to_owned(), p.folded as u64),
-                ("copy".to_owned(), p.copies_propagated as u64),
-                ("dce".to_owned(), p.eliminated as u64),
-            ],
-            compile_cycles: pkg.compile_cycles,
-            lower_ns: start.elapsed().as_nanos() as u64,
-        })
-    }
+    let p = &pkg.passes;
+    Some(IrProduct {
+        pass_work: vec![
+            ("inline".to_owned(), p.services_inlined as u64),
+            ("fold".to_owned(), p.folded as u64),
+            ("copy".to_owned(), p.copies_propagated as u64),
+            ("dce".to_owned(), p.eliminated as u64),
+        ],
+        bytes: pkg.bytes,
+        compile_cycles: pkg.compile_cycles,
+        lower_ns: start.elapsed().as_nanos() as u64,
+    })
 }
 
 /// One proxy shard's rewrite: the static services edit one
 /// [`RewriteUnit`] in turn, each edited body is encoded once, the class
-/// is generated once, and the shared compiler lowers the same in-memory
-/// bodies.
+/// is generated once, and with the exec tier on the same in-memory
+/// bodies are lowered to IR.
 struct StaticServices {
     services: Vec<Box<dyn UnitFilter>>,
-    compiler: Option<Arc<SharedCompiler>>,
+    exec_tier: bool,
 }
 
 impl Rewrite for StaticServices {
@@ -148,7 +117,11 @@ impl Rewrite for StaticServices {
             .class
             .to_bytes()
             .map_err(|e| ProxyError::Parse(e.to_string()))?;
-        let ir = (self.compiler.as_ref()).and_then(|c| c.produce(&payload, &mut unit));
+        let ir = if self.exec_tier {
+            compile_ir(&mut unit)
+        } else {
+            None
+        };
         Ok(Rewritten {
             payload,
             ir,
@@ -171,14 +144,13 @@ fn client_hello(user: &str, principal: &str) -> Hello {
 
 /// Builds one shard's static services per `config`. Services hold
 /// `Box`es, so one set cannot be shared — each proxy shard gets its own,
-/// but all share the same policy, site table, statistics sinks and
-/// compiler, which is what makes N shards one logical service.
+/// but all share the same policy, site table and statistics sinks,
+/// which is what makes N shards one logical service.
 fn build_services(
     config: &ServiceConfig,
     policy: &Arc<Mutex<Policy>>,
     sites: &Arc<Mutex<SiteTable>>,
     service_stats: &Arc<Mutex<StaticServiceStats>>,
-    compiler: &Option<Arc<SharedCompiler>>,
 ) -> Box<StaticServices> {
     let default_sid = SecurityId(1);
     let mut services: Vec<Box<dyn UnitFilter>> = Vec::new();
@@ -211,8 +183,32 @@ fn build_services(
     }
     Box::new(StaticServices {
         services,
-        compiler: compiler.clone(),
+        exec_tier: config.exec_tier,
     })
+}
+
+/// One proxy over `origin` running `services` and signing with
+/// `signer`, on a telemetry plane named `node`.
+fn build_proxy(
+    node: &str,
+    origin: &Arc<dyn CodeOrigin>,
+    services: Box<StaticServices>,
+    config: &ServiceConfig,
+    signer: &Option<Signer>,
+    cost: &CostModel,
+) -> Arc<Proxy> {
+    let proxy = Proxy::new(
+        Box::new(origin.clone()),
+        services,
+        8 << 20,
+        config.caching,
+        signer.clone(),
+        Arc::new(Telemetry::new(node)),
+    );
+    Arc::new(proxy.with_rewrite_cost(RewriteCost {
+        cycles_per_byte: cost.proxy_cycles_per_byte,
+        cpu: cost.cpu,
+    }))
 }
 
 impl Organization {
@@ -244,29 +240,13 @@ impl Organization {
         let sites = Arc::new(Mutex::new(SiteTable::new()));
         let policy = Arc::new(Mutex::new(policy));
         let origin: Arc<dyn CodeOrigin> = Arc::from(origin);
-
-        // All shards share one compilation cache: a signature compiled
-        // anywhere in the fleet is compiled once.
-        let compiler = config.exec_tier.then(|| Arc::new(SharedCompiler::new()));
-        let services = build_services(&config, &policy, &sites, &service_stats, &compiler);
+        let services = build_services(&config, &policy, &sites, &service_stats);
         let signer = if config.signing {
             Some(Signer::new(b"dvm-org-key"))
         } else {
             None
         };
-        let proxy = Arc::new(
-            Proxy::new(
-                Box::new(origin.clone()),
-                services,
-                8 << 20,
-                config.caching,
-                signer.clone(),
-            )
-            .with_rewrite_cost(RewriteCost {
-                cycles_per_byte: cost.proxy_cycles_per_byte,
-                cpu: cost.cpu,
-            }),
-        );
+        let proxy = build_proxy("proxy", &origin, services, &config, &signer, &cost);
         let security = Arc::new(Mutex::new(SecurityServer::new(policy.lock().clone())));
         Organization {
             proxy,
@@ -278,7 +258,6 @@ impl Organization {
             signer,
             services: config,
             origin,
-            compiler,
             watch: Mutex::new(None),
             cost,
         }
@@ -307,12 +286,6 @@ impl Organization {
         w
     }
 
-    /// Statistics of the shared IR compilation service, when the exec
-    /// tier is enabled.
-    pub fn exec_compiler_stats(&self) -> Option<ExecCompilerStats> {
-        self.compiler.as_ref().map(|c| c.stats())
-    }
-
     /// Builds one additional proxy shard: its own static services and
     /// rewrite cache over the same origin, signer, policy, site table, and
     /// statistics sinks as the primary proxy. N shards built this way
@@ -331,21 +304,14 @@ impl Organization {
             &self.policy,
             &self.sites,
             &self.service_stats,
-            &self.compiler,
         );
-        Arc::new(
-            Proxy::new(
-                Box::new(self.origin.clone()),
-                services,
-                8 << 20,
-                self.services.caching,
-                self.signer.clone(),
-            )
-            .with_rewrite_cost(RewriteCost {
-                cycles_per_byte: self.cost.proxy_cycles_per_byte,
-                cpu: self.cost.cpu,
-            })
-            .with_telemetry(Arc::new(Telemetry::new(node))),
+        build_proxy(
+            node,
+            &self.origin,
+            services,
+            &self.services,
+            &self.signer,
+            &self.cost,
         )
     }
 

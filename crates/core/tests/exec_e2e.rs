@@ -42,9 +42,10 @@ fn dvm_client_executes_on_the_ir_tier() {
         stats.ir_invocations > 0,
         "compiled methods should have run on the IR tier: {stats:?}"
     );
-    let cstats = org.exec_compiler_stats().expect("exec tier enabled");
-    assert!(cstats.compilations > 0, "{cstats:?}");
-    assert!(cstats.methods_compiled > 0, "{cstats:?}");
+    // The proxy installs a package only when some method lowered.
+    let pstats = org.proxy.stats();
+    assert!(pstats.ir_compiles > 0, "{pstats:?}");
+    assert!(pstats.ir_compile_cycles > 0, "{pstats:?}");
 }
 
 #[test]
@@ -52,7 +53,7 @@ fn second_client_reuses_cached_ir_packages() {
     let (org, main) = org(ServiceConfig::dvm());
     let mut c1 = org.client("alice", "applets").unwrap();
     c1.run_main(&main).unwrap();
-    let compiled_once = org.exec_compiler_stats().unwrap().compilations;
+    let compiled_once = org.proxy.stats().ir_compiles;
     assert!(compiled_once > 0);
 
     let mut c2 = org.client("bob", "applets").unwrap();
@@ -61,10 +62,7 @@ fn second_client_reuses_cached_ir_packages() {
     assert!(c2.vm.exec.stats.ir_invocations > 0);
     // The second client's classes come from the proxy cache, so no new
     // compilations happen; the IR packages are served from cache too.
-    assert_eq!(
-        org.exec_compiler_stats().unwrap().compilations,
-        compiled_once
-    );
+    assert_eq!(org.proxy.stats().ir_compiles, compiled_once);
 }
 
 #[test]
@@ -102,5 +100,5 @@ fn disabling_the_exec_tier_keeps_everything_interpreted() {
     assert!(matches!(report.completion, Completion::Normal(_)));
     assert_eq!(client.vm.exec.stats.installed_classes, 0);
     assert_eq!(client.vm.exec.stats.ir_invocations, 0);
-    assert!(org.exec_compiler_stats().is_none());
+    assert_eq!(org.proxy.stats().ir_compiles, 0);
 }

@@ -53,7 +53,7 @@ pub struct ExecStats {
 /// The client-resident store of compiled code.
 ///
 /// Compiled classes arrive asynchronously (the DVM client fetches them
-/// from the proxy's compilation cache next to the class bytes), so the
+/// from the proxy's rewrite cache next to the class bytes), so the
 /// tier keeps a *pending* map keyed by class name that providers can
 /// feed through [`ExecTier::offer`] or a shared [`ExecTier::pending_handle`];
 /// when the VM links a class it drains the entry and binds each function

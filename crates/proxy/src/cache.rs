@@ -42,7 +42,7 @@ pub enum CacheTier {
 
 dvm_telemetry::counters! {
     /// Registered handles behind [`CacheStats`].
-    pub(crate) struct CacheCounters;
+    struct CacheCounters;
     /// The counts only the cache can see, read from the owning proxy's
     /// telemetry plane. Tier hits and misses are the proxy's
     /// (`ProxyStats`); a peek, a fill or an export counts neither.
@@ -98,7 +98,7 @@ pub struct RewriteCache {
     disk: DiskTier,
     memory_capacity_bytes: usize,
     memory_bytes: usize,
-    pub(crate) counters: CacheCounters,
+    counters: CacheCounters,
 }
 
 impl RewriteCache {

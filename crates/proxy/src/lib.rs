@@ -16,7 +16,7 @@ pub mod proxy;
 pub mod sign;
 
 pub use cache::{CacheExportPage, CacheStats, CacheTier, RewriteCache};
-pub use filter::{Filter, FilterError, NullFilter, Pipeline, RequestContext};
+pub use filter::{Filter, FilterError, RequestContext};
 pub use proxy::{
     ir_key, CodeOrigin, IrProduct, MapOrigin, PeerCache, Proxy, ProxyError, ProxyStats, Rewrite,
     RewriteCost, Rewritten, ServedFrom, ServedResponse, IR_SCHEME,

@@ -16,7 +16,7 @@ use dvm_netsim::CycleModel;
 use dvm_store::{Store, StoreConfig, StoreError, StoreStats};
 use dvm_telemetry::{Histogram, SpanId, Telemetry, TraceContext};
 
-use crate::cache::{CacheCounters, CacheExportPage, CacheStats, CacheTier, RewriteCache};
+use crate::cache::{CacheExportPage, CacheStats, CacheTier, RewriteCache};
 use crate::filter::{FilterError, RequestContext};
 use crate::sign::Signer;
 
@@ -182,11 +182,10 @@ pub struct Rewritten {
 
 /// The proxy's work on a miss: parse the origin's bytes once, run the
 /// static services, generate the class once and, for the optimizing
-/// execution tier, compile it. [`Pipeline`](crate::Pipeline) is this over
-/// [`Filter`](crate::Filter)s; `dvm-core` implements it over one decoded
-/// form of every method body, which this crate never sees. The proxy
-/// only times, signs, caches and serves the result — IR under
-/// `ir://<signature>` keys.
+/// execution tier, compile it. `dvm-core`'s static services implement
+/// it over one decoded form of every method body, which this crate
+/// never sees. The proxy only times, signs, caches and serves the
+/// result — IR under `ir://<signature>` keys.
 pub trait Rewrite: Send + Sync {
     /// Stage names, in the order [`Rewrite::rewrite`] reports them: each
     /// gets a `proxy.stage.<name>_ns` histogram and `stage.<name>` spans.
@@ -342,16 +341,17 @@ impl Proxy {
     ///
     /// `cache_memory_bytes` bounds the memory tier; pass `caching = false`
     /// to disable the cache entirely (the worst-case configuration of the
-    /// §4.2 scaling experiment).
+    /// §4.2 scaling experiment). The proxy, its cache and any store it
+    /// opens count on `telemetry`, the node's plane (`"proxy"`,
+    /// `"shard2"`, …).
     pub fn new(
         origin: Box<dyn CodeOrigin>,
         rewrite: Box<dyn Rewrite>,
         cache_memory_bytes: usize,
         caching: bool,
         signer: Option<Signer>,
+        telemetry: Arc<Telemetry>,
     ) -> Proxy {
-        let telemetry = Arc::new(Telemetry::new("proxy"));
-        telemetry.recorder().set_node("proxy");
         let metrics = ProxyMetrics::register(&telemetry, &*rewrite);
         Proxy {
             origin,
@@ -382,18 +382,6 @@ impl Proxy {
     /// Replaces the rewrite-cost model (builder style).
     pub fn with_rewrite_cost(mut self, cost: RewriteCost) -> Proxy {
         self.rewrite_cost = cost;
-        self
-    }
-
-    /// Replaces the telemetry plane (builder style). Used to rename a
-    /// shard's plane (`"shard0"`, `"shard1"`, …) or to share one plane
-    /// between components that should report as one node. Counts taken
-    /// before the swap stay on the old plane.
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Proxy {
-        telemetry.recorder().set_node(telemetry.node());
-        self.metrics = ProxyMetrics::register(&telemetry, &*self.rewrite);
-        self.cache.get_mut().counters = CacheCounters::register(telemetry.registry());
-        self.telemetry = telemetry;
         self
     }
 
@@ -796,8 +784,7 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::{NullFilter, Pipeline};
-    use dvm_classfile::{ClassBuilder, ClassFile};
+    use dvm_classfile::{ClassBuilder, ClassFile, ClassFileError};
 
     fn origin_with(name: &str, url: &str) -> MapOrigin {
         let mut cf = ClassBuilder::new(name).build();
@@ -806,20 +793,44 @@ mod tests {
         o
     }
 
-    fn null_pipeline() -> Box<dyn Rewrite> {
-        let mut p = Pipeline::new();
-        p.push(Box::new(NullFilter));
-        Box::new(p)
+    /// Parses the class, runs one stage ("null") that changes nothing,
+    /// and generates the class again.
+    struct NullRewrite;
+
+    impl Rewrite for NullRewrite {
+        fn stages(&self) -> Vec<&str> {
+            vec!["null"]
+        }
+
+        fn rewrite(
+            &self,
+            original: &[u8],
+            _: &RequestContext,
+            observe: &mut dyn FnMut(&str, u64),
+        ) -> Result<Rewritten, ProxyError> {
+            let parse_error = |e: ClassFileError| ProxyError::Parse(e.to_string());
+            let mut class = ClassFile::parse(original).map_err(parse_error)?;
+            observe("null", 0);
+            Ok(Rewritten {
+                payload: class.to_bytes().map_err(parse_error)?,
+                ..Rewritten::default()
+            })
+        }
+    }
+
+    fn plane() -> Arc<Telemetry> {
+        Arc::new(Telemetry::new("proxy"))
     }
 
     #[test]
     fn rewrites_then_serves_from_cache() {
         let proxy = Proxy::new(
             Box::new(origin_with("t/A", "http://x/A.class")),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1 << 20,
             true,
             None,
+            plane(),
         );
         let ctx = RequestContext {
             client: "c1".into(),
@@ -848,10 +859,11 @@ mod tests {
         let make = |caching| {
             Proxy::new(
                 Box::new(origin_with("t/A", "u")),
-                null_pipeline(),
+                Box::new(NullRewrite),
                 1 << 20,
                 caching,
                 None,
+                plane(),
             )
         };
         let ctx = RequestContext::default();
@@ -888,10 +900,11 @@ mod tests {
     fn caching_disabled_rewrites_every_time() {
         let proxy = Proxy::new(
             Box::new(origin_with("t/A", "u")),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1 << 20,
             false,
             None,
+            plane(),
         );
         let ctx = RequestContext::default();
         proxy.handle_request("u", &ctx).unwrap();
@@ -903,10 +916,11 @@ mod tests {
     fn missing_resource_errors() {
         let proxy = Proxy::new(
             Box::new(MapOrigin::new()),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1024,
             true,
             None,
+            plane(),
         );
         assert!(matches!(
             proxy.handle_request("nope", &RequestContext::default()),
@@ -919,10 +933,11 @@ mod tests {
         let signer = Signer::new(b"org");
         let proxy = Proxy::new(
             Box::new(origin_with("t/S", "u")),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1024,
             false,
             Some(signer.clone()),
+            plane(),
         );
         let bytes = proxy
             .handle_request("u", &RequestContext::default())
@@ -937,7 +952,14 @@ mod tests {
     fn garbage_input_is_a_parse_error() {
         let mut o = MapOrigin::new();
         o.insert("junk", vec![1, 2, 3, 4]);
-        let proxy = Proxy::new(Box::new(o), null_pipeline(), 1024, true, None);
+        let proxy = Proxy::new(
+            Box::new(o),
+            Box::new(NullRewrite),
+            1024,
+            true,
+            None,
+            plane(),
+        );
         assert!(matches!(
             proxy.handle_request("junk", &RequestContext::default()),
             Err(ProxyError::Parse(_))
@@ -949,10 +971,11 @@ mod tests {
         let make = || {
             Proxy::new(
                 Box::new(origin_with("t/D", "u")),
-                null_pipeline(),
+                Box::new(NullRewrite),
                 1 << 20,
                 false,
                 None,
+                plane(),
             )
         };
         let ctx = RequestContext::default();
@@ -995,10 +1018,11 @@ mod tests {
     fn peer_hit_skips_the_rewrite_and_fills_the_local_cache() {
         let proxy = Proxy::new(
             Box::new(origin_with("t/P", "u")),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1 << 20,
             true,
             None,
+            plane(),
         );
         let canned = b"peer-rewritten".to_vec();
         let peer = Arc::new(FakePeer {
@@ -1025,10 +1049,11 @@ mod tests {
     fn peer_miss_rewrites_and_offers_to_home() {
         let proxy = Proxy::new(
             Box::new(origin_with("t/Q", "u")),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1 << 20,
             true,
             None,
+            plane(),
         );
         let peer = Arc::new(FakePeer {
             hit: None,
@@ -1048,10 +1073,11 @@ mod tests {
     fn cache_peek_and_fill_round_trip() {
         let proxy = Proxy::new(
             Box::new(MapOrigin::new()),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1 << 20,
             true,
             None,
+            plane(),
         );
         let before = (proxy.stats(), proxy.cache_stats());
         assert!(proxy.cache_peek("u").is_none());
@@ -1068,10 +1094,11 @@ mod tests {
         use dvm_telemetry::{TraceContext, TraceId};
         let proxy = Proxy::new(
             Box::new(origin_with("t/T", "u")),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1 << 20,
             true,
             None,
+            plane(),
         );
         let trace = TraceId::generate();
         let ctx = RequestContext {
@@ -1119,10 +1146,11 @@ mod tests {
         let make = || {
             Proxy::new(
                 Box::new(origin_with("t/W", "u")),
-                null_pipeline(),
+                Box::new(NullRewrite),
                 1 << 20,
                 true,
                 Some(Signer::new(b"org")),
+                plane(),
             )
         };
         let ctx = RequestContext::default();
@@ -1172,7 +1200,7 @@ mod tests {
                 Ok(out)
             }
         }
-        Box::new(CannedIr(null_pipeline()))
+        Box::new(CannedIr(Box::new(NullRewrite)))
     }
 
     #[test]
@@ -1183,6 +1211,7 @@ mod tests {
             1 << 20,
             true,
             Some(Signer::new(b"org")),
+            plane(),
         );
         let ctx = RequestContext::default();
         let served = proxy.handle_request_detailed("u", &ctx).unwrap();
@@ -1219,6 +1248,7 @@ mod tests {
             1 << 20,
             true,
             None,
+            plane(),
         );
         let miss = proxy.handle_request("ir://deadbeef", &RequestContext::default());
         assert!(matches!(miss, Err(ProxyError::NotFound(_))));
@@ -1234,6 +1264,7 @@ mod tests {
             1 << 20,
             true,
             None,
+            plane(),
         );
         let trace = TraceId::generate();
         let ctx = RequestContext {
@@ -1267,10 +1298,11 @@ mod tests {
         use std::sync::Arc;
         let proxy = Arc::new(Proxy::new(
             Box::new(origin_with("t/C", "u")),
-            null_pipeline(),
+            Box::new(NullRewrite),
             1 << 20,
             true,
             None,
+            plane(),
         ));
         let mut handles = Vec::new();
         for i in 0..8 {

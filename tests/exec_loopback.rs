@@ -179,8 +179,6 @@ fn second_fetch_serves_cached_ir_with_zero_relowering() {
         "the warm pass re-lowered classes"
     );
     assert!(org.proxy.stats().ir_served > cold_served);
-    let cstats = org.exec_compiler_stats().expect("exec tier enabled");
-    assert_eq!(cstats.compilations, compiled);
     server.shutdown();
 }
 

@@ -3,13 +3,15 @@
 //! edit it in place, each edited body is encoded once, and the IR
 //! compiler lowers the same in-memory bodies.
 //!
-//! Two checks:
+//! Two checks of that:
 //! - the `proxy.rewrite.bodies_decoded`/`_encoded` counters read exactly
 //!   one decode per method with code and one encode per body a service
 //!   edited, on every miss of the golden corpus;
 //! - the unit path serves the same payload bytes, IR bytes and
 //!   Figure-8 statistics as each service's stand-alone `Filter::apply`
 //!   chained with `to_bytes` and `ExecCompiler::compile`.
+//!
+//! A third pins that two shards rewriting one class serve identical IR.
 
 use dvm_classfile::ClassFile;
 use dvm_compiler::ExecCompiler;
@@ -130,6 +132,7 @@ fn unit_rewrite_matches_the_filter_chain() {
         Box::new(AuditFilter::new(fresh.sites.clone(), stats.clone())),
     ];
     let mut compiler = ExecCompiler::new();
+    let (mut packages, mut cycles) = (0, 0);
 
     for (url, original) in &classes {
         let ctx = ctx(url);
@@ -147,6 +150,10 @@ fn unit_rewrite_matches_the_filter_chain() {
         let payload = class.to_bytes().unwrap();
         let pkg = compiler.compile(&hex(&md5(&payload)), &payload).unwrap();
         let chain_ir = (pkg.methods_compiled > 0).then(|| pkg.bytes.clone());
+        if chain_ir.is_some() {
+            packages += 1;
+            cycles += pkg.compile_cycles;
+        }
 
         assert!(served == payload, "{url}: payload bytes differ");
         assert!(ir == chain_ir, "{url}: IR bytes differ");
@@ -158,8 +165,35 @@ fn unit_rewrite_matches_the_filter_chain() {
             "{url}: statistics"
         );
     }
+    let proxy = org.proxy.stats();
     assert_eq!(
-        org.exec_compiler_stats().unwrap().compilations,
-        compiler.stats.compilations
+        (proxy.ir_compiles, proxy.ir_compile_cycles),
+        (packages, cycles)
     );
+}
+
+/// Lowering is deterministic: two shards of one organization that each
+/// rewrite the same class serve the same class bytes, `ir://` key and
+/// IR bytes, with no compile cache shared between them.
+#[test]
+fn shards_rewriting_one_class_serve_identical_ir() {
+    let spec = figure5_apps().remove(0).scaled(1, 20_000);
+    let org = organization(&corpus(std::slice::from_ref(&spec)), true);
+    let url = format!("class://{}", generate(&spec).main_class);
+    let served: Vec<_> = ["shard0", "shard1"]
+        .into_iter()
+        .map(|node| {
+            let shard = org.shard_proxy_named(node);
+            let class = shard.handle_request(&url, &ctx(&url)).unwrap();
+            let key = ir_key(&class);
+            let ir = shard.handle_request(&key, &ctx(&url)).unwrap();
+            assert_eq!(shard.telemetry().node(), node);
+            let compiles = shard.telemetry().registry().snapshot();
+            assert_eq!(compiles.counter("exec.ir.compiles"), 1, "{node}");
+            (class, key, ir)
+        })
+        .collect();
+    assert!(served[0].0 == served[1].0, "class bytes differ");
+    assert_eq!(served[0].1, served[1].1);
+    assert!(served[0].2 == served[1].2, "IR bytes differ");
 }
