@@ -49,42 +49,59 @@ impl Code {
     }
 
     /// Decodes a `Code` attribute into label form.
+    ///
+    /// Every instruction spans at least one byte, so the code length
+    /// bounds the instruction count: the instructions fill one vector
+    /// allocated at that bound, their byte-offset targets are mapped to
+    /// indices in place, and the vector is trimmed to its length (a
+    /// client VM keeps every decoded body for its whole life).
     pub fn decode(attr: &CodeAttribute) -> Result<Code> {
         let bytes = &attr.code;
-        let mut offsets = Vec::new();
-        let mut raw = Vec::new();
+        // A valid body is at most `u16::MAX` bytes long; a longer, hostile
+        // one grows the vector as it decodes rather than reserving 40
+        // bytes per byte of input up front.
+        let mut insns = Vec::with_capacity(bytes.len().min(u16::MAX as usize));
+        // The index of the instruction starting at each byte offset;
+        // `INSIDE` for offsets inside an instruction.
+        const INSIDE: u32 = u32::MAX;
+        let mut index_at = vec![INSIDE; bytes.len()];
         let mut pos = 0usize;
         while pos < bytes.len() {
-            offsets.push(pos);
+            index_at[pos] = insns.len() as u32;
             let (insn, len) = decode_one(bytes, pos)?;
-            raw.push(insn);
+            insns.push(insn);
             pos += len;
         }
-        // Map byte offsets to instruction indices.
         let index_of = |target_offset: usize, from: usize| -> Result<usize> {
-            offsets
-                .binary_search(&target_offset)
-                .map_err(|_| BytecodeError::BadBranchTarget {
+            match index_at.get(target_offset) {
+                Some(&i) if i != INSIDE => Ok(i as usize),
+                _ => Err(BytecodeError::BadBranchTarget {
                     from,
                     target: target_offset as i64,
-                })
-        };
-        let mut insns = Vec::with_capacity(raw.len());
-        for (i, mut insn) in raw.into_iter().enumerate() {
-            let from = offsets[i];
-            let mut err = None;
-            insn.map_targets(|byte_target| match index_of(byte_target, from) {
-                Ok(idx) => idx,
-                Err(e) => {
-                    err = Some(e);
-                    0
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
+                }),
             }
-            insns.push(insn);
+        };
+        for (i, insn) in insns.iter_mut().enumerate() {
+            // The last bad target of an instruction is the one reported.
+            let mut bad = None;
+            insn.map_targets(|byte_target| {
+                index_of(byte_target, 0).unwrap_or_else(|_| {
+                    bad = Some(byte_target);
+                    0
+                })
+            });
+            if let Some(target) = bad {
+                let from = index_at
+                    .iter()
+                    .position(|&at| at == i as u32)
+                    .expect("every instruction has a start offset");
+                return Err(BytecodeError::BadBranchTarget {
+                    from,
+                    target: target as i64,
+                });
+            }
         }
+        insns.shrink_to_fit();
         let mut handlers = Vec::with_capacity(attr.exception_table.len());
         for e in &attr.exception_table {
             let start = index_of(e.start_pc as usize, e.start_pc as usize)?;
@@ -112,7 +129,10 @@ impl Code {
     ///
     /// Offsets are laid out iteratively (switch padding and `goto` width
     /// depend on position); `max_stack` is recomputed with
-    /// [`Code::compute_max_stack`].
+    /// [`Code::compute_max_stack`]. A round that widens no `goto` and
+    /// ends at most `i16::MAX` bytes in is final: every displacement fits,
+    /// and switch padding was computed at the offsets a confirming round
+    /// would find again. Most bodies take one round.
     pub fn encode(&self, pool: &ConstPool) -> Result<CodeAttribute> {
         self.validate_targets()?;
         // Iterative layout: sizes depend on offsets (switch padding, wide
@@ -120,8 +140,9 @@ impl Code {
         let n = self.insns.len();
         let mut offsets = vec![0u32; n + 1];
         let mut wide_goto = vec![false; n];
-        for _round in 0..32 {
+        for round in 0..32 {
             let mut changed = false;
+            let mut widened = false;
             let mut pos = 0u32;
             for (i, insn) in self.insns.iter().enumerate() {
                 if offsets[i] != pos {
@@ -129,11 +150,14 @@ impl Code {
                     changed = true;
                 }
                 // Widen goto/jsr whose displacement no longer fits i16.
+                // A forward target still holds the previous round's offset
+                // (0 in the first round).
                 if let Insn::Goto(t) | Insn::Jsr(t) = insn {
                     let disp = offsets[*t] as i64 - pos as i64;
                     if !(-32768..=32767).contains(&disp) && !wide_goto[i] {
                         wide_goto[i] = true;
                         changed = true;
+                        widened = true;
                     }
                 }
                 pos += encoded_size(insn, pos, wide_goto[i])? as u32;
@@ -142,10 +166,10 @@ impl Code {
                 offsets[n] = pos;
                 changed = true;
             }
-            if !changed {
+            if !changed || (!widened && pos <= i16::MAX as u32) {
                 break;
             }
-            if _round == 31 {
+            if round == 31 {
                 return Err(BytecodeError::LayoutDiverged);
             }
         }
@@ -211,56 +235,62 @@ impl Code {
 
     /// Computes the maximum operand-stack depth with a worklist dataflow,
     /// verifying depth consistency at merges and absence of underflow.
+    ///
+    /// A fall-through successor is walked straight on rather than pushed
+    /// and popped again: it is the next entry the worklist would pop, so
+    /// the visiting order (and the first error found) is the worklist's.
     pub fn compute_max_stack(&self, pool: &ConstPool) -> Result<u16> {
         let n = self.insns.len();
         if n == 0 {
             return Ok(0);
         }
         let mut depth: Vec<Option<u16>> = vec![None; n];
-        let mut work: Vec<(usize, u16)> = vec![(0, 0)];
+        let mut work: Vec<(usize, u16)> = Vec::with_capacity(self.handlers.len() + 8);
+        work.push((0, 0));
         // Exception handlers start with the thrown reference on the stack.
         for h in &self.handlers {
             work.push((h.handler, 1));
         }
         let mut max = 0u16;
-        while let Some((i, d)) = work.pop() {
-            if i >= n {
-                continue;
-            }
-            match depth[i] {
-                Some(existing) => {
-                    if existing != d {
-                        return Err(BytecodeError::StackMismatch {
-                            index: i,
-                            expected: existing,
-                            found: d,
-                        });
+        while let Some((mut i, mut d)) = work.pop() {
+            while i < n {
+                match depth[i] {
+                    Some(existing) => {
+                        if existing != d {
+                            return Err(BytecodeError::StackMismatch {
+                                index: i,
+                                expected: existing,
+                                found: d,
+                            });
+                        }
+                        break;
                     }
+                    None => depth[i] = Some(d),
+                }
+                let insn = &self.insns[i];
+                // Subroutines need special depth modeling: the return
+                // address is consumed inside the subroutine, so the
+                // instruction after a `jsr` resumes at the pre-call depth
+                // (assuming depth-neutral subroutines, the only form javac
+                // emitted); `ret` has no static successors.
+                if let Insn::Jsr(t) = insn {
+                    max = max.max(d + 1);
+                    work.push((*t, d + 1));
+                    i += 1;
                     continue;
                 }
-                None => depth[i] = Some(d),
-            }
-            let insn = &self.insns[i];
-            // Subroutines need special depth modeling: the return address
-            // is consumed inside the subroutine, so the instruction after a
-            // `jsr` resumes at the pre-call depth (assuming depth-neutral
-            // subroutines, the only form javac emitted); `ret` has no
-            // static successors.
-            if let Insn::Jsr(t) = insn {
-                max = max.max(d + 1);
-                work.push((*t, d + 1));
-                work.push((i + 1, d));
-                continue;
-            }
-            let (pops, pushes) = insn.stack_effect(pool)?;
-            if d < pops {
-                return Err(BytecodeError::StackUnderflow { index: i });
-            }
-            let after = d - pops + pushes;
-            max = max.max(d.max(after));
-            insn.for_each_target(|t| work.push((t, after)));
-            if insn.can_fall_through() && !matches!(insn, Insn::Ret(_)) {
-                work.push((i + 1, after));
+                let (pops, pushes) = insn.stack_effect(pool)?;
+                if d < pops {
+                    return Err(BytecodeError::StackUnderflow { index: i });
+                }
+                let after = d - pops + pushes;
+                max = max.max(d.max(after));
+                insn.for_each_target(|t| work.push((t, after)));
+                if !insn.can_fall_through() || matches!(insn, Insn::Ret(_)) {
+                    break;
+                }
+                i += 1;
+                d = after;
             }
         }
         Ok(max)
@@ -1087,6 +1117,122 @@ mod tests {
             max_locals: 2,
         };
         assert_eq!(round_trip(code.clone(), &pool), code);
+    }
+
+    #[test]
+    fn decoded_bodies_carry_no_slack() {
+        // Client VMs keep every decoded body for their whole life.
+        let pool = ConstPool::new();
+        let mut insns = vec![Insn::IConst(1000), Insn::Store(Kind::Int, 1)];
+        insns.extend((0..300).map(|k| Insn::IInc(1, k % 100)));
+        insns.push(Insn::Return(None));
+        let code = Code {
+            insns,
+            handlers: vec![],
+            max_locals: 2,
+        };
+        let decoded = round_trip(code.clone(), &pool);
+        assert_eq!(decoded, code);
+        assert_eq!(decoded.insns.capacity(), decoded.insns.len());
+    }
+
+    /// Reference layout: rounds to a fixpoint, with no early stop.
+    fn reference_layout(code: &Code) -> (Vec<u32>, Vec<bool>) {
+        let n = code.insns.len();
+        let mut offsets = vec![0u32; n + 1];
+        let mut wide_goto = vec![false; n];
+        loop {
+            let mut changed = false;
+            let mut pos = 0u32;
+            for (i, insn) in code.insns.iter().enumerate() {
+                if offsets[i] != pos {
+                    offsets[i] = pos;
+                    changed = true;
+                }
+                if let Insn::Goto(t) | Insn::Jsr(t) = insn {
+                    let disp = offsets[*t] as i64 - pos as i64;
+                    if !(-32768..=32767).contains(&disp) && !wide_goto[i] {
+                        wide_goto[i] = true;
+                        changed = true;
+                    }
+                }
+                pos += encoded_size(insn, pos, wide_goto[i]).unwrap() as u32;
+            }
+            if offsets[n] != pos {
+                offsets[n] = pos;
+                changed = true;
+            }
+            if !changed {
+                return (offsets, wide_goto);
+            }
+        }
+    }
+
+    fn reference_bytes(code: &Code) -> Vec<u8> {
+        let (offsets, wide_goto) = reference_layout(code);
+        let mut out = Vec::new();
+        for (i, insn) in code.insns.iter().enumerate() {
+            encode_one(insn, i, &offsets, wide_goto[i], &mut out).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn one_round_layout_matches_the_fixpoint_layout() {
+        let pool = ConstPool::new();
+        // Switch padding depends on position: bodies with 0..4 leading
+        // nops and both switch forms.
+        for lead in 0..4 {
+            let mut insns = vec![Insn::Nop; lead];
+            let base = insns.len();
+            insns.push(Insn::IConst(1));
+            insns.push(Insn::TableSwitch {
+                default: base + 4,
+                low: 0,
+                targets: vec![base + 2, base + 3],
+            });
+            insns.push(Insn::Goto(base + 4));
+            insns.push(Insn::Goto(base));
+            insns.push(Insn::IConst(2));
+            insns.push(Insn::LookupSwitch {
+                default: base + 7,
+                pairs: vec![(-1, base + 7), (9, base + 8)],
+            });
+            insns.push(Insn::Return(None));
+            insns.push(Insn::Return(None));
+            insns.push(Insn::Return(None));
+            let code = Code {
+                insns,
+                handlers: vec![],
+                max_locals: 0,
+            };
+            assert_eq!(code.encode(&pool).unwrap().code, reference_bytes(&code));
+        }
+    }
+
+    #[test]
+    fn large_bodies_keep_their_widened_gotos() {
+        // Past 32 767 bytes the first round reads a forward target's
+        // offset as 0, so a forward `goto` there widens even though its
+        // displacement would fit. Served bytes depend on that widening.
+        let pool = ConstPool::new();
+        let filler = 33_000;
+        let mut insns = vec![Insn::Goto(filler + 2)];
+        insns.extend(std::iter::repeat_n(Insn::Nop, filler));
+        insns.push(Insn::Goto(filler + 3));
+        insns.push(Insn::Goto(0));
+        insns.push(Insn::Return(None));
+        let code = Code {
+            insns,
+            handlers: vec![],
+            max_locals: 0,
+        };
+        let attr = code.encode(&pool).unwrap();
+        assert_eq!(attr.code, reference_bytes(&code));
+        let goto_at = 5 + filler;
+        assert_eq!(attr.code[0], op::GOTO_W);
+        assert_eq!(attr.code[goto_at], op::GOTO_W, "the spurious widening");
+        assert_eq!(Code::decode(&attr).unwrap(), code);
     }
 
     #[test]

@@ -419,9 +419,29 @@ impl Insn {
         v
     }
 
+    /// Returns `true` for the instructions with explicit branch targets.
+    fn has_targets(&self) -> bool {
+        matches!(
+            self,
+            Insn::If(..)
+                | Insn::IfICmp(..)
+                | Insn::IfACmp(..)
+                | Insn::IfNull(_)
+                | Insn::IfNonNull(_)
+                | Insn::Goto(_)
+                | Insn::Jsr(_)
+                | Insn::TableSwitch { .. }
+                | Insn::LookupSwitch { .. }
+        )
+    }
+
     /// Calls `f` with every explicit branch target, in
     /// [`Insn::branch_targets`] order, without allocating.
     pub fn for_each_target(&self, mut f: impl FnMut(usize)) {
+        // A cheap test first: most instructions have no target.
+        if !self.has_targets() {
+            return;
+        }
         match self {
             Insn::If(_, t)
             | Insn::IfICmp(_, t)
@@ -450,6 +470,9 @@ impl Insn {
 
     /// Rewrites every branch target through `f`.
     pub fn map_targets(&mut self, mut f: impl FnMut(usize) -> usize) {
+        if !self.has_targets() {
+            return;
+        }
         match self {
             Insn::If(_, t)
             | Insn::IfICmp(_, t)
@@ -555,14 +578,13 @@ impl Insn {
 
 fn field_width(pool: &ConstPool, index: u16) -> Result<u16> {
     let (_, _, desc) = pool.get_member_ref(index)?;
-    let ft = dvm_classfile::descriptor::FieldType::parse(desc)?;
-    Ok(ft.slot_width())
+    Ok(dvm_classfile::descriptor::FieldType::slot_width_of(desc)?)
 }
 
 fn invoke_effect(pool: &ConstPool, index: u16) -> Result<(u16, u16)> {
     let (_, _, desc) = pool.get_member_ref(index)?;
-    let md = MethodDescriptor::parse(desc)?;
-    Ok((md.param_slots(), md.return_slots()))
+    let arity = MethodDescriptor::arity(desc)?;
+    Ok((arity.param_slots, arity.return_slots))
 }
 
 #[cfg(test)]

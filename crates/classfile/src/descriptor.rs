@@ -105,6 +105,20 @@ impl FieldType {
         Ok(t)
     }
 
+    /// The slot width of the complete field descriptor `s`, found without
+    /// building a [`FieldType`]: what stack-depth passes need per field
+    /// access. Accepts and rejects exactly what [`FieldType::parse`] does,
+    /// with the same error.
+    pub fn slot_width_of(s: &str) -> Result<u16> {
+        match scan_prefix(s.as_bytes()) {
+            Some(scan) if scan.used == s.len() => {
+                scan.probe();
+                Ok(scan.width)
+            }
+            _ => FieldType::parse(s).map(|t| t.slot_width()),
+        }
+    }
+
     /// Writes the descriptor form of this type into `out`.
     pub fn write_descriptor(&self, out: &mut String) {
         match self {
@@ -153,6 +167,87 @@ impl fmt::Display for FieldType {
     }
 }
 
+/// One field type scanned from the front of a descriptor.
+struct Scan {
+    /// Slot width: 2 for `long`/`double`, 1 otherwise (arrays included).
+    width: u16,
+    /// Bytes the type spans.
+    used: usize,
+    /// Leading `[`s.
+    dims: usize,
+}
+
+impl Scan {
+    /// Records the coverage [`FieldType::parse_prefix`] records for the
+    /// same type: one probe per array dimension.
+    fn probe(&self) {
+        for _ in 0..self.dims {
+            dvm_fuzz::cov!("descriptor.array");
+        }
+    }
+}
+
+/// [`FieldType::parse_prefix`] without allocating; `None` wherever it
+/// errors.
+fn scan_prefix(s: &[u8]) -> Option<Scan> {
+    let dims = s.iter().take_while(|&&b| b == b'[').count();
+    let (width, len) = match s.get(dims)? {
+        b'B' | b'C' | b'F' | b'I' | b'S' | b'Z' => (1, 1),
+        b'D' | b'J' => (2, 1),
+        b'L' => match s[dims..].iter().position(|&b| b == b';')? {
+            1 => return None,
+            end => (1, end + 1),
+        },
+        _ => return None,
+    };
+    Some(Scan {
+        width: if dims > 0 { 1 } else { width },
+        used: dims + len,
+        dims,
+    })
+}
+
+/// What a method descriptor says about the operand stack, counted by
+/// [`MethodDescriptor::arity`] without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arity {
+    /// Number of parameters (a `long` counts once).
+    pub params: usize,
+    /// Slots the parameters occupy ([`MethodDescriptor::param_slots`]).
+    pub param_slots: u16,
+    /// Slots the return value occupies ([`MethodDescriptor::return_slots`]).
+    pub return_slots: u16,
+}
+
+/// [`MethodDescriptor::parse`] reduced to counts; `None` wherever it errors.
+fn scan_method(s: &[u8]) -> Option<(Arity, usize)> {
+    let rest = s.strip_prefix(b"(")?;
+    let close = rest.iter().position(|&b| b == b')')?;
+    let (mut params, ret) = (&rest[..close], &rest[close + 1..]);
+    let mut arity = Arity {
+        params: 0,
+        param_slots: 0,
+        return_slots: 0,
+    };
+    let mut dims = 0;
+    while !params.is_empty() {
+        let scan = scan_prefix(params)?;
+        arity.params += 1;
+        arity.param_slots = arity.param_slots.wrapping_add(scan.width);
+        dims += scan.dims;
+        params = &params[scan.used..];
+    }
+    if ret != b"V" {
+        let scan = scan_prefix(ret)?;
+        if scan.used != ret.len() {
+            return None;
+        }
+        arity.return_slots = scan.width;
+        dims += scan.dims;
+    }
+    Some((arity, dims))
+}
+
 /// A parsed method descriptor: parameter types and return type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MethodDescriptor {
@@ -182,6 +277,26 @@ impl MethodDescriptor {
             Some(FieldType::parse(ret_str)?)
         };
         Ok(MethodDescriptor { params, ret })
+    }
+
+    /// The parameter count and slot widths of the method descriptor `s`,
+    /// counted without building a [`MethodDescriptor`]: what stack-depth
+    /// passes need per call site. Accepts and rejects exactly what
+    /// [`MethodDescriptor::parse`] does, with the same error.
+    pub fn arity(s: &str) -> Result<Arity> {
+        match scan_method(s.as_bytes()) {
+            Some((arity, dims)) => {
+                for _ in 0..dims {
+                    dvm_fuzz::cov!("descriptor.array");
+                }
+                Ok(arity)
+            }
+            None => MethodDescriptor::parse(s).map(|d| Arity {
+                params: d.params.len(),
+                param_slots: d.param_slots(),
+                return_slots: d.return_slots(),
+            }),
+        }
     }
 
     /// Total number of local-variable slots the parameters occupy, counting
@@ -283,6 +398,42 @@ mod tests {
         assert!(MethodDescriptor::parse("I").is_err());
         assert!(MethodDescriptor::parse("(I").is_err());
         assert!(MethodDescriptor::parse("(I)VV").is_err());
+    }
+
+    #[test]
+    fn counts_agree_with_the_parser() {
+        let cases = [
+            "()V",
+            "(ILjava/lang/String;[J)D",
+            "(JD)V",
+            "([[Ljava/lang/Object;)[D",
+            "(ZBCSIF)J",
+            "()",
+            "I",
+            "(I",
+            "(I)VV",
+            "(L;)V",
+            "(Q)V",
+            "([)V",
+            "(Ljava/lang/String)V",
+            "(I)Ljava/lang/String",
+            "(I)[",
+            "",
+        ];
+        for s in cases {
+            let want = MethodDescriptor::parse(s).map(|d| Arity {
+                params: d.params.len(),
+                param_slots: d.param_slots(),
+                return_slots: d.return_slots(),
+            });
+            assert_eq!(MethodDescriptor::arity(s), want, "{s:?}");
+        }
+        for s in [
+            "I", "J", "D", "[J", "[[D", "Lx;", "", "L;", "II", "[", "Lx", "Q",
+        ] {
+            let want = FieldType::parse(s).map(|t| t.slot_width());
+            assert_eq!(FieldType::slot_width_of(s), want, "{s:?}");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use access::AccessFlags;
 pub use attributes::{Attribute, CodeAttribute, ExceptionTableEntry};
 pub use builder::ClassBuilder;
 pub use class::ClassFile;
-pub use descriptor::{FieldType, MethodDescriptor};
+pub use descriptor::{Arity, FieldType, MethodDescriptor};
 pub use error::{ClassFileError, Result};
 pub use member::MemberInfo;
 pub use pool::{ConstPool, Constant};

@@ -26,6 +26,10 @@ pub const MAGIC: &[u8; 4] = b"DVMX";
 /// Current format version.
 pub const VERSION: u8 = 1;
 
+/// The largest encoding of an instruction without a variable-length
+/// operand list (a wide `Const` or a two-immediate `Service`).
+const MAX_FIXED_INSN: usize = 12;
+
 /// Hard cap on decoded sizes: malformed length fields must not cause
 /// huge allocations before the truncation check catches them.
 const MAX_ITEMS: usize = 1 << 20;
@@ -469,8 +473,22 @@ fn write_insn(w: &mut W, insn: &RInsn) {
 
 /// Serializes a [`ClassIr`] into a cacheable package.
 pub fn encode(ir: &ClassIr) -> Vec<u8> {
+    // Sized up front: no fixed-size instruction takes more than
+    // `MAX_FIXED_INSN` bytes, so only calls with many arguments and
+    // switches can outgrow the estimate.
+    let size = 8
+        + ir.class.len()
+        + ir.methods
+            .iter()
+            .map(|m| {
+                16 + m.name.len()
+                    + m.descriptor.len()
+                    + m.insns.len() * MAX_FIXED_INSN
+                    + m.handlers.len() * 14
+            })
+            .sum::<usize>();
     let mut w = W {
-        buf: Vec::with_capacity(256),
+        buf: Vec::with_capacity(size),
     };
     w.buf.extend_from_slice(MAGIC);
     w.u8(VERSION);

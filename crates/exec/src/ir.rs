@@ -574,10 +574,26 @@ impl RInsn {
         }
     }
 
+    /// Returns `true` for the instructions with explicit branch targets.
+    fn has_targets(&self) -> bool {
+        matches!(
+            self,
+            RInsn::If { .. }
+                | RInsn::IfRef { .. }
+                | RInsn::Goto { .. }
+                | RInsn::TableSwitch { .. }
+                | RInsn::LookupSwitch { .. }
+        )
+    }
+
     /// Calls `f` with every explicit branch target (IR indices), in the
     /// order [`RInsn::map_targets`] visits them. Allocates nothing.
     pub fn for_each_target(&self, mut f: impl FnMut(usize)) {
         use RInsn::*;
+        // A cheap test first: most instructions have no target.
+        if !self.has_targets() {
+            return;
+        }
         match self {
             If { target, .. } | IfRef { target, .. } | Goto { target } => f(*target),
             TableSwitch {
@@ -601,6 +617,9 @@ impl RInsn {
     /// Rewrites every branch target through `f`.
     pub fn map_targets(&mut self, mut f: impl FnMut(usize) -> usize) {
         use RInsn::*;
+        if !self.has_targets() {
+            return;
+        }
         match self {
             If { target, .. } | IfRef { target, .. } | Goto { target } => *target = f(*target),
             TableSwitch {

@@ -30,8 +30,8 @@ pub use error::{ExecError, Result};
 pub use ir::{
     ClassIr, CmpKind, Function, InvokeKind, RConst, RHandler, RInsn, SOp, ServiceKind, VReg,
 };
-pub use lower::lower;
-pub use passes::{optimize, PassStats};
+pub use lower::{lower, Lowerer};
+pub use passes::{optimize, Optimizer, PassStats};
 
 use dvm_bytecode::Bodies;
 use dvm_classfile::ClassFile;
@@ -63,7 +63,11 @@ pub fn compile_class(cf: &ClassFile) -> Result<(ClassIr, CompileStats)> {
 pub fn compile_bodies(cf: &ClassFile, bodies: &mut Bodies) -> Result<(ClassIr, CompileStats)> {
     let class = cf.name()?.to_owned();
     let mut stats = CompileStats::default();
-    let mut methods = Vec::new();
+    let mut methods = Vec::with_capacity(cf.methods.len());
+    // One lowering and one optimizer per class: their buffers and the
+    // class's call shapes serve every method.
+    let mut lowerer = lower::Lowerer::new(&cf.pool);
+    let mut optimizer = passes::Optimizer::default();
     for (mi, m) in cf.methods.iter().enumerate() {
         let (Ok(name), Ok(descriptor)) = (m.name(&cf.pool), m.descriptor(&cf.pool)) else {
             stats.skipped += 1;
@@ -74,12 +78,14 @@ pub fn compile_bodies(cf: &ClassFile, bodies: &mut Bodies) -> Result<(ClassIr, C
                 stats.skipped += 1; // native or abstract
                 continue;
             }
-            Ok(Some(code)) => lower::lower(code, &cf.pool, name, descriptor),
+            Ok(Some(code)) => lowerer.lower(code, name, descriptor),
             Err(e) => Err(e.into()),
         };
         match lowered {
             Ok(mut func) => {
-                stats.passes.absorb(&passes::optimize(&mut func, &cf.pool));
+                stats
+                    .passes
+                    .absorb(&optimizer.optimize(&mut func, &cf.pool));
                 stats.lowered += 1;
                 methods.push(func);
             }

@@ -1,17 +1,23 @@
 //! Abstract-stack → register lowering.
 //!
 //! Verified bytecode reaches every instruction with one fixed
-//! operand-stack *shape*, so lowering is a two-pass dataflow: pass 1
-//! computes the shape (which slots hold wide values) at every reachable
-//! instruction, erroring on merge disagreement; pass 2 emits register
-//! instructions, with stack slot `d` living in register
+//! operand-stack *shape* (which slots hold wide values), so lowering is
+//! two passes over a method's basic blocks. Pass 1 is a shape-only
+//! dataflow: it walks each reachable block from its leader, applying
+//! each instruction's effect on the shape alone (no IR, no registers),
+//! and records the shape only at block leaders, where paths merge,
+//! erroring on merge disagreement. Pass 2 walks the body in order,
+//! restarting from the recorded shape at each leader, and emits
+//! register instructions, with stack slot `d` living in register
 //! `max_locals + d`. Exception handlers enter with the thrown reference
 //! at stack depth 0 — register `max_locals`.
 //!
-//! Lowering allocates per method, never per instruction: the entry
-//! shapes of all instructions share one buffer, both passes transfer
-//! through one reused scratch shape, and each call site's descriptor is
-//! parsed once for both passes.
+//! Lowering allocates per class or per method, never per instruction: a
+//! [`Lowerer`] carries the buffers every method of one class reuses
+//! (leader entries, recorded shapes, the worklist, the scratch shape,
+//! the IR start of each instruction) and the class's call shapes by
+//! constant-pool index, each descriptor counted once per class; the
+//! emitted instructions fill one vector sized from the body.
 //!
 //! Lowering is total over hostile input: every malformed body —
 //! truncated attributes, unreachable blocks, absurd stack depths, broken
@@ -19,8 +25,6 @@
 //! constructs the tier does not lower (`jsr`/`ret` subroutines,
 //! `multianewarray`, `ldc` of class constants) also error, leaving those
 //! methods on the interpreter tier.
-
-use std::collections::HashMap;
 
 use dvm_bytecode::insn::{ArithOp, Insn, Kind};
 use dvm_bytecode::Code;
@@ -43,24 +47,106 @@ enum Tag {
 
 type Shape = Vec<Tag>;
 
-/// The entry shapes of a method's reachable instructions, packed into one
-/// buffer: instruction `i`'s shape is `tags[start..start + len]` once
-/// `at[i]` is `Some((start, len))`. A recorded shape never changes (every
-/// later path must agree with it), so recording only appends.
-struct Shapes {
-    tags: Vec<Tag>,
-    at: Vec<Option<(usize, usize)>>,
+/// Pops one value's tags, returning whether it was wide.
+fn pop_tag(shape: &mut Shape, at: usize) -> Result<bool> {
+    match shape.pop() {
+        Some(Tag::Single) => Ok(false),
+        Some(Tag::WideTail) => match shape.pop() {
+            Some(Tag::WideBase) => Ok(true),
+            _ => Err(ExecError::BadStack {
+                at,
+                reason: "broken wide pair".into(),
+            }),
+        },
+        _ => Err(ExecError::BadStack {
+            at,
+            reason: "stack underflow".into(),
+        }),
+    }
 }
 
-impl Shapes {
-    fn get(&self, i: usize) -> Option<&[Tag]> {
-        self.at[i].map(|(start, len)| &self.tags[start..start + len])
+fn push_tag(shape: &mut Shape, wide: bool) {
+    if wide {
+        shape.push(Tag::WideBase);
+        shape.push(Tag::WideTail);
+    } else {
+        shape.push(Tag::Single);
+    }
+}
+
+/// Errors unless the top of the stack is a one-slot value.
+fn top_single(shape: &Shape, at: usize, what: &str) -> Result<()> {
+    if shape.last() != Some(&Tag::Single) {
+        return Err(ExecError::BadStack {
+            at,
+            reason: format!("{what} of wide or empty stack"),
+        });
+    }
+    Ok(())
+}
+
+/// A popped value: the stack depth after its pop, and whether it is
+/// wide.
+type Popped = (usize, bool);
+
+/// The values a `dup_x1`..`dup2_x2` pops, top first: a block of up to
+/// two slots and as many skipped beneath it.
+struct DupPops {
+    values: [Popped; 4],
+    count: usize,
+    /// How many of the values form the duplicated block.
+    block: usize,
+}
+
+impl DupPops {
+    fn pop(insn: &Insn, shape: &mut Shape, at: usize) -> Result<DupPops> {
+        let mut pops = DupPops {
+            values: [(0, false); 4],
+            count: 0,
+            block: 0,
+        };
+        let top_slots: u16 = match insn {
+            Insn::DupX1 | Insn::DupX2 => 1,
+            _ => 2,
+        };
+        let mut slots = 0;
+        while slots < top_slots {
+            slots += if pops.one(shape, at)? { 2 } else { 1 };
+        }
+        pops.block = pops.count;
+        match insn {
+            Insn::Dup2 => {}
+            Insn::DupX1 | Insn::Dup2X1 => {
+                pops.one(shape, at)?;
+            }
+            Insn::DupX2 | Insn::Dup2X2 => {
+                if !pops.one(shape, at)? {
+                    pops.one(shape, at)?;
+                }
+            }
+            _ => unreachable!("only the dup forms pop a block"),
+        }
+        Ok(pops)
     }
 
-    fn record(&mut self, i: usize, shape: &[Tag]) {
-        self.at[i] = Some((self.tags.len(), shape.len()));
-        self.tags.extend_from_slice(shape);
+    fn one(&mut self, shape: &mut Shape, at: usize) -> Result<bool> {
+        let wide = pop_tag(shape, at)?;
+        self.values[self.count] = (shape.len(), wide);
+        self.count += 1;
+        Ok(wide)
     }
+
+    /// The block and the skipped values, each top first.
+    fn split(&self) -> (&[Popped], &[Popped]) {
+        self.values[..self.count].split_at(self.block)
+    }
+}
+
+/// Whether the field a `getstatic`/`getfield` at pool index `idx` reads
+/// is wide.
+fn field_is_wide(pool: &ConstPool, idx: u16) -> Result<bool> {
+    let (_, _, d) = pool.get_member_ref(idx)?;
+    Ok(matches!(d.as_bytes().first(), Some(b'J' | b'D')))
 }
 
 /// What a call site's descriptor says about the operand stack.
@@ -71,23 +157,133 @@ struct CallShape {
     ret_wide: Option<bool>,
 }
 
-struct Lower<'a> {
+/// One class's constant pool with its call shapes, by pool index,
+/// counted on first use and kept for every method of the class.
+struct Calls<'a> {
     pool: &'a ConstPool,
+    shapes: Vec<Option<CallShape>>,
+}
+
+impl Calls<'_> {
+    fn get(&mut self, idx: u16) -> Result<CallShape> {
+        let i = idx as usize;
+        if let Some(Some(call)) = self.shapes.get(i) {
+            return Ok(*call);
+        }
+        let (_, _, d) = self.pool.get_member_ref(idx)?;
+        let arity = MethodDescriptor::arity(d)?;
+        let call = CallShape {
+            params: arity.params,
+            ret_wide: match arity.return_slots {
+                0 => None,
+                slots => Some(slots == 2),
+            },
+        };
+        if self.shapes.len() <= i {
+            self.shapes.resize(self.pool.len().max(i + 1), None);
+        }
+        self.shapes[i] = Some(call);
+        Ok(call)
+    }
+
+    /// Pass 1's transfer: `insn`'s effect on the stack shape alone.
+    fn shape_effect(&mut self, at: usize, insn: &Insn, shape: &mut Shape) -> Result<()> {
+        /// The value an instruction pushes after its pops.
+        enum Push {
+            Nothing,
+            Value(bool),
+            /// A value as wide as the last one popped (the left operand).
+            LikeOperand,
+        }
+        use Insn::*;
+        let (pops, push) = match insn {
+            Nop | IInc(..) | Goto(_) => (0, Push::Nothing),
+            AConstNull | IConst(_) | FConst(_) | Ldc(_) | New(_) => (0, Push::Value(false)),
+            LConst(_) | DConst(_) | Ldc2(_) => (0, Push::Value(true)),
+            Load(kind, _) => (0, Push::Value(matches!(kind, Kind::Long | Kind::Double))),
+            Store(..) | Pop | If(..) | IfNull(_) | IfNonNull(_) | PutStatic(_) | AThrow => {
+                (1, Push::Nothing)
+            }
+            TableSwitch { .. } | LookupSwitch { .. } | MonitorEnter | MonitorExit => {
+                (1, Push::Nothing)
+            }
+            Return(kind) => (usize::from(kind.is_some()), Push::Nothing),
+            IfICmp(..) | IfACmp(..) | PutField(_) => (2, Push::Nothing),
+            ArrayLoad(k) => (2, Push::Value(k.width() == 2)),
+            ArrayStore(_) => (3, Push::Nothing),
+            Arith(_, ArithOp::Neg) => (1, Push::LikeOperand),
+            Arith(..) | Shift(..) | Logic(..) => (2, Push::LikeOperand),
+            Convert(_, to) => (1, Push::Value(to.width() == 2)),
+            LCmp | FCmp(_) | DCmp(_) => (2, Push::Value(false)),
+            NewArray(_) | ANewArray(_) | ArrayLength | InstanceOf(_) => (1, Push::Value(false)),
+            GetStatic(idx) => (0, Push::Value(field_is_wide(self.pool, *idx)?)),
+            GetField(idx) => (1, Push::Value(field_is_wide(self.pool, *idx)?)),
+            InvokeVirtual(idx) | InvokeSpecial(idx) | InvokeInterface(idx) | InvokeStatic(idx) => {
+                let call = self.get(*idx)?;
+                let receiver = usize::from(!matches!(insn, InvokeStatic(_)));
+                let push = call.ret_wide.map_or(Push::Nothing, Push::Value);
+                (call.params + receiver, push)
+            }
+            Pop2 => {
+                if !pop_tag(shape, at)? {
+                    pop_tag(shape, at)?;
+                }
+                return Ok(());
+            }
+            Dup => {
+                top_single(shape, at, "dup")?;
+                shape.push(Tag::Single);
+                return Ok(());
+            }
+            CheckCast(_) => return top_single(shape, at, "checkcast"),
+            Swap => {
+                if shape.len() < 2 {
+                    return Err(ExecError::BadStack {
+                        at,
+                        reason: "swap underflow".into(),
+                    });
+                }
+                return Ok(());
+            }
+            DupX1 | DupX2 | Dup2 | Dup2X1 | Dup2X2 => {
+                let pops = DupPops::pop(insn, shape, at)?;
+                let (block, skipped) = pops.split();
+                for group in [block, skipped, block] {
+                    for &(_, wide) in group.iter().rev() {
+                        push_tag(shape, wide);
+                    }
+                }
+                return Ok(());
+            }
+            Jsr(_) | Ret(_) => return Err(ExecError::Unsupported("jsr/ret subroutines".into())),
+            MultiANewArray(..) => return Err(ExecError::Unsupported("multianewarray".into())),
+        };
+        let mut wide = false;
+        for _ in 0..pops {
+            wide = pop_tag(shape, at)?;
+        }
+        match push {
+            Push::Nothing => {}
+            Push::Value(w) => push_tag(shape, w),
+            Push::LikeOperand => push_tag(shape, wide),
+        }
+        Ok(())
+    }
+}
+
+/// Pass 2's emitter for one method.
+struct Lower<'c, 'a> {
+    calls: &'c mut Calls<'a>,
     max_locals: u16,
     ops: Vec<RInsn>,
-    emit: bool,
     /// Highest register index used + 1, tracked as u32 to detect
     /// overflow of the 16-bit register namespace.
     peak: u32,
-    /// Call shapes by `Methodref` index, parsed once for both passes.
-    calls: HashMap<u16, CallShape>,
 }
 
-impl Lower<'_> {
+impl Lower<'_, '_> {
     fn push(&mut self, op: RInsn) {
-        if self.emit {
-            self.ops.push(op);
-        }
+        self.ops.push(op);
     }
 
     /// Register for stack slot `slot`, range-checked.
@@ -115,30 +311,13 @@ impl Lower<'_> {
     }
 
     fn pop_value(&mut self, shape: &mut Shape, at: usize) -> Result<(VReg, bool)> {
-        match shape.pop() {
-            Some(Tag::Single) => Ok((self.sreg(shape.len())?, false)),
-            Some(Tag::WideTail) => match shape.pop() {
-                Some(Tag::WideBase) => Ok((self.sreg(shape.len())?, true)),
-                _ => Err(ExecError::BadStack {
-                    at,
-                    reason: "broken wide pair".into(),
-                }),
-            },
-            _ => Err(ExecError::BadStack {
-                at,
-                reason: "stack underflow".into(),
-            }),
-        }
+        let wide = pop_tag(shape, at)?;
+        Ok((self.sreg(shape.len())?, wide))
     }
 
     fn push_value(&mut self, shape: &mut Shape, wide: bool) -> Result<VReg> {
         let r = self.sreg(shape.len())?;
-        if wide {
-            shape.push(Tag::WideBase);
-            shape.push(Tag::WideTail);
-        } else {
-            shape.push(Tag::Single);
-        }
+        push_tag(shape, wide);
         Ok(r)
     }
 
@@ -183,7 +362,7 @@ impl Lower<'_> {
                 });
             }
             Insn::Ldc(idx) => {
-                let v = match self.pool.get(*idx)? {
+                let v = match self.calls.pool.get(*idx)? {
                     Constant::Integer(v) => RConst::Int(*v),
                     Constant::Float(v) => RConst::Float(*v),
                     Constant::String { .. } => RConst::Str(*idx),
@@ -195,7 +374,7 @@ impl Lower<'_> {
                 self.push(RInsn::Const { dst, v });
             }
             Insn::Ldc2(idx) => {
-                let v = match self.pool.get(*idx)? {
+                let v = match self.calls.pool.get(*idx)? {
                     Constant::Long(v) => RConst::Long(*v),
                     Constant::Double(v) => RConst::Double(*v),
                     other => {
@@ -251,12 +430,7 @@ impl Lower<'_> {
                 }
             }
             Insn::Dup => {
-                if shape.last() != Some(&Tag::Single) {
-                    return Err(ExecError::BadStack {
-                        at,
-                        reason: "dup of wide or empty stack".into(),
-                    });
-                }
+                top_single(shape, at, "dup")?;
                 let src = self.sreg(shape.len() - 1)?;
                 let dst = self.push_value(shape, false)?;
                 self.push(RInsn::Move { dst, src });
@@ -433,24 +607,20 @@ impl Lower<'_> {
                 targets,
             } => {
                 let (on, _) = self.pop_value(shape, at)?;
-                if self.emit {
-                    self.push(RInsn::TableSwitch {
-                        on,
-                        low: *low,
-                        targets: targets.clone(),
-                        default: *default,
-                    });
-                }
+                self.push(RInsn::TableSwitch {
+                    on,
+                    low: *low,
+                    targets: targets.clone(),
+                    default: *default,
+                });
             }
             Insn::LookupSwitch { default, pairs } => {
                 let (on, _) = self.pop_value(shape, at)?;
-                if self.emit {
-                    self.push(RInsn::LookupSwitch {
-                        on,
-                        pairs: pairs.clone(),
-                        default: *default,
-                    });
-                }
+                self.push(RInsn::LookupSwitch {
+                    on,
+                    pairs: pairs.clone(),
+                    default: *default,
+                });
             }
             Insn::Return(kind) => {
                 let src = match kind {
@@ -460,8 +630,7 @@ impl Lower<'_> {
                 self.push(RInsn::Return { src });
             }
             Insn::GetStatic(idx) => {
-                let (_, _, d) = self.pool.get_member_ref(*idx)?;
-                let wide = matches!(d.as_bytes().first(), Some(b'J' | b'D'));
+                let wide = field_is_wide(self.calls.pool, *idx)?;
                 let dst = self.push_value(shape, wide)?;
                 self.push(RInsn::GetStatic { idx: *idx, dst });
             }
@@ -470,8 +639,7 @@ impl Lower<'_> {
                 self.push(RInsn::PutStatic { idx: *idx, src });
             }
             Insn::GetField(idx) => {
-                let (_, _, d) = self.pool.get_member_ref(*idx)?;
-                let wide = matches!(d.as_bytes().first(), Some(b'J' | b'D'));
+                let wide = field_is_wide(self.calls.pool, *idx)?;
                 let (obj, _) = self.pop_value(shape, at)?;
                 let dst = self.push_value(shape, wide)?;
                 self.push(RInsn::GetField {
@@ -525,12 +693,7 @@ impl Lower<'_> {
                 self.push(RInsn::AThrow { exc });
             }
             Insn::CheckCast(idx) => {
-                if shape.last() != Some(&Tag::Single) {
-                    return Err(ExecError::BadStack {
-                        at,
-                        reason: "checkcast of wide or empty stack".into(),
-                    });
-                }
+                top_single(shape, at, "checkcast")?;
                 let obj = self.sreg(shape.len() - 1)?;
                 self.push(RInsn::CheckCast { idx: *idx, obj });
             }
@@ -561,40 +724,9 @@ impl Lower<'_> {
     fn dup_form(&mut self, at: usize, insn: &Insn, shape: &mut Shape) -> Result<()> {
         // Pop the blocks, then re-push with moves mirroring the
         // interpreter's slot shuffling, staged through scratch registers
-        // above the live stack. At most four values take part: a block
-        // of up to two slots and as many skipped beneath it.
-        let top_slots: u16 = match insn {
-            Insn::DupX1 | Insn::DupX2 => 1,
-            _ => 2,
-        };
-        let mut popped = [(VReg(0), false); 4];
-        let mut count = 0;
-        let mut slots = 0;
-        while slots < top_slots {
-            let (r, wide) = self.pop_value(shape, at)?;
-            slots += if wide { 2 } else { 1 };
-            popped[count] = (r, wide);
-            count += 1;
-        }
-        let block = count;
-        match insn {
-            Insn::Dup2 => {}
-            Insn::DupX1 | Insn::Dup2X1 => {
-                popped[count] = self.pop_value(shape, at)?;
-                count += 1;
-            }
-            Insn::DupX2 | Insn::Dup2X2 => {
-                let (r, wide) = self.pop_value(shape, at)?;
-                popped[count] = (r, wide);
-                count += 1;
-                if !wide {
-                    popped[count] = self.pop_value(shape, at)?;
-                    count += 1;
-                }
-            }
-            _ => unreachable!(),
-        }
-        let popped = &popped[..count];
+        // above the live stack.
+        let pops = DupPops::pop(insn, shape, at)?;
+        let popped = &pops.values[..pops.count];
         // Stage originals into scratch registers above everything.
         let scratch_base = shape.len()
             + popped
@@ -604,12 +736,13 @@ impl Lower<'_> {
                 * 2
             + 4;
         let mut staged = [(VReg(0), false); 4];
-        for (i, (r, w)) in popped.iter().enumerate() {
+        for (i, &(depth, w)) in popped.iter().enumerate() {
+            let r = self.sreg(depth)?;
             let s = self.sreg(scratch_base + i * 2)?;
-            self.push(RInsn::Move { dst: s, src: *r });
-            staged[i] = (s, *w);
+            self.push(RInsn::Move { dst: s, src: r });
+            staged[i] = (s, w);
         }
-        let (staged_block, staged_skipped) = staged[..count].split_at(block);
+        let (staged_block, staged_skipped) = staged[..pops.count].split_at(pops.block);
         // Final layout bottom-up: block copy, skipped, block.
         for group in [staged_block, staged_skipped, staged_block] {
             for (src, wide) in group.iter().rev() {
@@ -621,32 +754,11 @@ impl Lower<'_> {
     }
 
     fn call(&mut self, at: usize, idx: u16, shape: &mut Shape, kind: InvokeKind) -> Result<()> {
-        let call = match self.calls.get(&idx) {
-            Some(&call) => call,
-            None => {
-                let (_, _, d) = self.pool.get_member_ref(idx)?;
-                let desc = MethodDescriptor::parse(d)?;
-                let call = CallShape {
-                    params: desc.params.len(),
-                    ret_wide: desc.ret.as_ref().map(|rt| rt.slot_width() == 2),
-                };
-                self.calls.insert(idx, call);
-                call
-            }
-        };
-        // Pass 1 only needs the shape: it pops without keeping registers.
-        let mut args = Vec::new();
-        for _ in 0..call.params {
-            let (r, _) = self.pop_value(shape, at)?;
-            if self.emit {
-                args.push(r);
-            }
-        }
-        if kind != InvokeKind::Static {
-            let (r, _) = self.pop_value(shape, at)?;
-            if self.emit {
-                args.push(r);
-            }
+        let call = self.calls.get(idx)?;
+        let receiver = usize::from(kind != InvokeKind::Static);
+        let mut args = Vec::with_capacity(call.params + receiver);
+        for _ in 0..call.params + receiver {
+            args.push(self.pop_value(shape, at)?.0);
         }
         args.reverse();
         let dst = match call.ret_wide {
@@ -663,152 +775,245 @@ impl Lower<'_> {
     }
 }
 
-/// Lowers one decoded method body into a register [`Function`].
-///
-/// The returned function is unoptimized; run it through
-/// [`crate::passes::optimize`] before installing or caching it.
-pub fn lower(code: &Code, pool: &ConstPool, name: &str, descriptor: &str) -> Result<Function> {
-    let n = code.insns.len();
-    if n == 0 {
-        return Err(ExecError::EmptyBody);
-    }
-    // Degenerate local indices and branch targets error before any pass
-    // can index out of range.
-    code.validate_targets()?;
+/// What pass 1 knows of an instruction.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// Not a leader: reached only by falling through from the previous
+    /// instruction. Unreached so far.
+    Inner,
+    /// An inner instruction pass 1 walked.
+    Walked,
+    /// A leader no path has reached yet.
+    Leader,
+    /// A reached leader and its entry shape, `tags[start..start + len]`.
+    /// A recorded shape never changes (every later path must agree with
+    /// it), so recording only appends.
+    Reached { start: usize, len: usize },
+}
 
-    // Pass 1: entry shapes by dataflow.
-    let mut shapes = Shapes {
-        tags: Vec::new(),
-        at: vec![None; n],
-    };
-    let mut work = vec![0usize];
-    shapes.record(0, &[]);
-    for h in &code.handlers {
-        if h.handler < n && shapes.get(h.handler).is_none() {
-            shapes.record(h.handler, &[Tag::Single]);
-            work.push(h.handler);
+/// Lowering for the methods of one class: the buffers every method
+/// reuses and the class's call shapes, by constant-pool index.
+pub struct Lowerer<'a> {
+    calls: Calls<'a>,
+    entries: Vec<Entry>,
+    tags: Vec<Tag>,
+    work: Vec<usize>,
+    shape: Shape,
+    ir_start: Vec<usize>,
+}
+
+impl<'a> Lowerer<'a> {
+    /// Lowering for methods whose bodies index `pool`.
+    pub fn new(pool: &'a ConstPool) -> Lowerer<'a> {
+        Lowerer {
+            calls: Calls {
+                pool,
+                shapes: Vec::new(),
+            },
+            entries: Vec::new(),
+            tags: Vec::new(),
+            work: Vec::new(),
+            shape: Vec::new(),
+            ir_start: Vec::new(),
         }
     }
-    let mut xl = Lower {
-        pool,
-        max_locals: code.max_locals,
-        ops: Vec::new(),
-        emit: false,
-        peak: code.max_locals as u32,
-        calls: HashMap::new(),
-    };
-    // Scratch reused by every instruction of both passes.
-    let mut shape: Shape = Vec::new();
-    let mut succ: Vec<usize> = Vec::new();
-    while let Some(i) = work.pop() {
-        let Some(entry) = shapes.get(i) else {
-            continue;
-        };
-        shape.clear();
-        shape.extend_from_slice(entry);
-        let insn = &code.insns[i];
-        xl.transfer(i, insn, &mut shape)?;
-        succ.clear();
-        insn.for_each_target(|t| succ.push(t));
-        if insn.can_fall_through() {
-            succ.push(i + 1);
-        }
-        for &s in &succ {
-            if s >= n {
-                return Err(ExecError::BadTarget { index: s, len: n });
-            }
-            match shapes.get(s) {
-                None => {
-                    shapes.record(s, &shape);
-                    work.push(s);
+
+    /// Records leader `at`'s entry shape on the first path that reaches
+    /// it and queues it; later paths must agree.
+    fn reach(&mut self, at: usize) -> Result<()> {
+        match self.entries[at] {
+            Entry::Reached { start, len } => {
+                if self.tags[start..start + len] != *self.shape {
+                    return Err(ExecError::BadStack {
+                        at,
+                        reason: "stack shape mismatch at merge".into(),
+                    });
                 }
-                Some(existing) => {
-                    if existing != shape.as_slice() {
-                        return Err(ExecError::BadStack {
-                            at: s,
-                            reason: "stack shape mismatch at merge".into(),
-                        });
+            }
+            _ => {
+                self.entries[at] = Entry::Reached {
+                    start: self.tags.len(),
+                    len: self.shape.len(),
+                };
+                self.tags.extend_from_slice(&self.shape);
+                self.work.push(at);
+            }
+        }
+        Ok(())
+    }
+
+    /// Pass 1: walks every reachable block from its leader through the
+    /// shape-only transfer, recording entry shapes at leaders and marking
+    /// the inner instructions it walks.
+    fn shapes(&mut self, code: &Code) -> Result<()> {
+        let n = code.insns.len();
+        self.entries.clear();
+        self.entries.resize(n, Entry::Inner);
+        self.tags.clear();
+        self.work.clear();
+        self.entries[0] = Entry::Leader;
+        // Marking leaders is also the range check on branch targets and
+        // handlers; `Code::validate_targets` names the first bad one.
+        let mut in_range = true;
+        for insn in &code.insns {
+            insn.for_each_target(|t| match self.entries.get_mut(t) {
+                Some(entry) => *entry = Entry::Leader,
+                None => in_range = false,
+            });
+        }
+        for h in &code.handlers {
+            in_range &= h.start <= n && h.end <= n && h.handler < n;
+            if let Some(entry) = self.entries.get_mut(h.handler) {
+                *entry = Entry::Leader;
+            }
+        }
+        if !in_range {
+            let bad = code
+                .validate_targets()
+                .expect_err("a target is out of range");
+            return Err(bad.into());
+        }
+        self.shape.clear();
+        self.reach(0)?;
+        self.shape.push(Tag::Single);
+        for h in &code.handlers {
+            if !matches!(self.entries[h.handler], Entry::Reached { .. }) {
+                self.reach(h.handler)?;
+            }
+        }
+        while let Some(leader) = self.work.pop() {
+            let Entry::Reached { start, len } = self.entries[leader] else {
+                unreachable!("only reached leaders are queued");
+            };
+            self.shape.clear();
+            self.shape.extend_from_slice(&self.tags[start..start + len]);
+            let mut i = leader;
+            loop {
+                let insn = &code.insns[i];
+                self.calls.shape_effect(i, insn, &mut self.shape)?;
+                let mut merge = Ok(());
+                insn.for_each_target(|t| {
+                    if merge.is_ok() {
+                        merge = self.reach(t);
+                    }
+                });
+                merge?;
+                if !insn.can_fall_through() {
+                    break;
+                }
+                i += 1;
+                if i >= n {
+                    return Err(ExecError::BadTarget { index: i, len: n });
+                }
+                match self.entries[i] {
+                    Entry::Inner => self.entries[i] = Entry::Walked,
+                    _ => {
+                        self.reach(i)?;
+                        break;
                     }
                 }
             }
         }
+        Ok(())
     }
 
-    // Pass 2: emit IR, recording where each bytecode instruction begins.
-    // Pass 1 emitted nothing, so its register peak and call shapes carry
-    // over unchanged.
-    xl.emit = true;
-    let mut ir_start = vec![usize::MAX; n + 1];
-    for (i, insn) in code.insns.iter().enumerate() {
-        ir_start[i] = xl.ops.len();
-        let Some(entry) = shapes.get(i) else {
-            // Unreachable bytecode: skip entirely.
-            continue;
+    /// Lowers one decoded method body into a register [`Function`].
+    ///
+    /// The returned function is unoptimized; run it through
+    /// [`crate::passes::optimize`] before installing or caching it.
+    pub fn lower(&mut self, code: &Code, name: &str, descriptor: &str) -> Result<Function> {
+        let n = code.insns.len();
+        if n == 0 {
+            return Err(ExecError::EmptyBody);
+        }
+        self.shapes(code)?;
+
+        // Pass 2: emit IR, recording where each bytecode instruction
+        // begins. An empty translation (nop, pop) or an unreachable
+        // instruction begins where the next emitted one does.
+        let mut xl = Lower {
+            calls: &mut self.calls,
+            max_locals: code.max_locals,
+            ops: Vec::with_capacity(n),
+            peak: code.max_locals as u32,
         };
-        shape.clear();
-        shape.extend_from_slice(entry);
-        xl.transfer(i, insn, &mut shape)?;
-    }
-    ir_start[n] = xl.ops.len();
-    // A bytecode index whose translation is empty (nop, pop) maps
-    // forward to the next emitted instruction.
-    let mut resolved = ir_start.clone();
-    for i in (0..n).rev() {
-        if resolved[i] == usize::MAX || ir_start[i] == ir_start[i + 1] {
-            resolved[i] = resolved[i + 1];
-        }
-    }
-    let mut ops = xl.ops;
-    let end = ops.len();
-    for op in &mut ops {
-        let mut past_end = None;
-        op.map_targets(|bc| {
-            let t = resolved[bc];
-            if t >= end {
-                past_end.get_or_insert(t);
+        self.ir_start.clear();
+        self.ir_start.resize(n + 1, 0);
+        for (i, insn) in code.insns.iter().enumerate() {
+            self.ir_start[i] = xl.ops.len();
+            match self.entries[i] {
+                Entry::Reached { start, len } => {
+                    self.shape.clear();
+                    self.shape.extend_from_slice(&self.tags[start..start + len]);
+                }
+                Entry::Walked => {}
+                Entry::Inner | Entry::Leader => continue,
             }
-            t
-        });
-        if let Some(t) = past_end {
-            // The branch falls off the end of the body after empty
-            // translations; verified code cannot do this.
-            return Err(ExecError::BadTarget { index: t, len: end });
+            xl.transfer(i, insn, &mut self.shape)?;
         }
-    }
+        self.ir_start[n] = xl.ops.len();
+        let resolved = &self.ir_start;
+        let mut ops = xl.ops;
+        let end = ops.len();
+        for op in &mut ops {
+            let mut past_end = None;
+            op.map_targets(|bc| {
+                let t = resolved[bc];
+                if t >= end {
+                    past_end.get_or_insert(t);
+                }
+                t
+            });
+            if let Some(t) = past_end {
+                // The branch falls off the end of the body after empty
+                // translations; verified code cannot do this.
+                return Err(ExecError::BadTarget { index: t, len: end });
+            }
+        }
 
-    let mut handlers = Vec::with_capacity(code.handlers.len());
-    for h in &code.handlers {
-        let (start, hend, target) = (resolved[h.start], resolved[h.end], resolved[h.handler]);
-        if start >= hend {
-            // Protected range lowered to nothing: the handler can never
-            // fire.
-            continue;
-        }
-        if target >= end {
-            return Err(ExecError::BadTarget {
-                index: target,
-                len: end,
+        let mut handlers = Vec::with_capacity(code.handlers.len());
+        for h in &code.handlers {
+            let (start, hend, target) = (resolved[h.start], resolved[h.end], resolved[h.handler]);
+            if start >= hend {
+                // Protected range lowered to nothing: the handler can never
+                // fire.
+                continue;
+            }
+            if target >= end {
+                return Err(ExecError::BadTarget {
+                    index: target,
+                    len: end,
+                });
+            }
+            handlers.push(RHandler {
+                start,
+                end: hend,
+                handler: target,
+                catch_type: h.catch_type,
             });
         }
-        handlers.push(RHandler {
-            start,
-            end: hend,
-            handler: target,
-            catch_type: h.catch_type,
-        });
-    }
 
-    if xl.peak >= u16::MAX as u32 {
-        return Err(ExecError::TooManyRegs(xl.peak));
+        if xl.peak >= u16::MAX as u32 {
+            return Err(ExecError::TooManyRegs(xl.peak));
+        }
+        Ok(Function {
+            name: name.to_owned(),
+            descriptor: descriptor.to_owned(),
+            insns: ops,
+            handlers,
+            max_locals: code.max_locals,
+            num_regs: xl.peak.max(code.max_locals as u32 + 1) as u16,
+        })
     }
-    Ok(Function {
-        name: name.to_owned(),
-        descriptor: descriptor.to_owned(),
-        insns: ops,
-        handlers,
-        max_locals: code.max_locals,
-        num_regs: xl.peak.max(code.max_locals as u32 + 1) as u16,
-    })
+}
+
+/// Lowers one decoded method body into a register [`Function`]; a
+/// [`Lowerer`] lowers many methods of one class without re-allocating.
+///
+/// The returned function is unoptimized; run it through
+/// [`crate::passes::optimize`] before installing or caching it.
+pub fn lower(code: &Code, pool: &ConstPool, name: &str, descriptor: &str) -> Result<Function> {
+    Lowerer::new(pool).lower(code, name, descriptor)
 }
 
 #[cfg(test)]

@@ -18,6 +18,18 @@
 //!    flow graph; deletes side-effect-free instructions whose result is
 //!    never observed (mostly the `Move`s pass 3 bypassed).
 //!
+//! Passes 2–4 iterate to a bounded fixpoint. Each iteration builds the
+//! control-flow graph once and shares it across the three: folding and
+//! copy propagation rewrite instructions without moving any, and only
+//! DCE moves instructions, so the next iteration rebuilds it. When every
+//! edge goes forward, one reverse sweep over the blocks computes exact
+//! liveness and DCE skips the confirming sweep. An [`Optimizer`] carries
+//! the graph, the block-local register facts and the liveness sets from
+//! one method of a class to the next, so the pipeline allocates per
+//! class, not per method, pass or instruction. Block-local facts are
+//! stamped with their block, so starting a block forgets them without
+//! clearing a register-sized table.
+//!
 //! Folding mirrors interpreter semantics exactly: wrapping `int`/`long`
 //! arithmetic, masked shifts, and IEEE float behavior. Integer division
 //! and remainder are *never* folded — they can throw — and conditional
@@ -61,32 +73,54 @@ impl PassStats {
     }
 }
 
-/// Runs the full pipeline over `func` to a bounded fixpoint.
+/// Runs the full pipeline over `func` to a bounded fixpoint; an
+/// [`Optimizer`] runs it over many functions without re-allocating.
 pub fn optimize(func: &mut Function, pool: &ConstPool) -> PassStats {
-    let mut stats = PassStats {
-        services_inlined: inline_services(func, pool),
-        ..PassStats::default()
-    };
-    if !func.handlers.is_empty() {
-        return stats;
-    }
-    for _ in 0..MAX_ITERATIONS {
-        stats.iterations += 1;
-        // Folding and copy propagation rewrite instructions without moving
-        // any, so one leader set serves all three passes; only DCE moves
-        // instructions, and the next iteration recomputes it.
-        let lead = leaders(&func.insns);
-        let folded = fold_constants(func, &lead);
-        let copies = propagate_copies(func, &lead);
-        let eliminated = eliminate_dead(func, &lead);
-        stats.folded += folded;
-        stats.copies_propagated += copies;
-        stats.eliminated += eliminated;
-        if folded + copies + eliminated == 0 {
-            break;
+    Optimizer::default().optimize(func, pool)
+}
+
+/// The pass pipeline with its buffers, reused from one function to the
+/// next.
+#[derive(Default)]
+pub struct Optimizer {
+    cfg: Cfg,
+    known: RegMap<RConst>,
+    copy_of: RegMap<(VReg, u32)>,
+    /// Writes seen per register so far: a copy relation holds while its
+    /// source's count is the one it was recorded with.
+    writes: Vec<u32>,
+    live_in: Vec<u64>,
+    live: Vec<u64>,
+    kept: Vec<u64>,
+    keep: Vec<bool>,
+    new_index: Vec<usize>,
+}
+
+impl Optimizer {
+    /// Runs the full pipeline over `func` to a bounded fixpoint.
+    pub fn optimize(&mut self, func: &mut Function, pool: &ConstPool) -> PassStats {
+        let mut stats = PassStats {
+            services_inlined: inline_services(func, pool),
+            ..PassStats::default()
+        };
+        if !func.handlers.is_empty() {
+            return stats;
         }
+        for _ in 0..MAX_ITERATIONS {
+            stats.iterations += 1;
+            self.cfg.build(&func.insns);
+            let folded = self.fold_constants(func);
+            let copies = self.propagate_copies(func);
+            let eliminated = self.eliminate_dead(func);
+            stats.folded += folded;
+            stats.copies_propagated += copies;
+            stats.eliminated += eliminated;
+            if folded + copies + eliminated == 0 {
+                break;
+            }
+        }
+        stats
     }
-    stats
 }
 
 /// Replaces rewriter-injected dynamic-component stub calls with
@@ -132,57 +166,134 @@ pub fn inline_services(func: &mut Function, pool: &ConstPool) -> usize {
     inlined
 }
 
-/// Marks the first instruction of every basic block.
-fn leaders(insns: &[RInsn]) -> Vec<bool> {
-    let mut lead = vec![false; insns.len()];
-    if let Some(first) = lead.first_mut() {
-        *first = true;
-    }
-    for (i, insn) in insns.iter().enumerate() {
-        let mut branches = false;
-        insn.for_each_target(|t| {
-            branches = true;
-            if let Some(l) = lead.get_mut(t) {
-                *l = true;
-            }
-        });
-        if (branches || !insn.can_fall_through()) && i + 1 < lead.len() {
-            lead[i + 1] = true;
+/// A body's basic blocks and their successor edges.
+#[derive(Default)]
+struct Cfg {
+    /// Whether each instruction starts a block.
+    lead: Vec<bool>,
+    /// First instruction of each block, ascending.
+    starts: Vec<usize>,
+    /// Successor blocks, flattened: block `b`'s are
+    /// `succ[succ_at[b]..succ_at[b + 1]]`.
+    succ: Vec<usize>,
+    succ_at: Vec<usize>,
+    /// Every edge goes to a later block: no loops.
+    forward: bool,
+}
+
+impl Cfg {
+    fn build(&mut self, insns: &[RInsn]) {
+        let n = insns.len();
+        let lead = &mut self.lead;
+        lead.clear();
+        lead.resize(n, false);
+        if let Some(first) = lead.first_mut() {
+            *first = true;
         }
+        for (i, insn) in insns.iter().enumerate() {
+            let mut branches = false;
+            insn.for_each_target(|t| {
+                branches = true;
+                if let Some(l) = lead.get_mut(t) {
+                    *l = true;
+                }
+            });
+            if (branches || !insn.can_fall_through()) && i + 1 < n {
+                lead[i + 1] = true;
+            }
+        }
+        self.starts.clear();
+        self.starts.extend(
+            self.lead
+                .iter()
+                .enumerate()
+                .filter(|(_, &l)| l)
+                .map(|(i, _)| i),
+        );
+        let nb = self.starts.len();
+        self.succ.clear();
+        self.succ_at.clear();
+        self.forward = true;
+        for b in 0..nb {
+            self.succ_at.push(self.succ.len());
+            let last = self.end(b) - 1;
+            let insn = &insns[last];
+            // Every target starts a block.
+            let starts = &self.starts;
+            insn.for_each_target(|t| {
+                let block = starts.binary_search(&t).expect("a target leads a block");
+                self.succ.push(block);
+            });
+            if insn.can_fall_through() && last + 1 < n {
+                self.succ.push(b + 1);
+            }
+            let out = &self.succ[self.succ_at[b]..];
+            self.forward &= out.iter().all(|&s| s > b);
+        }
+        self.succ_at.push(self.succ.len());
     }
-    lead
+
+    /// One past the last instruction of block `b`.
+    fn end(&self, b: usize) -> usize {
+        self.starts.get(b + 1).copied().unwrap_or(self.lead.len())
+    }
+
+    fn succs(&self, b: usize) -> &[usize] {
+        &self.succ[self.succ_at[b]..self.succ_at[b + 1]]
+    }
 }
 
 /// One fact per register, for the block-local passes: a dense vector
 /// indexed by register number, so tracking a fact is an index rather
-/// than a hash. Registers past the end read as untracked and grow it.
-struct RegMap<T>(Vec<Option<T>>);
+/// than a hash. Each fact is stamped with the block it was learned in,
+/// so [`RegMap::clear`] is a counter bump. Registers past the end read
+/// as untracked and grow it.
+struct RegMap<T> {
+    facts: Vec<(u32, Option<T>)>,
+    block: u32,
+}
 
-impl<T: Copy + PartialEq> RegMap<T> {
-    fn new(func: &Function) -> RegMap<T> {
-        RegMap(vec![None; func.num_regs as usize])
+impl<T> Default for RegMap<T> {
+    fn default() -> RegMap<T> {
+        RegMap {
+            facts: Vec::new(),
+            block: 0,
+        }
+    }
+}
+
+impl<T: Copy> RegMap<T> {
+    /// Makes room for every register of `func`.
+    fn fit(&mut self, func: &Function) {
+        if self.facts.len() < func.num_regs as usize {
+            self.facts.resize(func.num_regs as usize, (0, None));
+        }
     }
 
     fn get(&self, r: VReg) -> Option<T> {
-        self.0.get(r.0 as usize).copied().flatten()
+        match self.facts.get(r.0 as usize) {
+            Some(&(block, fact)) if block == self.block => fact,
+            _ => None,
+        }
     }
 
     fn insert(&mut self, r: VReg, v: T) {
         let i = r.0 as usize;
-        if i >= self.0.len() {
-            self.0.resize(i + 1, None);
+        if i >= self.facts.len() {
+            self.facts.resize(i + 1, (0, None));
         }
-        self.0[i] = Some(v);
+        self.facts[i] = (self.block, Some(v));
     }
 
     fn remove(&mut self, r: VReg) {
-        if let Some(slot) = self.0.get_mut(r.0 as usize) {
-            *slot = None;
+        if let Some(slot) = self.facts.get_mut(r.0 as usize) {
+            slot.1 = None;
         }
     }
 
+    /// Forgets every fact: a new block starts.
     fn clear(&mut self) {
-        self.0.fill(None);
+        self.block = self.block.wrapping_add(1);
     }
 }
 
@@ -520,196 +631,194 @@ fn fold_one(insn: &RInsn, known: &RegMap<RConst>) -> Option<RInsn> {
     }
 }
 
-/// Block-local constant folding and immediate-form strengthening, over
-/// the blocks `lead` marks.
-fn fold_constants(func: &mut Function, lead: &[bool]) -> usize {
-    let mut known = RegMap::new(func);
-    let mut changed = 0;
-    for (i, insn) in func.insns.iter_mut().enumerate() {
-        if lead[i] {
-            known.clear();
-        }
-        if let Some(new) = fold_one(insn, &known) {
-            *insn = new;
-            changed += 1;
-        }
-        if let RInsn::Const { dst, v } = insn {
-            known.insert(*dst, *v);
-        } else if let Some(dst) = insn.writes() {
-            known.remove(dst);
-        }
-    }
-    changed
-}
-
-/// Block-local copy propagation over the blocks `lead` marks: reads of a
-/// `Move` destination are rerouted to its (transitively resolved) source.
-fn propagate_copies(func: &mut Function, lead: &[bool]) -> usize {
-    let mut copy_of = RegMap::new(func);
-    let mut changed = 0;
-    for (i, insn) in func.insns.iter_mut().enumerate() {
-        if lead[i] {
-            copy_of.clear();
-        }
-        insn.map_reads(|r| match copy_of.get(r) {
-            Some(root) => {
+impl Optimizer {
+    /// Block-local constant folding and immediate-form strengthening, over
+    /// the blocks of the current graph.
+    fn fold_constants(&mut self, func: &mut Function) -> usize {
+        let known = &mut self.known;
+        known.fit(func);
+        let mut changed = 0;
+        for (insn, &lead) in func.insns.iter_mut().zip(&self.cfg.lead) {
+            if lead {
+                known.clear();
+            }
+            if let Some(new) = fold_one(insn, known) {
+                *insn = new;
                 changed += 1;
-                root
             }
-            None => r,
-        });
-        if let Some(dst) = insn.writes() {
-            // Forget every copy relation `dst` took part in.
-            copy_of.remove(dst);
-            for root in &mut copy_of.0 {
-                if *root == Some(dst) {
-                    *root = None;
-                }
-            }
-            // Source reads were already rerouted above, so `src` is a
-            // propagation root.
-            if let RInsn::Move { dst, src } = insn {
-                if dst != src {
-                    copy_of.insert(*dst, *src);
-                }
+            if let RInsn::Const { dst, v } = insn {
+                known.insert(*dst, *v);
+            } else if let Some(dst) = insn.writes() {
+                known.remove(dst);
             }
         }
-    }
-    changed
-}
-
-/// Liveness-based dead-code elimination over the whole body, whose
-/// basic blocks `lead` marks.
-///
-/// Computes backward liveness across basic blocks, then deletes
-/// side-effect-free instructions whose destination is dead (plus
-/// identity moves), repairing branch targets afterwards. Returns the
-/// number of instructions removed. Bodies with handlers are left alone.
-fn eliminate_dead(func: &mut Function, lead: &[bool]) -> usize {
-    if !func.handlers.is_empty() || func.insns.is_empty() {
-        return 0;
-    }
-    let n = func.insns.len();
-    let nr = func.num_regs as usize + 1;
-    let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
-    let nb = starts.len();
-    let mut block_of = vec![0usize; n];
-    {
-        let mut cur = 0;
-        for (i, b) in block_of.iter_mut().enumerate() {
-            if i > 0 && lead[i] {
-                cur += 1;
-            }
-            *b = cur;
-        }
-    }
-    let end_of = |bi: usize| if bi + 1 < nb { starts[bi + 1] } else { n };
-    // Successor blocks, flattened: block `bi`'s are
-    // `succ[succ_at[bi]..succ_at[bi + 1]]`.
-    let mut succ: Vec<usize> = Vec::new();
-    let mut succ_at: Vec<usize> = Vec::with_capacity(nb + 1);
-    for bi in 0..nb {
-        succ_at.push(succ.len());
-        let last = end_of(bi) - 1;
-        let insn = &func.insns[last];
-        insn.for_each_target(|t| succ.push(block_of[t]));
-        if insn.can_fall_through() && last + 1 < n {
-            succ.push(block_of[last + 1]);
-        }
-    }
-    succ_at.push(succ.len());
-
-    // Liveness as bitsets of `words` words per block, all in one buffer;
-    // `live` is the one scratch set every block is computed in. reg()
-    // clamps into the set so a malformed register index can never panic
-    // the pass; lowering guarantees indices < num_regs.
-    let words = nr.div_ceil(64);
-    let reg = |r: VReg| (r.0 as usize).min(nr - 1);
-    let set = |bits: &mut [u64], r: VReg, on: bool| {
-        let i = reg(r);
-        if on {
-            bits[i / 64] |= 1 << (i % 64);
-        } else {
-            bits[i / 64] &= !(1 << (i % 64));
-        }
-    };
-    let is_set = |bits: &[u64], r: VReg| bits[reg(r) / 64] & (1 << (reg(r) % 64)) != 0;
-    let live_out = |bi: usize, live: &mut [u64], live_in: &[u64]| {
-        live.fill(0);
-        for &s in &succ[succ_at[bi]..succ_at[bi + 1]] {
-            for (l, i) in live.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
-                *l |= *i;
-            }
-        }
-    };
-    let mut live_in = vec![0u64; nb * words];
-    let mut live = vec![0u64; words];
-    loop {
-        let mut stable = true;
-        for bi in (0..nb).rev() {
-            live_out(bi, &mut live, &live_in);
-            for insn in func.insns[starts[bi]..end_of(bi)].iter().rev() {
-                if let Some(d) = insn.writes() {
-                    set(&mut live, d, false);
-                }
-                insn.for_each_read(|r| set(&mut live, r, true));
-            }
-            let block_in = &mut live_in[bi * words..(bi + 1) * words];
-            if *block_in != *live {
-                block_in.copy_from_slice(&live);
-                stable = false;
-            }
-        }
-        if stable {
-            break;
-        }
+        changed
     }
 
-    let mut keep = vec![true; n];
-    let mut removed = 0;
-    for (bi, &start) in starts.iter().enumerate() {
-        live_out(bi, &mut live, &live_in);
-        for i in (start..end_of(bi)).rev() {
-            let insn = &func.insns[i];
-            let dead = match insn.writes() {
-                Some(d) if insn.side_effect_free() => {
-                    let identity = matches!(insn, RInsn::Move { dst, src } if dst == src);
-                    identity || !is_set(&live, d)
+    /// Block-local copy propagation over the blocks of the current graph:
+    /// reads of a `Move` destination are rerouted to its (transitively
+    /// resolved) source. A relation is forgotten when its destination is
+    /// written, and lapses when its source is: it records the source's
+    /// write count.
+    fn propagate_copies(&mut self, func: &mut Function) -> usize {
+        let (copy_of, writes) = (&mut self.copy_of, &mut self.writes);
+        copy_of.fit(func);
+        if writes.len() < func.num_regs as usize {
+            writes.resize(func.num_regs as usize, 0);
+        }
+        let mut changed = 0;
+        for (insn, &lead) in func.insns.iter_mut().zip(&self.cfg.lead) {
+            if lead {
+                copy_of.clear();
+            }
+            insn.map_reads(|r| match copy_of.get(r) {
+                Some((root, w)) if writes.get(root.0 as usize).copied().unwrap_or(0) == w => {
+                    changed += 1;
+                    root
                 }
-                _ => false,
-            };
-            if dead {
-                keep[i] = false;
-                removed += 1;
-                continue;
+                _ => r,
+            });
+            if let Some(dst) = insn.writes() {
+                let d = dst.0 as usize;
+                if d >= writes.len() {
+                    writes.resize(d + 1, 0);
+                }
+                writes[d] = writes[d].wrapping_add(1);
+                copy_of.remove(dst);
+                // Source reads were already rerouted above, so `src` is a
+                // propagation root.
+                if let RInsn::Move { dst, src } = insn {
+                    if dst != src {
+                        let w = writes.get(src.0 as usize).copied().unwrap_or(0);
+                        copy_of.insert(*dst, (*src, w));
+                    }
+                }
             }
-            if let Some(d) = insn.writes() {
-                set(&mut live, d, false);
+        }
+        changed
+    }
+
+    /// Liveness-based dead-code elimination over the whole body, whose
+    /// basic blocks the current graph holds.
+    ///
+    /// Computes backward liveness across basic blocks, then deletes
+    /// side-effect-free instructions whose destination is dead (plus
+    /// identity moves), repairing branch targets afterwards. Returns the
+    /// number of instructions removed. Bodies with handlers are left alone.
+    fn eliminate_dead(&mut self, func: &mut Function) -> usize {
+        if !func.handlers.is_empty() || func.insns.is_empty() {
+            return 0;
+        }
+        let n = func.insns.len();
+        let nr = func.num_regs as usize + 1;
+        let cfg = &self.cfg;
+        let nb = cfg.starts.len();
+
+        // Liveness as bitsets of `words` words per block, all in one
+        // buffer; `live` is the one scratch set every block is computed
+        // in. reg() clamps into the set so a malformed register index can
+        // never panic the pass; lowering guarantees indices < num_regs.
+        let words = nr.div_ceil(64);
+        let reg = |r: VReg| (r.0 as usize).min(nr - 1);
+        let set = |bits: &mut [u64], r: VReg, on: bool| {
+            let i = reg(r);
+            if on {
+                bits[i / 64] |= 1 << (i % 64);
+            } else {
+                bits[i / 64] &= !(1 << (i % 64));
             }
-            insn.for_each_read(|r| set(&mut live, r, true));
+        };
+        let is_set = |bits: &[u64], r: VReg| bits[reg(r) / 64] & (1 << (reg(r) % 64)) != 0;
+        let live_out = |b: usize, live: &mut [u64], live_in: &[u64]| {
+            live.fill(0);
+            for &s in cfg.succs(b) {
+                for (l, i) in live.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
+                    *l |= *i;
+                }
+            }
+        };
+        let (live_in, live, kept) = (&mut self.live_in, &mut self.live, &mut self.kept);
+        live_in.clear();
+        live_in.resize(nb * words, 0);
+        live.clear();
+        live.resize(words, 0);
+        kept.clear();
+        kept.resize(words, 0);
+        let keep = &mut self.keep;
+        keep.clear();
+        keep.resize(n, true);
+        // Each sweep walks the blocks backwards once, tracking two sets
+        // per block: `live` over every instruction (the block's live-in)
+        // and `kept` over the instructions that survive, which decides
+        // what is dead. The decisions of a sweep that changes no live-in
+        // read final sets, so they stand. Without a backward edge, every
+        // successor's set is final before its predecessors read it: the
+        // first sweep is exact, and no confirming sweep runs.
+        let mut removed;
+        loop {
+            let mut stable = true;
+            removed = 0;
+            for b in (0..nb).rev() {
+                live_out(b, live, live_in);
+                kept.copy_from_slice(live);
+                for i in (cfg.starts[b]..cfg.end(b)).rev() {
+                    let insn = &func.insns[i];
+                    let write = insn.writes();
+                    let dead = match write {
+                        Some(d) if insn.side_effect_free() => {
+                            let identity = matches!(insn, RInsn::Move { dst, src } if dst == src);
+                            identity || !is_set(kept, d)
+                        }
+                        _ => false,
+                    };
+                    keep[i] = !dead;
+                    removed += usize::from(dead);
+                    if let Some(d) = write {
+                        set(live, d, false);
+                        if !dead {
+                            set(kept, d, false);
+                        }
+                    }
+                    insn.for_each_read(|r| {
+                        set(live, r, true);
+                        if !dead {
+                            set(kept, r, true);
+                        }
+                    });
+                }
+                let block_in = &mut live_in[b * words..(b + 1) * words];
+                if *block_in != **live {
+                    block_in.copy_from_slice(live);
+                    stable = false;
+                }
+            }
+            if stable || cfg.forward {
+                break;
+            }
         }
-    }
-    if removed == 0 {
-        return 0;
-    }
-    // Compact in place and repair targets: a target maps to the position
-    // its instruction (or, if removed, the next surviving one) now holds.
-    let mut new_index = vec![0usize; n + 1];
-    let mut c = 0;
-    for i in 0..n {
-        new_index[i] = c;
-        if keep[i] {
-            c += 1;
+        if removed == 0 {
+            return 0;
         }
+        // Compact in place and repair targets: a target maps to the
+        // position its instruction (or, if removed, the next surviving
+        // one) now holds.
+        let new_index = &mut self.new_index;
+        new_index.clear();
+        new_index.reserve(n + 1);
+        let mut c = 0;
+        for &k in keep.iter() {
+            new_index.push(c);
+            c += usize::from(k);
+        }
+        new_index.push(c);
+        let mut flags = keep.iter();
+        func.insns
+            .retain(|_| *flags.next().expect("one flag per instruction"));
+        for insn in &mut func.insns {
+            insn.map_targets(|t| new_index[t]);
+        }
+        removed
     }
-    new_index[n] = c;
-    let mut kept = keep.iter();
-    func.insns
-        .retain(|_| *kept.next().expect("one flag per instruction"));
-    for insn in &mut func.insns {
-        insn.map_targets(|t| new_index[t]);
-    }
-    removed
 }
 
 #[cfg(test)]
@@ -952,8 +1061,9 @@ mod tests {
             1,
             4,
         );
-        let lead = leaders(&f.insns);
-        assert_eq!(fold_constants(&mut f, &lead), 1);
+        let mut opt = Optimizer::default();
+        opt.cfg.build(&f.insns);
+        assert_eq!(opt.fold_constants(&mut f), 1);
         assert_eq!(
             f.insns[4],
             RInsn::ArithImm {
@@ -985,8 +1095,9 @@ mod tests {
             1,
             2,
         );
-        let lead = leaders(&f.insns);
-        let removed = eliminate_dead(&mut f, &lead);
+        let mut opt = Optimizer::default();
+        opt.cfg.build(&f.insns);
+        let removed = opt.eliminate_dead(&mut f);
         assert_eq!(removed, 2);
         assert_eq!(
             f.insns,
@@ -1010,8 +1121,9 @@ mod tests {
             1,
             2,
         );
-        let lead = leaders(&f.insns);
-        assert_eq!(eliminate_dead(&mut f, &lead), 0);
+        let mut opt = Optimizer::default();
+        opt.cfg.build(&f.insns);
+        assert_eq!(opt.eliminate_dead(&mut f), 0);
         assert_eq!(f.insns.len(), 3);
     }
 

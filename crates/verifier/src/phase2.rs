@@ -108,7 +108,7 @@ pub fn check(cf: &ClassFile, bodies: &mut Bodies) -> Result<u64> {
                         .pool
                         .get_member_ref(*idx)
                         .map_err(|e| fail(&class, &mname, Some(i), e.to_string()))?;
-                    dvm_classfile::FieldType::parse(d)
+                    dvm_classfile::FieldType::slot_width_of(d)
                         .map_err(|e| fail(&class, &mname, Some(i), e.to_string()))?;
                 }
                 Insn::InvokeVirtual(idx)
@@ -120,7 +120,7 @@ pub fn check(cf: &ClassFile, bodies: &mut Bodies) -> Result<u64> {
                         .pool
                         .get_member_ref(*idx)
                         .map_err(|e| fail(&class, &mname, Some(i), e.to_string()))?;
-                    dvm_classfile::MethodDescriptor::parse(d)
+                    dvm_classfile::MethodDescriptor::arity(d)
                         .map_err(|e| fail(&class, &mname, Some(i), e.to_string()))?;
                     if n == "<init>" && !matches!(insn, Insn::InvokeSpecial(_)) {
                         return Err(fail(

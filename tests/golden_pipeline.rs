@@ -19,7 +19,9 @@
 //! fails here. Regenerate deliberately with
 //! `GOLDEN_UPDATE=1 cargo test --test golden_pipeline`.
 
+use dvm_classfile::ClassFile;
 use dvm_core::{CostModel, Organization, ServiceConfig};
+use dvm_exec::{compile_class, optimize};
 use dvm_proxy::md5::{hex, md5};
 use dvm_proxy::{ir_key, MapOrigin, ProxyError, RequestContext};
 use dvm_security::Policy;
@@ -30,7 +32,10 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/served.t
 /// Differing lines printed on a mismatch.
 const SHOWN: usize = 8;
 
-fn served_lines() -> Vec<String> {
+/// One generation of the Figure-5 corpus behind a single-proxy
+/// organization with `ServiceConfig::dvm()`, and its URLs in request
+/// order.
+fn golden_org(signing: bool) -> (Organization, Vec<String>) {
     let mut origin = MapOrigin::new();
     let mut urls = Vec::new();
     for spec in figure5_apps() {
@@ -43,19 +48,27 @@ fn served_lines() -> Vec<String> {
     }
     let policy = Policy::parse(dvm_security::policy::example_policy()).expect("policy parses");
     let config = ServiceConfig {
-        signing: true,
+        signing,
         ..ServiceConfig::dvm()
     };
     let org = Organization::with_origin(Box::new(origin), policy, config, CostModel::default());
+    (org, urls)
+}
 
+fn context(url: &str) -> RequestContext {
+    RequestContext {
+        client: "golden".to_owned(),
+        principal: "applets".to_owned(),
+        url: url.to_owned(),
+        trace: None,
+    }
+}
+
+fn served_lines() -> Vec<String> {
+    let (org, urls) = golden_org(true);
     let mut lines = Vec::with_capacity(urls.len());
     for url in urls {
-        let ctx = RequestContext {
-            client: "golden".to_owned(),
-            principal: "applets".to_owned(),
-            url: url.clone(),
-            trace: None,
-        };
+        let ctx = context(&url);
         let before = *org.service_stats.lock();
         let served = org
             .proxy
@@ -112,4 +125,36 @@ fn served_bytes_ir_and_check_counts_match_the_golden() {
         );
     }
     panic!("{report}");
+}
+
+/// The pass pipeline stops at a fixpoint: run again over its own output
+/// on every method the golden corpus's rewritten classes lower, it
+/// finds nothing to fold, propagate or eliminate and changes no
+/// instruction. Guards every change to when the iteration stops.
+#[test]
+fn optimized_golden_methods_are_a_fixpoint() {
+    let (org, urls) = golden_org(false);
+    let mut methods = 0;
+    for url in urls {
+        let served = org
+            .proxy
+            .handle_request_detailed(&url, &context(&url))
+            .unwrap_or_else(|e| panic!("{url}: {e}"));
+        let class = ClassFile::parse(&served.bytes).expect("a served class parses");
+        let (ir, _) = compile_class(&class).expect("a served class compiles");
+        for func in &ir.methods {
+            let mut again = func.clone();
+            let stats = optimize(&mut again, &class.pool);
+            assert_eq!(
+                (stats.folded, stats.copies_propagated, stats.eliminated),
+                (0, 0, 0),
+                "{url} {}{}",
+                func.name,
+                func.descriptor
+            );
+            assert_eq!(again.insns, func.insns, "{url} {}", func.name);
+            methods += 1;
+        }
+    }
+    assert!(methods > 5_000, "only {methods} methods lowered");
 }

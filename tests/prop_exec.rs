@@ -14,7 +14,7 @@ use dvm_repro::bytecode::insn::{ICond, Kind};
 use dvm_repro::classfile::{
     AccessFlags, Attribute, ClassBuilder, ClassFile, CodeAttribute, MemberInfo,
 };
-use dvm_repro::exec::{compile_class, decode, encode, lower, ExecError};
+use dvm_repro::exec::{compile_class, decode, encode, lower, optimize, ExecError};
 use dvm_repro::jvm::{
     AuditKind, Completion, DynamicServices, MapProvider, SecurityDecision, Value, Vm,
 };
@@ -125,6 +125,40 @@ fn arith_class(steps: &[Step]) -> ClassFile {
     a.iload(1).ret_val(Kind::Int);
     push_method(&mut cf, "run", "(I)I", a);
     cf
+}
+
+/// `p/Loop.sum(n)`: an accumulator loop with a stride and a delta.
+fn loop_class(stride: i32, delta: i32) -> ClassFile {
+    let mut cf = ClassBuilder::new("p/Loop").build();
+    let mut a = Asm::new(4);
+    let top = a.new_label();
+    let done = a.new_label();
+    a.iconst(0).istore(1);
+    a.iconst(0).istore(2);
+    a.place(top);
+    a.iload(2).iload(0).if_icmp(ICond::Ge, done);
+    a.iload(1).iload(2).iadd().iconst(delta).iadd().istore(1);
+    a.iinc(2, stride as i16).goto(top);
+    a.place(done);
+    a.iload(1).ret_val(Kind::Int);
+    push_method(&mut cf, "sum", "(I)I", a);
+    cf
+}
+
+/// Runs the pass pipeline again over every method `cf` compiles to and
+/// checks it finds nothing more to do.
+fn assert_optimized_is_fixpoint(cf: &ClassFile) -> Result<(), TestCaseError> {
+    let (ir, _) = compile_class(cf).unwrap();
+    for func in &ir.methods {
+        let mut again = func.clone();
+        let stats = optimize(&mut again, &cf.pool);
+        prop_assert_eq!(
+            (stats.folded, stats.copies_propagated, stats.eliminated),
+            (0, 0, 0)
+        );
+        prop_assert_eq!(&again.insns, &func.insns);
+    }
+    Ok(())
 }
 
 // ---- Heap effects -----------------------------------------------------------
@@ -269,20 +303,7 @@ proptest! {
         stride in 1..5i32,
         delta in -10..10i32,
     ) {
-        let mut cf = ClassBuilder::new("p/Loop").build();
-        let mut a = Asm::new(4);
-        let top = a.new_label();
-        let done = a.new_label();
-        a.iconst(0).istore(1);
-        a.iconst(0).istore(2);
-        a.place(top);
-        a.iload(2).iload(0).if_icmp(ICond::Ge, done);
-        a.iload(1).iload(2).iadd().iconst(delta).iadd().istore(1);
-        a.iinc(2, stride as i16).goto(top);
-        a.place(done);
-        a.iload(1).ret_val(Kind::Int);
-        push_method(&mut cf, "sum", "(I)I", a);
-
+        let cf = loop_class(stride, delta);
         let mut interp = vm_interp(&cf);
         let mut tiered = vm_ir(&cf);
         let want = observe(&mut interp, "p/Loop", "sum", "(I)I", vec![Value::Int(n)]);
@@ -340,6 +361,18 @@ proptest! {
             interp_events.lock().unwrap().clone()
         );
         prop_assert!(tiered.exec.stats.ir_invocations >= 1);
+    }
+
+    /// The pass pipeline stops at a fixpoint on random arithmetic and
+    /// loop bodies: optimizing its output again changes nothing.
+    #[test]
+    fn optimize_is_a_fixpoint(
+        steps in proptest::collection::vec(arb_step(), 1..24),
+        stride in 1..5i32,
+        delta in -10..10i32,
+    ) {
+        assert_optimized_is_fixpoint(&arith_class(&steps))?;
+        assert_optimized_is_fixpoint(&loop_class(stride, delta))?;
     }
 
     /// Lowered IR round-trips through the wire format exactly.
