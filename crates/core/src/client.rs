@@ -14,7 +14,7 @@ use dvm_monitor::{AuditSink, EventKind, ProfileCollector, SiteId};
 use dvm_net::NetClassProvider;
 use dvm_netsim::SimTime;
 use dvm_proxy::{Proxy, RequestContext, ServedFrom, Signer};
-use dvm_security::{EnforcementManager, PermissionId, SecurityId};
+use dvm_security::{EnforcementManager, PermissionId};
 use dvm_telemetry::{Counter, Histogram, SpanId, Telemetry, TraceContext, TraceId};
 
 use crate::config::CostModel;
@@ -129,25 +129,17 @@ impl ClassProvider for ProxyProvider {
 /// The client-resident dynamic service components, adapted to the VM's
 /// hook interface.
 struct ClientServices {
+    /// Decides every check the served code makes under the session's SID.
     enforcement: Option<EnforcementManager>,
-    sid: SecurityId,
     audit: Option<Box<dyn AuditSink>>,
     profile: Arc<Mutex<ProfileCollector>>,
 }
 
 impl DynamicServices for ClientServices {
-    fn security_check(&mut self, sid: i32, perm: i32) -> SecurityDecision {
+    fn security_check(&mut self, perm: i32) -> SecurityDecision {
         match &mut self.enforcement {
             Some(em) => {
-                // Rewritten code carries the SID chosen at rewrite time;
-                // the enforcement manager still verifies it against the
-                // session's SID (they agree in this reproduction).
-                let sid = if sid >= 0 {
-                    SecurityId(sid as u32)
-                } else {
-                    self.sid
-                };
-                let (allowed, cost) = em.check(sid, PermissionId(perm as u32));
+                let (allowed, cost) = em.check(PermissionId(perm as u32));
                 if allowed {
                     SecurityDecision::Allow { cost_cycles: cost }
                 } else {
@@ -227,13 +219,11 @@ pub struct DvmClient {
 impl DvmClient {
     /// Builds a client wired to the given in-process organization
     /// services.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn wire(
         proxy: Arc<Proxy>,
         ctx: RequestContext,
         signer: Option<Signer>,
         enforcement: Option<EnforcementManager>,
-        sid: SecurityId,
         audit: Option<Box<dyn AuditSink>>,
         cost: CostModel,
     ) -> dvm_jvm::Result<DvmClient> {
@@ -255,7 +245,6 @@ impl DvmClient {
         Self::assemble(
             Box::new(provider),
             enforcement,
-            sid,
             audit,
             transfers,
             cost,
@@ -272,7 +261,6 @@ impl DvmClient {
     pub fn wire_remote(
         mut provider: NetClassProvider,
         enforcement: Option<EnforcementManager>,
-        sid: SecurityId,
         audit: Option<Box<dyn AuditSink>>,
         cost: CostModel,
     ) -> dvm_jvm::Result<DvmClient> {
@@ -303,7 +291,6 @@ impl DvmClient {
         Self::assemble(
             Box::new(provider),
             enforcement,
-            sid,
             audit,
             transfers,
             cost,
@@ -319,7 +306,6 @@ impl DvmClient {
     pub fn wire_cluster(
         mut provider: ClusterClassProvider,
         enforcement: Option<EnforcementManager>,
-        sid: SecurityId,
         audit: Option<Box<dyn AuditSink>>,
         cost: CostModel,
     ) -> dvm_jvm::Result<DvmClient> {
@@ -337,7 +323,6 @@ impl DvmClient {
         Self::assemble(
             Box::new(provider),
             enforcement,
-            sid,
             audit,
             transfers,
             cost,
@@ -346,11 +331,9 @@ impl DvmClient {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         provider: Box<dyn ClassProvider>,
         enforcement: Option<EnforcementManager>,
-        sid: SecurityId,
         audit: Option<Box<dyn AuditSink>>,
         transfers: Arc<Mutex<Vec<TransferRecord>>>,
         cost: CostModel,
@@ -360,7 +343,6 @@ impl DvmClient {
         let profile = Arc::new(Mutex::new(ProfileCollector::new()));
         let services = ClientServices {
             enforcement,
-            sid,
             audit,
             profile: profile.clone(),
         };

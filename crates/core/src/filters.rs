@@ -21,9 +21,12 @@ use dvm_verifier::StaticVerifier;
 /// stacked on one unit share each body's single decode and encode. The
 /// [`Filter`] form is a wrapper: a unit of its own, one service, and an
 /// encode of what that service edited.
+///
+/// A service sees the class and nothing of the request: the proxy caches
+/// one rewrite per URL and serves it to every client.
 pub trait UnitFilter: Filter {
     /// Transforms one class in place.
-    fn apply_unit(&self, unit: &mut RewriteUnit, ctx: &RequestContext) -> Result<(), FilterError>;
+    fn apply_unit(&self, unit: &mut RewriteUnit) -> Result<(), FilterError>;
 }
 
 /// `filter`'s error `e` as a [`FilterError`].
@@ -35,13 +38,9 @@ pub(crate) fn filter_error(filter: &str, e: impl std::fmt::Display) -> FilterErr
 }
 
 /// [`Filter::apply`] of a [`UnitFilter`].
-fn apply_via_unit(
-    filter: &dyn UnitFilter,
-    class: ClassFile,
-    ctx: &RequestContext,
-) -> Result<ClassFile, FilterError> {
+fn apply_via_unit(filter: &dyn UnitFilter, class: ClassFile) -> Result<ClassFile, FilterError> {
     let mut unit = RewriteUnit::new(class);
-    filter.apply_unit(&mut unit, ctx)?;
+    filter.apply_unit(&mut unit)?;
     unit.finish().map_err(|e| filter_error(filter.name(), e))
 }
 
@@ -85,13 +84,13 @@ impl Filter for VerifierFilter {
         "verifier"
     }
 
-    fn apply(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
-        apply_via_unit(self, class, ctx)
+    fn apply(&self, class: ClassFile, _: &RequestContext) -> Result<ClassFile, FilterError> {
+        apply_via_unit(self, class)
     }
 }
 
 impl UnitFilter for VerifierFilter {
-    fn apply_unit(&self, unit: &mut RewriteUnit, _ctx: &RequestContext) -> Result<(), FilterError> {
+    fn apply_unit(&self, unit: &mut RewriteUnit) -> Result<(), FilterError> {
         let mut v = self.verifier.lock();
         // The proxy sees every class of the organization flow through it;
         // learning signatures lets later classes discharge more statically.
@@ -111,26 +110,26 @@ impl UnitFilter for VerifierFilter {
     }
 }
 
-/// The security service as a filter.
+/// The security service as a filter: it inserts `Enforcer.check(perm)`
+/// before every protected call, naming no principal.
 pub struct SecurityFilter {
     policy: Arc<Mutex<Policy>>,
-    default_sid: SecurityId,
     stats: Arc<Mutex<StaticServiceStats>>,
 }
 
 impl SecurityFilter {
-    /// Creates the filter. `default_sid` is used when the request context
-    /// names no known principal.
+    /// Creates the filter over the organization's shared `policy`.
+    ///
+    /// `_default_sid` is ignored: the rewrite no longer depends on who
+    /// asks for a class. The parameter stays only because the frozen
+    /// benchmark replay (`repro_e2e/src/replay.rs`) still passes it;
+    /// ROADMAP item 24 removes it.
     pub fn new(
         policy: Arc<Mutex<Policy>>,
-        default_sid: SecurityId,
+        _default_sid: SecurityId,
         stats: Arc<Mutex<StaticServiceStats>>,
     ) -> Self {
-        SecurityFilter {
-            policy,
-            default_sid,
-            stats,
-        }
+        SecurityFilter { policy, stats }
     }
 }
 
@@ -139,20 +138,14 @@ impl Filter for SecurityFilter {
         "security"
     }
 
-    fn apply(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
-        apply_via_unit(self, class, ctx)
+    fn apply(&self, class: ClassFile, _: &RequestContext) -> Result<ClassFile, FilterError> {
+        apply_via_unit(self, class)
     }
 }
 
 impl UnitFilter for SecurityFilter {
-    fn apply_unit(&self, unit: &mut RewriteUnit, ctx: &RequestContext) -> Result<(), FilterError> {
-        let policy = self.policy.lock();
-        let sid = policy
-            .principals
-            .get(&ctx.principal)
-            .copied()
-            .unwrap_or(self.default_sid);
-        let rw = dvm_security::secure_class(unit, &policy, sid)
+    fn apply_unit(&self, unit: &mut RewriteUnit) -> Result<(), FilterError> {
+        let rw = dvm_security::secure_class(unit, &self.policy.lock())
             .map_err(|e| filter_error("security", e))?;
         let mut s = self.stats.lock();
         s.security_checks_inserted += rw.checks_inserted;
@@ -184,13 +177,13 @@ impl Filter for AuditFilter {
         "audit"
     }
 
-    fn apply(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
-        apply_via_unit(self, class, ctx)
+    fn apply(&self, class: ClassFile, _: &RequestContext) -> Result<ClassFile, FilterError> {
+        apply_via_unit(self, class)
     }
 }
 
 impl UnitFilter for AuditFilter {
-    fn apply_unit(&self, unit: &mut RewriteUnit, _ctx: &RequestContext) -> Result<(), FilterError> {
+    fn apply_unit(&self, unit: &mut RewriteUnit) -> Result<(), FilterError> {
         let st = dvm_monitor::audit_class_filtered(unit, &mut self.sites.lock(), AUDIT_MIN_INSNS)
             .map_err(|e| filter_error("audit", e))?;
         let mut s = self.stats.lock();
@@ -223,13 +216,13 @@ impl Filter for ProfileFilter {
         "profiler"
     }
 
-    fn apply(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
-        apply_via_unit(self, class, ctx)
+    fn apply(&self, class: ClassFile, _: &RequestContext) -> Result<ClassFile, FilterError> {
+        apply_via_unit(self, class)
     }
 }
 
 impl UnitFilter for ProfileFilter {
-    fn apply_unit(&self, unit: &mut RewriteUnit, _ctx: &RequestContext) -> Result<(), FilterError> {
+    fn apply_unit(&self, unit: &mut RewriteUnit) -> Result<(), FilterError> {
         let st = dvm_monitor::profile_class(unit, &mut self.sites.lock(), self.mode)
             .map_err(|e| filter_error("profiler", e))?;
         let mut s = self.stats.lock();

@@ -37,7 +37,8 @@ use crate::filters::{
 pub struct Organization {
     /// The code proxy hosting the static service pipeline.
     pub proxy: Arc<Proxy>,
-    /// The centralized security service.
+    /// The centralized security service; it answers queries from, and
+    /// applies grants and revokes to, the one shared policy.
     pub security: Arc<Mutex<SecurityServer>>,
     /// The remote administration console.
     pub console: Arc<Mutex<AdminConsole>>,
@@ -45,6 +46,8 @@ pub struct Organization {
     pub sites: Arc<Mutex<SiteTable>>,
     /// Aggregated static-service statistics.
     pub service_stats: Arc<Mutex<StaticServiceStats>>,
+    // The only policy: the security server, every shard's security
+    // filter and each session's enforcement manager share it.
     policy: Arc<Mutex<Policy>>,
     signer: Option<Signer>,
     services: ServiceConfig,
@@ -98,16 +101,13 @@ impl Rewrite for StaticServices {
     fn rewrite(
         &self,
         original: &[u8],
-        ctx: &RequestContext,
         observe: &mut dyn FnMut(&str, u64),
     ) -> Result<Rewritten, ProxyError> {
         let class = ClassFile::parse(original).map_err(|e| ProxyError::Parse(e.to_string()))?;
         let mut unit = RewriteUnit::new(class);
         for service in &self.services {
             let start = Instant::now();
-            service
-                .apply_unit(&mut unit, ctx)
-                .map_err(ProxyError::Filter)?;
+            service.apply_unit(&mut unit).map_err(ProxyError::Filter)?;
             observe(service.name(), start.elapsed().as_nanos() as u64);
         }
         unit.bodies
@@ -152,7 +152,6 @@ fn build_services(
     sites: &Arc<Mutex<SiteTable>>,
     service_stats: &Arc<Mutex<StaticServiceStats>>,
 ) -> Box<StaticServices> {
-    let default_sid = SecurityId(1);
     let mut services: Vec<Box<dyn UnitFilter>> = Vec::new();
     if config.verify {
         let verifier = StaticVerifier::new(MapEnvironment::with_bootstrap());
@@ -164,7 +163,7 @@ fn build_services(
     if config.security {
         services.push(Box::new(SecurityFilter::new(
             policy.clone(),
-            default_sid,
+            SecurityId(1),
             service_stats.clone(),
         )));
     }
@@ -247,7 +246,7 @@ impl Organization {
             None
         };
         let proxy = build_proxy("proxy", &origin, services, &config, &signer, &cost);
-        let security = Arc::new(Mutex::new(SecurityServer::new(policy.lock().clone())));
+        let security = Arc::new(Mutex::new(SecurityServer::new(policy.clone())));
         Organization {
             proxy,
             security,
@@ -323,7 +322,7 @@ impl Organization {
         self.proxy.telemetry().report()
     }
 
-    /// Read access to the policy.
+    /// The organization's policy, the one the security server edits.
     pub fn policy(&self) -> Arc<Mutex<Policy>> {
         self.policy.clone()
     }
@@ -340,7 +339,7 @@ impl Organization {
             native_format: "x86".to_owned(),
             jvm_version: "dvm-repro-0.1".to_owned(),
         });
-        let (sid, enforcement) = self.principal_wiring(principal);
+        let enforcement = self.enforcement(principal);
         let ctx = RequestContext {
             client: user.to_owned(),
             principal: principal.to_owned(),
@@ -353,26 +352,20 @@ impl Organization {
             ctx,
             self.signer.clone(),
             enforcement,
-            sid,
             Some(audit),
             self.cost,
         )
     }
 
-    fn principal_wiring(&self, principal: &str) -> (SecurityId, Option<EnforcementManager>) {
-        let sid = self
-            .policy
-            .lock()
-            .principals
-            .get(principal)
-            .copied()
-            .unwrap_or(SecurityId(1));
-        let enforcement = if self.services.security {
-            Some(EnforcementManager::register(self.security.clone()))
-        } else {
-            None
-        };
-        (sid, enforcement)
+    /// The enforcement manager of a session running as `principal`
+    /// (an unknown principal runs as SID 1), when security is on.
+    fn enforcement(&self, principal: &str) -> Option<EnforcementManager> {
+        if !self.services.security {
+            return None;
+        }
+        let sid = self.policy.lock().principals.get(principal).copied();
+        let sid = sid.unwrap_or(SecurityId(1));
+        Some(EnforcementManager::register(self.security.clone(), sid))
     }
 
     /// Puts this organization's proxy and console behind a live TCP
@@ -425,8 +418,8 @@ impl Organization {
         let console = RemoteConsole::connect_on(addr, hello, net, provider.telemetry())
             .map_err(std::io::Error::other)?;
         let audit: Box<dyn AuditSink> = Box::new(console);
-        let (sid, enforcement) = self.principal_wiring(principal);
-        DvmClient::wire_remote(provider, enforcement, sid, Some(audit), self.cost)
+        let enforcement = self.enforcement(principal);
+        DvmClient::wire_remote(provider, enforcement, Some(audit), self.cost)
             .map_err(std::io::Error::other)
     }
 
@@ -575,8 +568,8 @@ impl Organization {
             std::io::Error::other(last_err.expect("cluster has at least one shard"))
         })?;
         let audit: Box<dyn AuditSink> = Box::new(console);
-        let (sid, enforcement) = self.principal_wiring(principal);
-        DvmClient::wire_cluster(provider, enforcement, sid, Some(audit), self.cost)
+        let enforcement = self.enforcement(principal);
+        DvmClient::wire_cluster(provider, enforcement, Some(audit), self.cost)
             .map_err(std::io::Error::other)
     }
 }

@@ -71,7 +71,9 @@ pub enum InvokeKind {
 /// directly, without paying an `invokestatic` dispatch per check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceKind {
-    /// `Enforcer.check(sid, perm)` — security enforcement.
+    /// `Enforcer.check(perm)` — security enforcement. The code names only
+    /// the permission; the client's enforcement manager decides it under
+    /// the session's SID.
     Security,
     /// `Audit.enter(site)`.
     AuditEnter,
@@ -401,9 +403,10 @@ pub enum RInsn {
     Service {
         /// Which service.
         kind: ServiceKind,
-        /// First operand (site ID / security ID).
+        /// The operand: a site ID, or the permission for `Security`.
         a: SOp,
-        /// Second operand (permission for `Security`; unused otherwise).
+        /// Unused: always `Imm(0)` from the inliner. It keeps the DVMX v1
+        /// layout; the next format version drops it.
         b: SOp,
     },
 }

@@ -142,7 +142,7 @@ pub fn inline_services(func: &mut Function, pool: &ConstPool) -> usize {
             continue;
         };
         let kind = match (class, name, desc) {
-            ("dvm/rt/Enforcer", "check", "(II)V") => ServiceKind::Security,
+            ("dvm/rt/Enforcer", "check", "(I)V") => ServiceKind::Security,
             ("dvm/rt/Audit", "enter", "(I)V") => ServiceKind::AuditEnter,
             ("dvm/rt/Audit", "exit", "(I)V") => ServiceKind::AuditExit,
             ("dvm/rt/Audit", "event", "(I)V") => ServiceKind::AuditEvent,
@@ -150,17 +150,12 @@ pub fn inline_services(func: &mut Function, pool: &ConstPool) -> usize {
             ("dvm/rt/Profiler", "firstUse", "(I)V") => ServiceKind::ProfileFirstUse,
             _ => continue,
         };
-        let expected = if kind == ServiceKind::Security { 2 } else { 1 };
-        if args.len() != expected {
-            continue;
-        }
-        let a = SOp::Reg(args[0]);
-        let b = if kind == ServiceKind::Security {
-            SOp::Reg(args[1])
-        } else {
-            SOp::Imm(0)
+        let [arg] = args[..] else { continue };
+        *insn = RInsn::Service {
+            kind,
+            a: SOp::Reg(arg),
+            b: SOp::Imm(0),
         };
-        *insn = RInsn::Service { kind, a, b };
         inlined += 1;
     }
     inlined
@@ -1177,22 +1172,18 @@ mod tests {
     #[test]
     fn service_stub_calls_inline_and_fold_to_immediates() {
         let mut pool = ConstPool::new();
-        let check = pool.methodref("dvm/rt/Enforcer", "check", "(II)V").unwrap();
+        let check = pool.methodref("dvm/rt/Enforcer", "check", "(I)V").unwrap();
         let count = pool.methodref("dvm/rt/Profiler", "count", "(I)V").unwrap();
         let mut f = func(
             vec![
                 RInsn::Const {
                     dst: VReg(1),
-                    v: RConst::Int(7),
-                },
-                RInsn::Const {
-                    dst: VReg(2),
-                    v: RConst::Int(3),
+                    v: RConst::Int(10),
                 },
                 RInsn::Invoke {
                     kind: InvokeKind::Static,
                     idx: check,
-                    args: vec![VReg(1), VReg(2)],
+                    args: vec![VReg(1)],
                     dst: None,
                 },
                 RInsn::Const {
@@ -1212,15 +1203,15 @@ mod tests {
         );
         let stats = optimize(&mut f, &pool);
         assert_eq!(stats.services_inlined, 2);
-        // Three bytecode instructions per check collapse to one Service
-        // with pure immediates.
+        // Two bytecode instructions per check collapse to one Service
+        // with a pure immediate.
         assert_eq!(
             f.insns,
             vec![
                 RInsn::Service {
                     kind: ServiceKind::Security,
-                    a: SOp::Imm(7),
-                    b: SOp::Imm(3),
+                    a: SOp::Imm(10),
+                    b: SOp::Imm(0),
                 },
                 RInsn::Service {
                     kind: ServiceKind::ProfileCount,

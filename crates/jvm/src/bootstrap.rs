@@ -283,7 +283,7 @@ pub fn bootstrap_classes() -> Vec<ClassFile> {
     v.push(
         ClassBuilder::new("dvm/rt/Enforcer")
             .access(AccessFlags::PUBLIC | AccessFlags::FINAL)
-            .bodyless_method(static_native(), "check", "(II)V")
+            .bodyless_method(static_native(), "check", "(I)V")
             .build(),
     );
 

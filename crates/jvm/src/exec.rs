@@ -996,13 +996,14 @@ fn step_ir(
             }
             Ok(Flow::Next)
         }
-        RInsn::Service { kind, a, b } => {
-            let site = sop_val(regs, *a)?;
+        RInsn::Service { kind, a, .. } => {
+            // One operand: the permission for `Security`, a site id for
+            // the others.
+            let arg = sop_val(regs, *a)?;
             match kind {
                 ServiceKind::Security => {
-                    let perm = sop_val(regs, *b)?;
                     vm.stats.security_checks += 1;
-                    match vm.services.security_check(site, perm) {
+                    match vm.services.security_check(arg) {
                         SecurityDecision::Allow { cost_cycles } => {
                             vm.stats.cycles += cost_cycles;
                             Ok(Flow::Next)
@@ -1012,33 +1013,33 @@ fn step_ir(
                             throw_ir(
                                 vm,
                                 "java/lang/SecurityException",
-                                format!("sid {site} denied permission {perm}"),
+                                crate::natives::denied_message(arg),
                             )
                         }
                     }
                 }
                 ServiceKind::AuditEnter => {
-                    vm.services.audit_event(site, AuditKind::Enter);
+                    vm.services.audit_event(arg, AuditKind::Enter);
                     vm.stats.cycles += 15;
                     Ok(Flow::Next)
                 }
                 ServiceKind::AuditExit => {
-                    vm.services.audit_event(site, AuditKind::Exit);
+                    vm.services.audit_event(arg, AuditKind::Exit);
                     vm.stats.cycles += 15;
                     Ok(Flow::Next)
                 }
                 ServiceKind::AuditEvent => {
-                    vm.services.audit_event(site, AuditKind::Event);
+                    vm.services.audit_event(arg, AuditKind::Event);
                     vm.stats.cycles += 15;
                     Ok(Flow::Next)
                 }
                 ServiceKind::ProfileCount => {
-                    vm.services.profile_count(site);
+                    vm.services.profile_count(arg);
                     vm.stats.cycles += 5;
                     Ok(Flow::Next)
                 }
                 ServiceKind::ProfileFirstUse => {
-                    vm.services.first_use(site);
+                    vm.services.first_use(arg);
                     vm.stats.cycles += 5;
                     Ok(Flow::Next)
                 }

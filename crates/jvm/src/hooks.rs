@@ -27,9 +27,10 @@ pub enum SecurityDecision {
 /// with services disabled, as in the paper's DVM measurements on the Sun
 /// JDK client) runs unmodified applications.
 pub trait DynamicServices: Send {
-    /// `dvm/rt/Enforcer.check(sid, perm)` — consult the enforcement
-    /// manager.
-    fn security_check(&mut self, _sid: i32, _perm: i32) -> SecurityDecision {
+    /// `dvm/rt/Enforcer.check(perm)` — ask the enforcement manager
+    /// whether this client's session may use `perm`. The code names only
+    /// the permission; the manager supplies the session's SID.
+    fn security_check(&mut self, _perm: i32) -> SecurityDecision {
         SecurityDecision::Allow { cost_cycles: 0 }
     }
 
@@ -96,7 +97,7 @@ mod tests {
     fn defaults_allow_everything() {
         let mut s = NoServices;
         assert_eq!(
-            s.security_check(1, 2),
+            s.security_check(2),
             SecurityDecision::Allow { cost_cycles: 0 }
         );
         s.audit_event(0, AuditKind::Enter);

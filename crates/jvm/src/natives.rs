@@ -103,6 +103,12 @@ impl Default for NativeRegistry {
     }
 }
 
+/// The `SecurityException` message of a denied `Enforcer.check(perm)`,
+/// the same from the interpreter and the IR tier.
+pub(crate) fn denied_message(perm: i32) -> String {
+    format!("permission {perm} denied")
+}
+
 // ---- Argument helpers -------------------------------------------------------
 
 fn arg_int(args: &[Value], i: usize) -> Result<i32> {
@@ -721,21 +727,17 @@ fn register_builtins(r: &mut NativeRegistry) {
     );
 
     // dvm/rt/Enforcer — the enforcement manager hook.
-    r.register("dvm/rt/Enforcer", "check", "(II)V", |vm, args| {
-        let sid = arg_int(args, 0)?;
-        let perm = arg_int(args, 1)?;
+    r.register("dvm/rt/Enforcer", "check", "(I)V", |vm, args| {
+        let perm = arg_int(args, 0)?;
         vm.stats.security_checks += 1;
-        match vm.services.security_check(sid, perm) {
+        match vm.services.security_check(perm) {
             SecurityDecision::Allow { cost_cycles } => {
                 vm.stats.cycles += cost_cycles;
                 NativeResult::void()
             }
             SecurityDecision::Deny { cost_cycles } => {
                 vm.stats.cycles += cost_cycles;
-                NativeResult::throw(
-                    "java/lang/SecurityException",
-                    format!("sid {sid} denied permission {perm}"),
-                )
+                NativeResult::throw("java/lang/SecurityException", denied_message(perm))
             }
         }
     });

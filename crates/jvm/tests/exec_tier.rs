@@ -262,19 +262,16 @@ fn uncaught_exception_escapes_compiled_code_with_interpreter_message() {
 
 // ---- Service intrinsics ------------------------------------------------
 
+/// Records every hook call and denies odd permissions.
 #[derive(Default)]
 struct Recorder {
     events: Arc<Mutex<Vec<String>>>,
-    deny: bool,
 }
 
 impl DynamicServices for Recorder {
-    fn security_check(&mut self, sid: i32, perm: i32) -> SecurityDecision {
-        self.events
-            .lock()
-            .unwrap()
-            .push(format!("check {sid} {perm}"));
-        if self.deny {
+    fn security_check(&mut self, perm: i32) -> SecurityDecision {
+        self.events.lock().unwrap().push(format!("check {perm}"));
+        if perm % 2 != 0 {
             SecurityDecision::Deny { cost_cycles: 11 }
         } else {
             SecurityDecision::Allow { cost_cycles: 7 }
@@ -297,13 +294,13 @@ impl DynamicServices for Recorder {
     }
 }
 
-/// t/Svc.poke()I: Enforcer.check(3, 4); Audit.enter(5); Profiler.count(6);
+/// t/Svc.poke()I: Enforcer.check(perm); Audit.enter(5); Profiler.count(6);
 /// return 7 — the shape the rewriter injects into served classes.
-fn service_class() -> ClassFile {
+fn service_class(perm: i32) -> ClassFile {
     let mut cf = ClassBuilder::new("t/Svc").build();
     let check = cf
         .pool
-        .methodref("dvm/rt/Enforcer", "check", "(II)V")
+        .methodref("dvm/rt/Enforcer", "check", "(I)V")
         .unwrap();
     let enter = cf.pool.methodref("dvm/rt/Audit", "enter", "(I)V").unwrap();
     let count = cf
@@ -311,7 +308,7 @@ fn service_class() -> ClassFile {
         .methodref("dvm/rt/Profiler", "count", "(I)V")
         .unwrap();
     let mut a = Asm::new(1);
-    a.iconst(3).iconst(4).invokestatic(check);
+    a.iconst(perm).invokestatic(check);
     a.iconst(5).invokestatic(enter);
     a.iconst(6).invokestatic(count);
     a.iconst(7).ret_val(Kind::Int);
@@ -343,18 +340,17 @@ fn vm_with_services(cf: &ClassFile, services: Recorder) -> Vm {
 
 #[test]
 fn service_intrinsics_reach_hooks_from_compiled_code() {
-    let cf = service_class();
+    let cf = service_class(4);
     let events = Arc::new(Mutex::new(Vec::new()));
     let rec = Recorder {
         events: events.clone(),
-        deny: false,
     };
     let mut vm = vm_with_services(&cf, rec);
     let out = vm.run_static("t/Svc", "poke", "()I", vec![]).unwrap();
     assert_eq!(int_of(out), 7);
     assert_eq!(
         *events.lock().unwrap(),
-        vec!["check 3 4", "audit 5 Enter", "count 6"]
+        vec!["check 4", "audit 5 Enter", "count 6"]
     );
     assert_eq!(vm.stats.security_checks, 1);
     assert_eq!(vm.exec.stats.ir_invocations, 1);
@@ -362,23 +358,42 @@ fn service_intrinsics_reach_hooks_from_compiled_code() {
 
 #[test]
 fn denied_check_throws_security_exception_from_compiled_code() {
-    let cf = service_class();
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let rec = Recorder {
-        events: events.clone(),
-        deny: true,
+    let cf = service_class(3);
+    let denial = |ir: bool| {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let rec = Recorder {
+            events: events.clone(),
+        };
+        let mut vm = if ir {
+            vm_with_services(&cf, rec)
+        } else {
+            let mut cf = cf.clone();
+            let mut provider = MapProvider::new();
+            provider.insert_class(&mut cf).unwrap();
+            Vm::with_services(Box::new(provider), Box::new(rec)).unwrap()
+        };
+        let thrown = match vm.run_static("t/Svc", "poke", "()I", vec![]).unwrap() {
+            Completion::Exception(e) => vm.exception_message(e).unwrap(),
+            other => panic!("expected exception, got {other:?}"),
+        };
+        assert_eq!(vm.exec.stats.ir_invocations, u64::from(ir));
+        // The deny happened at the first check; nothing after it ran.
+        assert_eq!(*events.lock().unwrap(), vec!["check 3"]);
+        thrown
     };
-    let mut vm = vm_with_services(&cf, rec);
-    match vm.run_static("t/Svc", "poke", "()I", vec![]).unwrap() {
-        Completion::Exception(e) => {
-            let (class, msg) = vm.exception_message(e).unwrap();
-            assert_eq!(class, "java/lang/SecurityException");
-            assert_eq!(msg, "sid 3 denied permission 4");
-        }
-        other => panic!("expected exception, got {other:?}"),
-    }
-    // The deny happened at the first intrinsic; nothing after it ran.
-    assert_eq!(*events.lock().unwrap(), vec!["check 3 4"]);
+    let compiled = denial(true);
+    assert_eq!(
+        compiled,
+        (
+            "java/lang/SecurityException".to_owned(),
+            "permission 3 denied".to_owned()
+        )
+    );
+    assert_eq!(
+        compiled,
+        denial(false),
+        "both tiers raise the same exception"
+    );
 }
 
 #[test]

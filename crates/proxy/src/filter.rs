@@ -21,7 +21,11 @@ use dvm_telemetry::TraceContext;
 pub struct RequestContext {
     /// Requesting client identifier.
     pub client: String,
-    /// Principal the code will run as (chooses the security SID).
+    /// Principal the client runs code as. No rewrite reads it — served
+    /// bytes are the same for every principal, and the client's
+    /// enforcement manager supplies the SID. It stays only because the
+    /// frozen benchmark replay (`repro_e2e/src/replay.rs`) still sets it;
+    /// ROADMAP item 24 removes it.
     pub principal: String,
     /// Source URL of the code.
     pub url: String,

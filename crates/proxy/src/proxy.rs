@@ -186,6 +186,10 @@ pub struct Rewritten {
 /// it over one decoded form of every method body, which this crate
 /// never sees. The proxy only times, signs, caches and serves the
 /// result — IR under `ir://<signature>` keys.
+///
+/// A rewrite is a function of the origin's bytes alone: no request
+/// reaches it, which is what lets the memory and disk tiers, peer fill
+/// and migration key it by URL and serve it to every client.
 pub trait Rewrite: Send + Sync {
     /// Stage names, in the order [`Rewrite::rewrite`] reports them: each
     /// gets a `proxy.stage.<name>_ns` histogram and `stage.<name>` spans.
@@ -196,7 +200,6 @@ pub trait Rewrite: Send + Sync {
     fn rewrite(
         &self,
         original: &[u8],
-        ctx: &RequestContext,
         observe: &mut dyn FnMut(&str, u64),
     ) -> Result<Rewritten, ProxyError>;
 }
@@ -415,7 +418,7 @@ impl Proxy {
         ctx: &RequestContext,
     ) -> Result<ServedResponse, ProxyError> {
         let scope = self.begin_request(ctx.trace);
-        let result = self.serve(url, ctx, scope.span.map(|(t, id, _)| (t.trace, id)));
+        let result = self.serve(url, scope.span.map(|(t, id, _)| (t.trace, id)));
         self.finish_request(scope, url, result)
     }
 
@@ -503,7 +506,6 @@ impl Proxy {
     fn serve(
         &self,
         url: &str,
-        ctx: &RequestContext,
         span: Option<(dvm_telemetry::TraceId, SpanId)>,
     ) -> Result<ServedResponse, ProxyError> {
         if self.caching {
@@ -570,7 +572,7 @@ impl Proxy {
         // The rewrite reports its stages in order, so the n-th report
         // belongs to the n-th pre-resolved handle.
         let mut stages = self.metrics.stages.iter();
-        let rewritten = self.rewrite.rewrite(&original, ctx, &mut |_, elapsed_ns| {
+        let rewritten = self.rewrite.rewrite(&original, &mut |_, elapsed_ns| {
             let Some((histogram, span_name)) = stages.next() else {
                 return;
             };
@@ -805,7 +807,6 @@ mod tests {
         fn rewrite(
             &self,
             original: &[u8],
-            _: &RequestContext,
             observe: &mut dyn FnMut(&str, u64),
         ) -> Result<Rewritten, ProxyError> {
             let parse_error = |e: ClassFileError| ProxyError::Parse(e.to_string());
@@ -1187,10 +1188,9 @@ mod tests {
             fn rewrite(
                 &self,
                 original: &[u8],
-                ctx: &RequestContext,
                 observe: &mut dyn FnMut(&str, u64),
             ) -> Result<Rewritten, ProxyError> {
-                let mut out = self.0.rewrite(original, ctx, observe)?;
+                let mut out = self.0.rewrite(original, observe)?;
                 out.ir = Some(IrProduct {
                     bytes: vec![0xd0, out.payload[0]],
                     pass_work: vec![("fold".to_owned(), 3), ("dce".to_owned(), 2)],

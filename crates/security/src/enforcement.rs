@@ -1,12 +1,13 @@
 //! The security server and the client-side enforcement manager.
 //!
-//! The server holds the organization policy and answers access queries;
-//! each client runs a small enforcement manager that caches results. A
-//! cache-invalidation protocol lets the server propagate policy changes:
-//! every grant/revoke clears the registered client caches (§3.2).
+//! The server answers access queries against the organization policy it
+//! shares with the static rewriter; each client runs a small enforcement
+//! manager that caches results. A cache-invalidation protocol lets the
+//! server propagate policy changes: every grant/revoke clears the caches
+//! of the clients still running (§3.2).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
@@ -31,24 +32,27 @@ pub struct ServerStats {
     pub queries: u64,
     /// Policy updates applied.
     pub updates: u64,
-    /// Cache invalidations pushed to clients.
+    /// Cache invalidations pushed to live clients.
     pub invalidations_sent: u64,
 }
 
-type CacheCell = Mutex<HashMap<(SecurityId, PermissionId), bool>>;
+type CacheCell = Mutex<HashMap<PermissionId, bool>>;
 
-/// The centralized security service.
+/// The centralized security service. It owns no copy of the policy: it
+/// reads and edits the organization's one shared [`Policy`].
 #[derive(Debug)]
 pub struct SecurityServer {
-    policy: Policy,
-    clients: Vec<Arc<CacheCell>>,
+    policy: Arc<Mutex<Policy>>,
+    /// The caches of registered clients; a dropped client's cell dies
+    /// with it and is pruned at the next grant or revoke.
+    clients: Vec<Weak<CacheCell>>,
     /// Statistics.
     pub stats: ServerStats,
 }
 
 impl SecurityServer {
-    /// Creates a server around a policy.
-    pub fn new(policy: Policy) -> SecurityServer {
+    /// Creates a server over the shared `policy`.
+    pub fn new(policy: Arc<Mutex<Policy>>) -> SecurityServer {
         SecurityServer {
             policy,
             clients: Vec::new(),
@@ -56,40 +60,38 @@ impl SecurityServer {
         }
     }
 
-    /// Read access to the policy.
-    pub fn policy(&self) -> &Policy {
-        &self.policy
-    }
-
     /// Answers one access query.
     pub fn query(&mut self, sid: SecurityId, perm: PermissionId) -> bool {
         self.stats.queries += 1;
-        self.policy.allows(sid, perm)
+        self.policy.lock().allows(sid, perm)
     }
 
     /// Grants a permission and invalidates client caches.
     pub fn grant(&mut self, sid: SecurityId, perm: PermissionId) {
-        self.policy.grant(sid, perm);
+        self.policy.lock().grant(sid, perm);
         self.invalidate_clients();
     }
 
     /// Revokes a permission and invalidates client caches.
     pub fn revoke(&mut self, sid: SecurityId, perm: PermissionId) {
-        self.policy.revoke(sid, perm);
+        self.policy.lock().revoke(sid, perm);
         self.invalidate_clients();
     }
 
     fn invalidate_clients(&mut self) {
         self.stats.updates += 1;
-        for c in &self.clients {
+        let sent = &mut self.stats.invalidations_sent;
+        self.clients.retain(|c| {
+            let Some(c) = c.upgrade() else { return false };
             c.lock().clear();
-            self.stats.invalidations_sent += 1;
-        }
+            *sent += 1;
+            true
+        });
     }
 
     fn register(&mut self) -> Arc<CacheCell> {
         let cell = Arc::new(Mutex::new(HashMap::new()));
-        self.clients.push(cell.clone());
+        self.clients.push(Arc::downgrade(&cell));
         cell
     }
 }
@@ -108,10 +110,12 @@ pub struct EnforcementStats {
 }
 
 /// The enforcement manager: the dynamic component of the security service,
-/// resident on each client.
+/// resident on each client. It decides every check under its session's
+/// SID; the served code names only the permission.
 #[derive(Debug)]
 pub struct EnforcementManager {
     server: Arc<Mutex<SecurityServer>>,
+    sid: SecurityId,
     cache: Arc<CacheCell>,
     downloaded: bool,
     /// Statistics.
@@ -119,21 +123,22 @@ pub struct EnforcementManager {
 }
 
 impl EnforcementManager {
-    /// Registers a new client with `server`.
-    pub fn register(server: Arc<Mutex<SecurityServer>>) -> EnforcementManager {
+    /// Registers a new client session running as `sid` with `server`.
+    pub fn register(server: Arc<Mutex<SecurityServer>>, sid: SecurityId) -> EnforcementManager {
         let cache = server.lock().register();
         EnforcementManager {
             server,
+            sid,
             cache,
             downloaded: false,
             stats: EnforcementStats::default(),
         }
     }
 
-    /// Performs an access check, returning the decision and its simulated
-    /// cycle cost.
-    pub fn check(&mut self, sid: SecurityId, perm: PermissionId) -> (bool, u64) {
-        if let Some(&allowed) = self.cache.lock().get(&(sid, perm)) {
+    /// Checks the session's `perm`, returning the decision and its
+    /// simulated cycle cost.
+    pub fn check(&mut self, perm: PermissionId) -> (bool, u64) {
+        if let Some(&allowed) = self.cache.lock().get(&perm) {
             self.stats.cache_hits += 1;
             if !allowed {
                 self.stats.denials += 1;
@@ -150,18 +155,18 @@ impl EnforcementManager {
             self.stats.downloads += 1;
             POLICY_DOWNLOAD_CYCLES
         };
-        let allowed = self.server.lock().query(sid, perm);
-        self.cache.lock().insert((sid, perm), allowed);
+        let allowed = self.server.lock().query(self.sid, perm);
+        self.cache.lock().insert(perm, allowed);
         if !allowed {
             self.stats.denials += 1;
         }
         (allowed, cost)
     }
 
-    /// Returns `true` when the cache currently holds an entry for the pair
-    /// (used by the cache-invalidation tests and ablation bench).
-    pub fn is_cached(&self, sid: SecurityId, perm: PermissionId) -> bool {
-        self.cache.lock().contains_key(&(sid, perm))
+    /// Returns `true` when the cache currently holds a decision for
+    /// `perm` (used by the cache-invalidation tests).
+    pub fn is_cached(&self, perm: PermissionId) -> bool {
+        self.cache.lock().contains_key(&perm)
     }
 }
 
@@ -179,18 +184,20 @@ mod tests {
         let policy = Policy::parse(example_policy()).unwrap();
         let sid = policy.principals["applets"];
         let perm = policy.permissions["file.read"];
-        let server = Arc::new(Mutex::new(SecurityServer::new(policy)));
-        let em = EnforcementManager::register(server.clone());
+        let server = Arc::new(Mutex::new(SecurityServer::new(Arc::new(Mutex::new(
+            policy,
+        )))));
+        let em = EnforcementManager::register(server.clone(), sid);
         (server, em, sid, perm)
     }
 
     #[test]
     fn first_check_downloads_then_hits_cache() {
-        let (_server, mut em, sid, perm) = setup();
-        let (ok, cost) = em.check(sid, perm);
+        let (_server, mut em, _, perm) = setup();
+        let (ok, cost) = em.check(perm);
         assert!(ok);
         assert_eq!(cost, POLICY_DOWNLOAD_CYCLES);
-        let (ok, cost) = em.check(sid, perm);
+        let (ok, cost) = em.check(perm);
         assert!(ok);
         assert_eq!(cost, CACHE_HIT_CYCLES);
         assert_eq!(em.stats.downloads, 1);
@@ -200,14 +207,11 @@ mod tests {
     #[test]
     fn revocation_invalidates_client_caches() {
         let (server, mut em, sid, perm) = setup();
-        em.check(sid, perm);
-        assert!(em.is_cached(sid, perm));
+        em.check(perm);
+        assert!(em.is_cached(perm));
         server.lock().revoke(sid, perm);
-        assert!(
-            !em.is_cached(sid, perm),
-            "invalidation must clear the cache"
-        );
-        let (ok, _) = em.check(sid, perm);
+        assert!(!em.is_cached(perm), "invalidation must clear the cache");
+        let (ok, _) = em.check(perm);
         assert!(!ok, "revoked permission must now be denied");
         assert_eq!(em.stats.denials, 1);
     }
@@ -216,22 +220,36 @@ mod tests {
     fn grant_propagates_to_clients() {
         let (server, mut em, sid, _) = setup();
         let new_perm = PermissionId(99);
-        let (ok, _) = em.check(sid, new_perm);
+        let (ok, _) = em.check(new_perm);
         assert!(!ok);
         server.lock().grant(sid, new_perm);
-        let (ok, _) = em.check(sid, new_perm);
+        let (ok, _) = em.check(new_perm);
         assert!(ok);
     }
 
     #[test]
     fn multiple_clients_all_invalidate() {
         let (server, mut em1, sid, perm) = setup();
-        let mut em2 = EnforcementManager::register(server.clone());
-        em1.check(sid, perm);
-        em2.check(sid, perm);
+        let mut em2 = EnforcementManager::register(server.clone(), sid);
+        em1.check(perm);
+        em2.check(perm);
         server.lock().revoke(sid, perm);
-        assert!(!em1.is_cached(sid, perm));
-        assert!(!em2.is_cached(sid, perm));
+        assert!(!em1.is_cached(perm));
+        assert!(!em2.is_cached(perm));
         assert_eq!(server.lock().stats.invalidations_sent, 2);
+    }
+
+    #[test]
+    fn dropped_clients_are_pruned_not_invalidated() {
+        let (server, mut em, sid, perm) = setup();
+        let mut managers: Vec<_> = (0..999)
+            .map(|_| EnforcementManager::register(server.clone(), sid))
+            .collect();
+        em.check(perm);
+        managers.clear();
+        server.lock().revoke(sid, perm);
+        assert_eq!(server.lock().stats.invalidations_sent, 1);
+        assert_eq!(server.lock().clients.len(), 1);
+        assert!(!em.is_cached(perm));
     }
 }

@@ -1,16 +1,18 @@
 //! The security rewriter: the static component of the security service.
 //!
-//! Given the organization policy and the principal an application runs as,
-//! the rewriter scans every method body for call sites that match a policy
-//! operation and inserts `dvm/rt/Enforcer.check(sid, perm)` immediately
-//! before them (§3.2: "inserting calls to the enforcement manager at method
-//! and constructor boundaries so that resource accesses are preceded by the
-//! appropriate access checks").
+//! Given the organization policy, the rewriter scans every method body for
+//! call sites that match a policy operation and inserts
+//! `dvm/rt/Enforcer.check(perm)` immediately before them (§3.2: "inserting
+//! calls to the enforcement manager at method and constructor boundaries so
+//! that resource accesses are preceded by the appropriate access checks").
+//! The served code names only the permission: the client's enforcement
+//! manager decides each check under its own session's SID, so one rewrite
+//! serves every principal.
 
 use dvm_bytecode::insn::Insn;
 use dvm_bytecode::{CodeEditor, RewriteUnit};
 
-use crate::policy::{Policy, SecurityId};
+use crate::policy::Policy;
 
 /// Statistics from a rewriting pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,16 +29,15 @@ pub struct SecurityRewriteStats {
 /// Error from the rewriting pass (malformed method bodies).
 pub type RewriteError = dvm_bytecode::BytecodeError;
 
-/// Rewrites `unit` so that every protected call site checks `sid`'s
+/// Rewrites `unit` so that every protected call site checks its
 /// permission first. Only bodies that gain a check are marked dirty.
 pub fn secure_class(
     unit: &mut RewriteUnit,
     policy: &Policy,
-    sid: SecurityId,
 ) -> Result<SecurityRewriteStats, RewriteError> {
     let mut stats = SecurityRewriteStats::default();
     let cf = &mut unit.class;
-    let enforcer = cf.pool.methodref("dvm/rt/Enforcer", "check", "(II)V")?;
+    let enforcer = cf.pool.methodref("dvm/rt/Enforcer", "check", "(I)V")?;
 
     // Pre-resolve the member refs of instrumentable call sites once per
     // class: map pool index -> required permission.
@@ -75,11 +76,7 @@ pub fn secure_class(
             |insn| permission(insn).is_some(),
             |_, insn| {
                 let perm = permission(insn).expect("matched above");
-                vec![
-                    Insn::IConst(sid.0 as i32),
-                    Insn::IConst(perm as i32),
-                    Insn::InvokeStatic(enforcer),
-                ]
+                vec![Insn::IConst(perm as i32), Insn::InvokeStatic(enforcer)]
             },
         );
         stats.checks_inserted += inserted;
@@ -125,20 +122,26 @@ mod tests {
     fn protected_call_sites_get_checks() {
         let policy = Policy::parse(example_policy()).unwrap();
         let mut unit = RewriteUnit::new(app());
-        let stats = secure_class(&mut unit, &policy, SecurityId(1)).unwrap();
+        let stats = secure_class(&mut unit, &policy).unwrap();
         let cf = unit.finish().unwrap();
         assert_eq!(stats.checks_inserted, 1);
         assert_eq!(stats.methods_instrumented, 1);
         let m = cf.find_method("main", "()V").unwrap();
         let code = Code::decode(m.code().unwrap()).unwrap();
         // Original: [ldc, invokestatic getprop, pop, return]
-        // Rewritten: [ldc, iconst sid, iconst perm, check, getprop, pop,
-        // return] — the check sits immediately before the protected call.
-        assert_eq!(code.insns.len(), 7);
+        // Rewritten: [ldc, iconst perm, check, getprop, pop, return] — the
+        // check sits immediately before the protected call and names no
+        // principal.
+        assert_eq!(code.insns.len(), 6);
         assert!(matches!(code.insns[0], Insn::Ldc(_)));
-        assert_eq!(code.insns[1], Insn::IConst(1));
-        assert_eq!(code.insns[2], Insn::IConst(10));
-        assert!(matches!(code.insns[3], Insn::InvokeStatic(_)));
+        assert_eq!(code.insns[1], Insn::IConst(10));
+        let Insn::InvokeStatic(check) = code.insns[2] else {
+            panic!("expected the enforcer call, got {:?}", code.insns[2]);
+        };
+        assert_eq!(
+            cf.pool.get_member_ref(check).unwrap(),
+            ("dvm/rt/Enforcer", "check", "(I)V")
+        );
     }
 
     #[test]
@@ -157,7 +160,7 @@ mod tests {
             attributes: vec![Attribute::Code(attr)],
         });
         let mut unit = RewriteUnit::new(cf);
-        let stats = secure_class(&mut unit, &policy, SecurityId(1)).unwrap();
+        let stats = secure_class(&mut unit, &policy).unwrap();
         assert_eq!(stats.checks_inserted, 0);
         assert_eq!(unit.bodies.decoded(), 1);
         assert_eq!(unit.bodies.encode_dirty(&mut unit.class).unwrap(), 0);

@@ -2,10 +2,14 @@
 //! revocation (§3.2 of the paper).
 //!
 //! An untrusted application reads files under `/data/`. The organization
-//! policy allows it — until the administrator revokes `file.open` at the
-//! *security server*, after which every client in the organization denies
-//! the access without any client-side reconfiguration (the
-//! cache-invalidation protocol clears the enforcement managers).
+//! policy allows it for `applets` but not for `trusted`: the proxy
+//! rewrites the class once, and both principals run that same cached
+//! rewrite, because the served code names only the permission and each
+//! client's enforcement manager decides it under its own SID. Then the
+//! administrator revokes `file.open` at the *security server*, after
+//! which every client in the organization denies the access without any
+//! client-side reconfiguration (the cache-invalidation protocol clears
+//! the enforcement managers).
 //!
 //! ```sh
 //! cargo run --release --example secure_deployment
@@ -15,6 +19,7 @@ use dvm_bytecode::Asm;
 use dvm_classfile::{AccessFlags, Attribute, ClassBuilder, ClassFile, MemberInfo};
 use dvm_core::{CostModel, Organization, ServiceConfig};
 use dvm_jvm::Completion;
+use dvm_proxy::ServedFrom;
 use dvm_security::Policy;
 
 /// An app that opens `/data/report.txt` and reads a byte.
@@ -62,10 +67,17 @@ fn file_reader() -> ClassFile {
     cf
 }
 
+/// The example policy, with `file.open` withheld from `trusted`.
+fn policy() -> Policy {
+    let grant = r#"<allow principal="trusted" permission="file.open"/>"#;
+    let text = dvm_security::policy::example_policy().replace(grant, "");
+    Policy::parse(&text).unwrap()
+}
+
 fn main() {
     let org = Organization::new(
         &[file_reader()],
-        Policy::parse(dvm_security::policy::example_policy()).unwrap(),
+        policy(),
         ServiceConfig::dvm(),
         CostModel::default(),
     )
@@ -76,17 +88,37 @@ fn main() {
         (p.principals["applets"], p.permissions["file.open"])
     };
 
-    // Phase 1: the policy permits file access.
-    println!("== phase 1: policy allows file.open for 'applets' ==");
+    // Phase 1: the policy permits file access to 'applets' only. Alice's
+    // request makes the proxy rewrite the class; Carol runs the same
+    // cached bytes under her own SID.
+    println!("== phase 1: policy allows file.open for 'applets', not 'trusted' ==");
     let mut alice = org.client("alice", "applets").unwrap();
     alice.vm.add_file("/data/report.txt", vec![42, 43, 44]);
     let r = alice.run_main("app/Reader").unwrap();
     match &r.completion {
         Completion::Normal(_) => {
-            println!("alice read the file; output = {:?}", alice.vm.stdout);
+            println!(
+                "alice (applets) read the file; output = {:?}",
+                alice.vm.stdout
+            );
             println!("access checks executed: {}", r.security_checks);
         }
-        Completion::Exception(_) => println!("unexpected denial: {:?}", r.exception),
+        Completion::Exception(_) => println!("ERROR: alice was denied: {:?}", r.exception),
+    }
+    let mut carol = org.client("carol", "trusted").unwrap();
+    carol.vm.add_file("/data/report.txt", vec![42]);
+    let r = carol.run_main("app/Reader").unwrap();
+    let cached = r
+        .transfers
+        .iter()
+        .all(|t| t.served_from == ServedFrom::MemoryCache);
+    println!("carol (trusted) ran the cached rewrite: {cached}");
+    match &r.completion {
+        Completion::Exception(_) => {
+            let (class, msg) = r.exception.clone().unwrap();
+            println!("carol was denied: {class}: {msg}");
+        }
+        Completion::Normal(_) => println!("ERROR: carol was allowed file.open!"),
     }
 
     // Phase 2: the administrator revokes the permission once, centrally.

@@ -210,13 +210,10 @@ struct Recorder {
 }
 
 impl DynamicServices for Recorder {
-    fn security_check(&mut self, sid: i32, perm: i32) -> SecurityDecision {
-        self.events
-            .lock()
-            .unwrap()
-            .push(format!("check {sid} {perm}"));
-        // Deny odd subject ids so both outcomes appear in the stream.
-        if sid % 2 != 0 {
+    fn security_check(&mut self, perm: i32) -> SecurityDecision {
+        self.events.lock().unwrap().push(format!("check {perm}"));
+        // Deny odd permissions so both outcomes appear in the stream.
+        if perm % 2 != 0 {
             SecurityDecision::Deny { cost_cycles: 11 }
         } else {
             SecurityDecision::Allow { cost_cycles: 7 }
@@ -235,14 +232,15 @@ impl DynamicServices for Recorder {
     }
 }
 
-/// `p/Svc.probe(sid)`: audit-enter, a security check against the given
-/// subject, a profiler count, audit-exit, return 1. The lowered IR
-/// carries these as `Service` instructions.
+/// `p/Svc.probe(perm)`: per site, audit-enter, a security check of the
+/// permission the caller passes (a register operand, not a constant),
+/// a profiler count, audit-exit; then return 1. The lowered IR carries
+/// these as `Service` instructions.
 fn service_class(sites: &[i32]) -> ClassFile {
     let mut cf = ClassBuilder::new("p/Svc").build();
     let check = cf
         .pool
-        .methodref("dvm/rt/Enforcer", "check", "(II)V")
+        .methodref("dvm/rt/Enforcer", "check", "(I)V")
         .unwrap();
     let enter = cf.pool.methodref("dvm/rt/Audit", "enter", "(I)V").unwrap();
     let exit = cf.pool.methodref("dvm/rt/Audit", "exit", "(I)V").unwrap();
@@ -253,7 +251,7 @@ fn service_class(sites: &[i32]) -> ClassFile {
     let mut a = Asm::new(1);
     for site in sites {
         a.iconst(*site).invokestatic(enter);
-        a.iload(0).iconst(*site).invokestatic(check);
+        a.iload(0).invokestatic(check);
         a.iconst(*site).invokestatic(count);
         a.iconst(*site).invokestatic(exit);
     }
@@ -342,19 +340,29 @@ proptest! {
 
     /// Service streams: audit, profiling, and security events reach the
     /// hooks in the same order with the same operands on both tiers —
-    /// including the denial path's SecurityException.
+    /// including the denial path, whose SecurityException (class and
+    /// message) is the same from both.
     #[test]
     fn ir_matches_interpreter_on_service_events(
         sites in proptest::collection::vec(0..50i32, 1..8),
-        sid in 0..8i32,
+        perm in 0..8i32,
     ) {
         let cf = service_class(&sites);
         let interp_events = Arc::new(Mutex::new(Vec::new()));
         let tiered_events = Arc::new(Mutex::new(Vec::new()));
         let mut interp = vm_services(&cf, interp_events.clone(), false);
         let mut tiered = vm_services(&cf, tiered_events.clone(), true);
-        let want = observe(&mut interp, "p/Svc", "probe", "(I)I", vec![Value::Int(sid)]);
-        let got = observe(&mut tiered, "p/Svc", "probe", "(I)I", vec![Value::Int(sid)]);
+        let want = observe(&mut interp, "p/Svc", "probe", "(I)I", vec![Value::Int(perm)]);
+        let got = observe(&mut tiered, "p/Svc", "probe", "(I)I", vec![Value::Int(perm)]);
+        if perm % 2 != 0 {
+            prop_assert_eq!(
+                &want,
+                &Outcome::Thrown(
+                    "java/lang/SecurityException".to_owned(),
+                    format!("permission {perm} denied"),
+                )
+            );
+        }
         prop_assert_eq!(got, want);
         prop_assert_eq!(
             tiered_events.lock().unwrap().clone(),
